@@ -87,8 +87,7 @@ def cmd_factor(args) -> int:
 
 def cmd_classify(args) -> int:
     length = _odd_length(args.N)
-    divisors = [n for n in range(1, length + 1) if length % n == 0]
-    classes = [cyclotomic.classify_pair(n) for n in divisors]
+    classes = [cyclotomic.classify_pair(n) for n in cyclotomic.divisors(length)]
     if args.json:
         rows = []
         for pc in classes:
@@ -189,9 +188,11 @@ def _config_bound(path: str | None) -> int | None:
             config = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path!r}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise UsageError(f"config {path!r} must be a JSON object")
     bound = config.get("max_bruteforce")
-    if bound is not None and not isinstance(bound, int):
-        raise UsageError("config max_bruteforce must be an integer")
+    if bound is not None and (isinstance(bound, bool) or not isinstance(bound, int)):
+        raise UsageError(f"config {path!r}: max_bruteforce must be an integer")
     return bound
 
 
@@ -250,10 +251,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .z4poly import F2Poly, Z4Poly
+from .z4poly import F2Poly, Z4Poly, _bits_divmod, _bits_is_irreducible, _bits_mul, _bits_powmod
 
 GOOD = "good"
 BAD = "bad"
@@ -80,49 +80,65 @@ def _require_odd(n: int) -> None:
         raise ValueError("N must be odd")
 
 
-def euler_phi(n: int) -> int:
-    """Euler's totient, by the product formula over prime divisors."""
+def _factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1 by trial division up to sqrt(n)."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    result = n
-    m = n
+    factors: dict[int, int] = {}
     p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def euler_phi(n: int) -> int:
+    """Euler's totient, by the product formula over prime divisors."""
+    return math.prod((p - 1) * p ** (e - 1) for p, e in _factorize(n).items())
+
+
+def divisors(n: int) -> list[int]:
+    """Every positive divisor of n >= 1, ascending."""
+    result = [1]
+    for p, e in _factorize(n).items():
+        result = [d * p**k for d in result for k in range(e + 1)]
+    return sorted(result)
 
 
 def mult_order_of_2(n: int) -> int:
-    """Least k >= 1 with 2^k = 1 mod n; by convention 1 when n = 1."""
+    """Least k >= 1 with 2^k = 1 mod n; by convention 1 when n = 1.
+
+    The order divides phi(n), so start there and strip each prime q of
+    phi(n) (q | p - 1, or q = p when p^2 | n) while 2^(order/q) is still 1.
+    """
     _require_odd(n)
-    if n == 1:
-        return 1
-    acc = 2 % n
-    k = 1
-    while acc != 1:
-        acc = acc * 2 % n
-        k += 1
-    return k
+    order = euler_phi(n)
+    primes = set()
+    for p, e in _factorize(n).items():
+        primes.update(_factorize(p - 1))
+        if e > 1:
+            primes.add(p)
+    for q in primes:
+        while order % q == 0 and pow(2, order // q, n) == 1 % n:
+            order //= q
+    return order
 
 
 def classify_pair(n: int) -> PairClass:
     """Decide whether (n, 2) is a good or bad pair and size its block.
 
-    Good means 2^k = -1 mod n for some k; searching k up to ord_n(2)
-    suffices because the powers of 2 repeat with that period.  n = 1 is
-    good by convention.
+    Good means 2^k = -1 mod n for some k.  -1 is the only element of order
+    2 in the cyclic group <2> mod n, so that holds exactly when ord_n(2) is
+    even and 2^(ord/2) = -1.  n = 1 is good by convention.
     """
     _require_odd(n)
     order2 = mult_order_of_2(n)
     phi = euler_phi(n)
-    minus_one = (n - 1) % n
-    good = n == 1 or any(pow(2, k, n) == minus_one for k in range(1, order2 + 1))
+    good = n == 1 or (order2 % 2 == 0 and pow(2, order2 // 2, n) == n - 1)
     if good:
         if phi % order2:
             raise AssertionError(f"phi({n}) not divisible by ord_{n}(2)")
@@ -151,55 +167,7 @@ def cyclotomic_cosets(length: int) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Splitting-field engine on int-encoded binary polynomials (bit k = coeff X^k)
-
-def _bits_mul(a: int, b: int) -> int:
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
-
-
-def _bits_mod(a: int, b: int) -> int:
-    db = b.bit_length() - 1
-    while a and a.bit_length() - 1 >= db:
-        a ^= b << (a.bit_length() - 1 - db)
-    return a
-
-
-def _bits_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _bits_mod(a, b)
-    return a
-
-
-def _bits_powmod(base: int, exp: int, mod: int) -> int:
-    result = 1
-    base = _bits_mod(base, mod)
-    while exp:
-        if exp & 1:
-            result = _bits_mod(_bits_mul(result, base), mod)
-        base = _bits_mod(_bits_mul(base, base), mod)
-        exp >>= 1
-    return result
-
-
-def _bits_is_irreducible(a: int) -> bool:
-    # a has an irreducible factor of degree dividing k iff
-    # gcd(X^(2^k) - X, a) != 1; no factor of degree <= deg/2 means irreducible
-    deg = a.bit_length() - 1
-    if deg <= 0:
-        return False
-    frob = 2  # X
-    for _ in range(deg // 2):
-        frob = _bits_mod(_bits_mul(frob, frob), a)
-        if _bits_gcd(frob ^ 2, a) != 1:
-            return False
-    return True
-
+# Splitting field F_{2^m} = F2[X]/(modulus), elements int-encoded as in z4poly
 
 def _least_irreducible(degree: int) -> int:
     for low in range(1 << degree):
@@ -209,26 +177,12 @@ def _least_irreducible(degree: int) -> int:
     raise AssertionError(f"no irreducible of degree {degree}")  # unreachable
 
 
-def _prime_factors(n: int) -> list[int]:
-    primes = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
 def _least_generator(degree: int, modulus: int) -> int:
     """Smallest encoding of full multiplicative order in F_{2^degree}."""
     group_order = (1 << degree) - 1
     if group_order == 1:
         return 1
-    primes = _prime_factors(group_order)
+    primes = _factorize(group_order)
     for candidate in range(2, 1 << degree):
         if all(_bits_powmod(candidate, group_order // q, modulus) != 1 for q in primes):
             return candidate
@@ -249,15 +203,18 @@ def factor_mod2(length: int) -> list[F2Poly]:
     alpha = _bits_powmod(_least_generator(m, modulus), group_order // length, modulus)
     factors = []
     for coset in cosets:
-        # product of (X + alpha^j) over the coset, coefficients in F_{2^m}
+        # product of (X + alpha^j) over the coset, coefficients in F_{2^m};
+        # the coset is the orbit of its least member under j -> 2j, so each
+        # root is the square of the one before
         poly = [1]
-        for j in coset:
-            root = _bits_powmod(alpha, j, modulus)
+        root = _bits_powmod(alpha, coset[0], modulus)
+        for _ in coset:
             nxt = [0] * (len(poly) + 1)
             for k, c in enumerate(poly):
                 nxt[k + 1] ^= c
-                nxt[k] ^= _bits_mod(_bits_mul(root, c), modulus)
+                nxt[k] ^= _bits_divmod(_bits_mul(root, c), modulus)[1]
             poly = nxt
+            root = _bits_divmod(_bits_mul(root, root), modulus)[1]
         if any(c not in (0, 1) for c in poly):
             raise AssertionError("minimal polynomial left the prime field")
         factors.append(F2Poly(poly))

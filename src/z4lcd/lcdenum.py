@@ -48,10 +48,6 @@ class LcdCensus(NamedTuple):
     swept: int | None  # exhaustive partition sweep; None if over budget
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def count_nsrf(length: int) -> int:
     """Number of reciprocal-closed atoms of X^N - 1.
 
@@ -61,7 +57,7 @@ def count_nsrf(length: int) -> int:
     if length % 2 == 0:
         raise ValueError("N must be odd")
     total = 0
-    for n in _divisors(length):
+    for n in cyclotomic.divisors(length):
         pc = cyclotomic.classify_pair(n)
         total += pc.gamma if pc.kind == GOOD else pc.beta
     return total

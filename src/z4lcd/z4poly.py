@@ -1,10 +1,16 @@
 """Exact polynomial arithmetic over Z4 and over F2.
 
-Polynomials are held as tuples of canonical residues in ascending degree
+Z4 polynomials are held as tuples of canonical residues in ascending degree
 order: ``coeffs[k]`` is the coefficient of X^k.  The last entry is always
 nonzero; the zero polynomial is the empty tuple and has degree ``NEG_INF``.
 Constructors reduce arbitrary integer coefficients into canonical form, so
 inputs may use the signed convention (-1 for 3, -2 for 2, and so on).
+
+F2 polynomials have one encoding, an int whose bit k is the coefficient of
+X^k (0 is the zero polynomial).  The ``_bits_*`` routines (carry-less
+multiply, divmod, gcd, modular power, irreducibility) are the only F2[X]
+arithmetic in the package: ``F2Poly`` is a thin public view over such an
+int, and the splitting-field code in ``cyclotomic`` calls them directly.
 
 Z4[X] is not a Euclidean domain, so only division by a *monic* divisor is
 offered (quotient and remainder are then unique).  F2[X] is a Euclidean
@@ -23,20 +29,16 @@ _Z4_UNITS = (1, 3)
 _Z4_INVERSE = {1: 1, 3: 3}
 
 
-def _normalize(coeffs, modulus: int) -> tuple[int, ...]:
-    out = [c % modulus for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 class Z4Poly:
     """A polynomial over Z4, immutable after construction."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        self.coeffs: tuple[int, ...] = _normalize(coeffs, 4)
+        out = [c % 4 for c in coeffs]
+        while out and out[-1] == 0:
+            out.pop()
+        self.coeffs: tuple[int, ...] = tuple(out)
 
     @classmethod
     def zero(cls) -> "Z4Poly":
@@ -183,86 +185,70 @@ class Z4Poly:
 
 
 class F2Poly:
-    """A polynomial over F2 with the same tuple representation as Z4Poly."""
+    """A polynomial over F2, held as the int whose bit k is the coefficient of X^k."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("bits",)
 
     def __init__(self, coeffs=()):
-        self.coeffs: tuple[int, ...] = _normalize(coeffs, 2)
+        self.bits: int = sum(1 << k for k, c in enumerate(coeffs) if c % 2)
+
+    @classmethod
+    def _of(cls, bits: int) -> "F2Poly":
+        poly = cls.__new__(cls)
+        poly.bits = bits
+        return poly
 
     @classmethod
     def zero(cls) -> "F2Poly":
-        return cls(())
+        return cls._of(0)
 
     @classmethod
     def one(cls) -> "F2Poly":
-        return cls((1,))
+        return cls._of(1)
 
     @classmethod
     def x_pow_plus_one(cls, n: int) -> "F2Poly":
         """X^n + 1 for n >= 1."""
         if n < 1:
             raise ValueError("exponent must be positive")
-        return cls((1,) + (0,) * (n - 1) + (1,))
+        return cls._of(1 << n | 1)
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return tuple(self.bits >> k & 1 for k in range(self.bits.bit_length()))
 
     def to_string(self) -> str:
         return ",".join(str(c) for c in self.coeffs)
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return self.bits.bit_length() - 1 if self.bits else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.bits
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs)  # any nonzero leading coefficient is 1
+        return bool(self.bits)  # any nonzero leading coefficient is 1
 
     def __add__(self, other):
         if not isinstance(other, F2Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] ^= c
-        return F2Poly(out)
+        return F2Poly._of(self.bits ^ other.bits)
 
     __sub__ = __add__  # characteristic 2
 
     def __mul__(self, other):
         if not isinstance(other, F2Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return F2Poly.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] ^= cb
-        return F2Poly(out)
+        return F2Poly._of(_bits_mul(self.bits, other.bits))
 
     def __divmod__(self, divisor):
         if not isinstance(divisor, F2Poly):
             return NotImplemented
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        d = divisor.coeffs
-        dd = len(d) - 1
-        if len(rem) - 1 < dd:
-            return F2Poly.zero(), F2Poly(rem)
-        quot = [0] * (len(rem) - dd)
-        for top in range(len(rem) - 1, dd - 1, -1):
-            if rem[top]:
-                quot[top - dd] = 1
-                for k in range(dd + 1):
-                    rem[top - dd + k] ^= d[k]
-        return F2Poly(quot), F2Poly(rem)
+        quot, rem = _bits_divmod(self.bits, divisor.bits)
+        return F2Poly._of(quot), F2Poly._of(rem)
 
     def __floordiv__(self, divisor):
         return divmod(self, divisor)[0]
@@ -272,22 +258,76 @@ class F2Poly:
 
     def gcd(self, other: "F2Poly") -> "F2Poly":
         """Monic greatest common divisor (Euclidean algorithm)."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a
+        return F2Poly._of(_bits_gcd(self.bits, other.bits))
 
     def __eq__(self, other):
-        return isinstance(other, F2Poly) and self.coeffs == other.coeffs
+        return isinstance(other, F2Poly) and self.bits == other.bits
 
     def __hash__(self):
-        return hash((F2Poly, self.coeffs))
+        return hash((F2Poly, self.bits))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.bits)
 
     def __repr__(self):
         return f"F2Poly([{self.to_string()}])"
+
+
+# ---------------------------------------------------------------------------
+# F2[X] arithmetic on the int encoding, behind F2Poly and cyclotomic alike
+
+def _bits_mul(a: int, b: int) -> int:
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
+
+
+def _bits_divmod(a: int, b: int) -> tuple[int, int]:
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    width = b.bit_length()
+    quot = 0
+    shift = a.bit_length() - width
+    while shift >= 0:
+        quot |= 1 << shift
+        a ^= b << shift
+        shift = a.bit_length() - width
+    return quot, a
+
+
+def _bits_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, _bits_divmod(a, b)[1]
+    return a
+
+
+def _bits_powmod(base: int, exp: int, mod: int) -> int:
+    result = 1
+    base = _bits_divmod(base, mod)[1]
+    while exp:
+        if exp & 1:
+            result = _bits_divmod(_bits_mul(result, base), mod)[1]
+        base = _bits_divmod(_bits_mul(base, base), mod)[1]
+        exp >>= 1
+    return result
+
+
+def _bits_is_irreducible(a: int) -> bool:
+    # a has an irreducible factor of degree dividing k iff
+    # gcd(X^(2^k) - X, a) != 1; no factor of degree <= deg/2 means irreducible
+    deg = a.bit_length() - 1
+    if deg <= 0:
+        return False
+    frob = 2  # X
+    for _ in range(deg // 2):
+        frob = _bits_divmod(_bits_mul(frob, frob), a)[1]
+        if _bits_gcd(frob ^ 2, a) != 1:
+            return False
+    return True
 
 
 def format_terms(p: Z4Poly) -> str:

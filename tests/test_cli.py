@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import z4lcd
 from z4lcd.cyclotomic import build_factor_table, table_to_wire
 from z4lcd.lcdenum import catalog_to_wire, enumerate_lcd
@@ -70,6 +72,14 @@ class TestClassify:
         result = run_cli("classify", "1")
         assert result.returncode == 0
         assert "n=1: good" in result.stdout
+
+    def test_json_many_divisors(self):
+        # 45045 = 3^2*5*7*11*13 has 48 divisors; the fixture is the output of
+        # a literal O(N) divisor scan with power-walk pair classification
+        expected = (Path(__file__).parent / "data" / "classify_45045.json").read_text()
+        result = run_cli("classify", "45045", "--json")
+        assert result.returncode == 0
+        assert result.stdout == expected
 
     def test_json(self):
         parsed = json.loads(run_cli("classify", "7", "--json").stdout)
@@ -142,6 +152,12 @@ class TestCount:
         parsed = json.loads(run_cli("count-lcd", "7", "--json").stdout)
         assert parsed == {"N": 7, "nsrf": 2, "count": 4}
 
+    def test_large_prime_length(self):
+        # 100000007 is prime with ord2 = phi/2 odd: one self-reciprocal factor
+        # and one reciprocal pair; an O(N) divisor scan takes minutes here
+        parsed = json.loads(run_cli("count-lcd", "100000007", "--json").stdout)
+        assert parsed == {"N": 100000007, "count": 4, "nsrf": 2}
+
 
 class TestVerify:
     def test_nine(self):
@@ -165,6 +181,23 @@ class TestVerify:
         assert blocked.returncode == 2
         allowed = run_cli("verify", "3", "--config", str(config))
         assert allowed.returncode == 0
+
+    @pytest.mark.parametrize("body", ["[]", '"max_bruteforce"', "3"])
+    def test_config_must_be_an_object(self, tmp_path, body):
+        config = tmp_path / "config.json"
+        config.write_text(body)
+        result = run_cli("verify", "3", "--config", str(config))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and str(config) in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_config_rejects_boolean_bound(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_bruteforce": True}))
+        result = run_cli("verify", "3", "--config", str(config))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and str(config) in result.stderr
+        assert "integer" in result.stderr
 
     def test_flag_overrides_config(self, tmp_path):
         config = tmp_path / "config.json"

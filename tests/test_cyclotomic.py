@@ -13,6 +13,7 @@ from z4lcd.cyclotomic import (
     build_factor_table,
     classify_pair,
     cyclotomic_cosets,
+    divisors,
     euler_phi,
     factor_label,
     factor_mod2,
@@ -23,6 +24,7 @@ from z4lcd.cyclotomic import (
 from z4lcd.z4poly import F2Poly, Z4Poly
 
 ODD_LENGTHS = list(range(1, 32, 2))
+WIDE_ODD_LENGTHS = range(1, 3000, 2)
 
 
 def phi_by_count(n):
@@ -59,6 +61,16 @@ class TestEulerPhi:
             euler_phi(0)
 
 
+class TestDivisors:
+    def test_against_direct_scan(self):
+        for n in range(1, 3000):
+            assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError):
+            divisors(0)
+
+
 class TestMultOrder:
     def test_convention_at_one(self):
         assert mult_order_of_2(1) == 1
@@ -68,10 +80,13 @@ class TestMultOrder:
         assert mult_order_of_2(15) == 4  # 2, 4, 8, 1
 
     def test_defining_property(self):
-        for n in ODD_LENGTHS:
-            k = mult_order_of_2(n)
-            assert pow(2, k, n) == 1 % n
-            assert all(pow(2, j, n) != 1 % n for j in range(1, k)) or n == 1
+        # the literal power walk 2, 4, 8, ... until it first returns to 1;
+        # squares of the Wieferich primes 1093 and 3511 keep ord_p(2)
+        for n in [*WIDE_ODD_LENGTHS, 1093**2, 3511**2]:
+            k, acc = 1, 2 % n
+            while acc != 1 % n:
+                k, acc = k + 1, acc * 2 % n
+            assert mult_order_of_2(n) == k
 
     def test_rejects_even(self):
         with pytest.raises(ValueError):
@@ -94,10 +109,10 @@ class TestClassifyPair:
         assert (pc.kind, pc.gamma) == (GOOD, 1)
 
     def test_against_direct_search(self):
-        # good iff n divides 2^k + 1 for some k; the window ord_n(2) suffices
-        for n in ODD_LENGTHS:
+        # good iff 2^k = -1 mod n for some k; the window k <= phi(n) suffices
+        for n in WIDE_ODD_LENGTHS:
             pc = classify_pair(n)
-            expected = any((2**k + 1) % n == 0 for k in range(1, 2 * pc.phi + 1))
+            expected = any(pow(2, k, n) == n - 1 for k in range(1, pc.phi + 1))
             assert (pc.kind == GOOD) == expected
 
     def test_counts_are_positive_integers(self):

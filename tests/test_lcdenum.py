@@ -28,6 +28,26 @@ class TestCountNsrf:
             pairs = sum(r.kind == PAIR_FIRST for r in table.records)
             assert count_nsrf(n) == len(table.records) - pairs
 
+    def test_matches_orbit_count(self):
+        # atoms are the orbits of <s -> 2s, s -> -s> on Z/N: a coset and its
+        # negation make one atom; no factor table and no pair classes here
+        for n in range(1, 400, 2):
+            seen = [False] * n
+            orbits = 0
+            for start in range(n):
+                if seen[start]:
+                    continue
+                orbits += 1
+                stack = [start]
+                seen[start] = True
+                while stack:
+                    s = stack.pop()
+                    for t in (2 * s % n, -s % n):
+                        if not seen[t]:
+                            seen[t] = True
+                            stack.append(t)
+            assert count_nsrf(n) == orbits
+
     def test_rejects_even(self):
         with pytest.raises(ValueError):
             count_nsrf(4)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from z4lcd.z4poly import F2Poly, NEG_INF, Z4Poly, format_terms
+from z4lcd.z4poly import F2Poly, NEG_INF, Z4Poly, _bits_divmod, format_terms
 
 
 def z4(*coeffs):
@@ -114,6 +114,12 @@ class TestReduceMod2:
 
 
 class TestF2Poly:
+    def test_coefficient_view(self):
+        p = F2Poly([1, 0, -1, 2, 0])
+        assert (p.coeffs, p.to_string(), p.degree) == ((1, 0, 1), "1,0,1", 2)
+        assert (F2Poly.zero().coeffs, F2Poly.zero().degree) == ((), NEG_INF)
+        assert repr(F2Poly.x_pow_plus_one(3)) == "F2Poly([1,0,0,1])"
+
     def test_add_is_xor(self):
         assert F2Poly([1, 1]) + F2Poly([1, 0, 1]) == F2Poly([0, 1, 1])
         assert F2Poly([1, 1]) + F2Poly([1, 1]) == F2Poly.zero()
@@ -131,6 +137,8 @@ class TestF2Poly:
     def test_divmod_rejects_zero(self):
         with pytest.raises(ZeroDivisionError):
             divmod(F2Poly([1, 1]), F2Poly.zero())
+        with pytest.raises(ZeroDivisionError):
+            _bits_divmod(0b11, 0)
 
     def test_gcd(self):
         a = F2Poly([1, 1]) * F2Poly([1, 1, 1])
