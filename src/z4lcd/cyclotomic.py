@@ -1,10 +1,13 @@
 """Factorization of X^N - 1 over Z4 for odd N, with its block structure.
 
 The route is classical: the 2-cyclotomic cosets mod N give the monic
-irreducible factors of X^N + 1 over F2 (one factor per coset, computed as a
-minimal polynomial in the splitting field F_{2^m}, m = ord_N(2)), and a
+irreducible factors of X^N + 1 over F2 (one factor per coset, the minimal
+polynomial of alpha^s in the splitting field F_{2^m}, m = ord_N(2)), and a
 single Graeffe step lifts each factor to the unique monic basic irreducible
-divisor of X^N - 1 over Z4 with that mod-2 reduction.
+divisor of X^N - 1 over Z4 with that mod-2 reduction.  A minimal polynomial
+is found as the first F2-linear relation among the powers of alpha^s read
+as m-bit vectors, so a coset of size d costs d field multiplications and at
+most d*m XORs.
 
 Each divisor n of N contributes a block of factors: gamma(n) self-reciprocal
 ones when (n, 2) is a good pair, beta(n) reciprocal pairs when bad, where
@@ -17,7 +20,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .z4poly import F2Poly, Z4Poly, _bits_divmod, _bits_is_irreducible, _bits_mul, _bits_powmod
+from .z4poly import F2Poly, Z4Poly, _bits_is_irreducible, _bits_min_poly, _bits_powmod
 
 GOOD = "good"
 BAD = "bad"
@@ -109,23 +112,30 @@ def divisors(n: int) -> list[int]:
     return sorted(result)
 
 
-def mult_order_of_2(n: int) -> int:
-    """Least k >= 1 with 2^k = 1 mod n; by convention 1 when n = 1.
+def _order_and_phi(n: int) -> tuple[int, int]:
+    """(ord_n(2), phi(n)) for odd n from one factorization of n.
 
     The order divides phi(n), so start there and strip each prime q of
     phi(n) (q | p - 1, or q = p when p^2 | n) while 2^(order/q) is still 1.
     """
     _require_odd(n)
-    order = euler_phi(n)
+    factors = _factorize(n)
+    phi = math.prod((p - 1) * p ** (e - 1) for p, e in factors.items())
+    order = phi
     primes = set()
-    for p, e in _factorize(n).items():
+    for p, e in factors.items():
         primes.update(_factorize(p - 1))
         if e > 1:
             primes.add(p)
     for q in primes:
         while order % q == 0 and pow(2, order // q, n) == 1 % n:
             order //= q
-    return order
+    return order, phi
+
+
+def mult_order_of_2(n: int) -> int:
+    """Least k >= 1 with 2^k = 1 mod n; by convention 1 when n = 1."""
+    return _order_and_phi(n)[0]
 
 
 def classify_pair(n: int) -> PairClass:
@@ -135,9 +145,7 @@ def classify_pair(n: int) -> PairClass:
     2 in the cyclic group <2> mod n, so that holds exactly when ord_n(2) is
     even and 2^(ord/2) = -1.  n = 1 is good by convention.
     """
-    _require_odd(n)
-    order2 = mult_order_of_2(n)
-    phi = euler_phi(n)
+    order2, phi = _order_and_phi(n)
     good = n == 1 or (order2 % 2 == 0 and pow(2, order2 // 2, n) == n - 1)
     if good:
         if phi % order2:
@@ -192,33 +200,22 @@ def _least_generator(degree: int, modulus: int) -> int:
 def factor_mod2(length: int) -> list[F2Poly]:
     """Monic irreducible factors of X^N + 1 over F2, one per cyclotomic coset.
 
-    Factor j is the minimal polynomial of alpha^s for s in coset j, where
-    alpha is a fixed element of multiplicative order N in F_{2^m}; the list
-    is ordered to match cyclotomic_cosets(N).
+    Factor j is the minimal polynomial of alpha^s, s the least member of
+    coset j, where alpha is a fixed element of multiplicative order N in
+    F_{2^m}; the list is ordered to match cyclotomic_cosets(N).  Each factor
+    is the first F2-linear relation among 1, alpha^s, alpha^2s, ... read as
+    m-bit vectors: d field multiplications and at most d*m XORs for a coset
+    of size d.
     """
     cosets = cyclotomic_cosets(length)
     m = mult_order_of_2(length)
     modulus = _least_irreducible(m)
     group_order = (1 << m) - 1
     alpha = _bits_powmod(_least_generator(m, modulus), group_order // length, modulus)
-    factors = []
-    for coset in cosets:
-        # product of (X + alpha^j) over the coset, coefficients in F_{2^m};
-        # the coset is the orbit of its least member under j -> 2j, so each
-        # root is the square of the one before
-        poly = [1]
-        root = _bits_powmod(alpha, coset[0], modulus)
-        for _ in coset:
-            nxt = [0] * (len(poly) + 1)
-            for k, c in enumerate(poly):
-                nxt[k + 1] ^= c
-                nxt[k] ^= _bits_divmod(_bits_mul(root, c), modulus)[1]
-            poly = nxt
-            root = _bits_divmod(_bits_mul(root, root), modulus)[1]
-        if any(c not in (0, 1) for c in poly):
-            raise AssertionError("minimal polynomial left the prime field")
-        factors.append(F2Poly(poly))
-    return factors
+    return [
+        F2Poly._of(_bits_min_poly(_bits_powmod(alpha, coset[0], modulus), len(coset), modulus))
+        for coset in cosets
+    ]
 
 
 def graeffe_lift(f2: F2Poly) -> Z4Poly:

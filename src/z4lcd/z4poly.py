@@ -8,9 +8,11 @@ inputs may use the signed convention (-1 for 3, -2 for 2, and so on).
 
 F2 polynomials have one encoding, an int whose bit k is the coefficient of
 X^k (0 is the zero polynomial).  The ``_bits_*`` routines (carry-less
-multiply, divmod, gcd, modular power, irreducibility) are the only F2[X]
-arithmetic in the package: ``F2Poly`` is a thin public view over such an
-int, and the splitting-field code in ``cyclotomic`` calls them directly.
+multiply, divmod, gcd, modular power, minimal polynomial, irreducibility)
+are the only F2[X] arithmetic in the package: ``F2Poly`` is a thin public
+view over such an int, and the splitting-field code in ``cyclotomic`` calls
+them directly.  A minimal polynomial is the first F2-linear relation among
+the powers of an element, so degree d costs d field multiplications.
 
 Z4[X] is not a Euclidean domain, so only division by a *monic* divisor is
 offered (quotient and remainder are then unique).  F2[X] is a Euclidean
@@ -314,6 +316,35 @@ def _bits_powmod(base: int, exp: int, mod: int) -> int:
         base = _bits_divmod(_bits_mul(base, base), mod)[1]
         exp >>= 1
     return result
+
+
+def _bits_min_poly(beta: int, degree: int, modulus: int) -> int:
+    """Minimal polynomial over F2 of beta in F2[X]/(modulus), of known degree.
+
+    Reduces 1, beta, beta^2, ... as bit vectors against a basis keyed by
+    leading bit, tracking the powers each basis vector combines; the first
+    power that reduces to zero gives the first linear relation, which is
+    the minimal polynomial.  Costs `degree` field multiplications and at
+    most degree * deg(modulus) XORs.
+    """
+    basis: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, powers used)
+    power = 1
+    for k in range(degree + 1):
+        vector, used = power, 1 << k
+        while vector:
+            lead = vector.bit_length() - 1
+            if lead not in basis:
+                break
+            pivot, pivot_used = basis[lead]
+            vector ^= pivot
+            used ^= pivot_used
+        if not vector:
+            if k != degree:
+                raise AssertionError(f"minimal polynomial has degree {k}, not {degree}")
+            return used
+        basis[lead] = (vector, used)
+        power = _bits_divmod(_bits_mul(power, beta), modulus)[1]
+    raise AssertionError(f"minimal polynomial has degree above {degree}")
 
 
 def _bits_is_irreducible(a: int) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import z4lcd
+from z4lcd import cli
 from z4lcd.cyclotomic import build_factor_table, table_to_wire
 from z4lcd.lcdenum import catalog_to_wire, enumerate_lcd
 
@@ -54,6 +56,18 @@ class TestFactor:
 
     def test_json_flag_before_subcommand(self):
         assert json.loads(run_cli("--json", "factor", "7").stdout)["N"] == 7
+
+    def test_json_matches_digests(self, capsys):
+        # sha256 of `factor N --json` stdout, captured with the product-of-roots
+        # minimal polynomials, for every odd N < 400 whose table then built in
+        # under 1 s and for 1023, 2047, 4095, 8191: any change of alpha, of
+        # factor order or of labels shows here; run in-process to stay quick
+        expected = json.loads((Path(__file__).parent / "data" / "factor_digests.json").read_text())
+        got = {}
+        for n in expected:
+            assert cli.main(["factor", n, "--json"]) == 0
+            got[n] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert [n for n in expected if got[n] != expected[n]] == []
 
 
 class TestClassify:
@@ -157,6 +171,10 @@ class TestCount:
         # and one reciprocal pair; an O(N) divisor scan takes minutes here
         parsed = json.loads(run_cli("count-lcd", "100000007", "--json").stdout)
         assert parsed == {"N": 100000007, "count": 4, "nsrf": 2}
+
+    def test_prime_length_near_a_trillion(self):
+        parsed = json.loads(run_cli("count-lcd", "1000000000039", "--json").stdout)
+        assert parsed == {"N": 1000000000039, "count": 4, "nsrf": 2}
 
 
 class TestVerify:

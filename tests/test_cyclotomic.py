@@ -1,6 +1,8 @@
 import functools
+import json
 import math
 import operator
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,8 @@ from z4lcd.cyclotomic import (
     PAIR_FIRST,
     PAIR_SECOND,
     SELF_RECIPROCAL,
+    _least_generator,
+    _least_irreducible,
     build_factor_table,
     classify_pair,
     cyclotomic_cosets,
@@ -25,6 +29,13 @@ from z4lcd.z4poly import F2Poly, Z4Poly
 
 ODD_LENGTHS = list(range(1, 32, 2))
 WIDE_ODD_LENGTHS = range(1, 3000, 2)
+# odd N whose factor table builds in under 1 s with the product-of-roots
+# minimal polynomials (m up to 100), kept with their `factor --json` digests
+DIGEST_LENGTHS = sorted(
+    int(n) for n in json.loads(
+        (Path(__file__).parent / "data" / "factor_digests.json").read_text()
+    )
+)
 
 
 def phi_by_count(n):
@@ -42,6 +53,37 @@ def f2_is_irreducible_by_trial_division(poly):
             if (poly % divisor).is_zero:
                 return False
     return True
+
+
+def field_mul(a, b, modulus):
+    # shift-and-add in F2[X]/(modulus), reducing as the shifted copy grows
+    deg = modulus.bit_length() - 1
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a >> deg & 1:
+            a ^= modulus
+    return out
+
+
+def field_pow(a, e, modulus):
+    out = 1
+    for bit in bin(e)[2:]:
+        out = field_mul(out, out, modulus)
+        if bit == "1":
+            out = field_mul(out, a, modulus)
+    return out
+
+
+def field_eval(poly, x, modulus):
+    # Horner's rule with F2 coefficients, highest degree first
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = field_mul(acc, x, modulus) ^ c
+    return acc
 
 
 class TestEulerPhi:
@@ -185,6 +227,26 @@ class TestFactorMod2:
             assert product == F2Poly.x_pow_plus_one(n)
             if n <= 15:  # exhaustive divisor scan stays cheap here
                 assert all(f2_is_irreducible_by_trial_division(f) for f in factors)
+
+    @pytest.mark.parametrize("n", [n for n in DIGEST_LENGTHS if n < 200])
+    def test_factor_is_minimal_polynomial_of_its_coset(self, n):
+        # the definition: factor j has degree |coset j| and vanishes at
+        # alpha^s, s = min coset j, for alpha of order N in F_{2^m}; with
+        # irreducibility (checked above) that makes it the minimal polynomial
+        m = mult_order_of_2(n)
+        modulus = _least_irreducible(m)
+        generator = _least_generator(m, modulus)
+        alpha = field_pow(generator, ((1 << m) - 1) // n, modulus)
+        power, order = alpha, 1
+        while power != 1:
+            power, order = field_mul(power, alpha, modulus), order + 1
+        assert order == n
+        factors = factor_mod2(n)
+        cosets = cyclotomic_cosets(n)
+        assert len(factors) == len(cosets)
+        for f, coset in zip(factors, cosets):
+            assert f.degree == len(coset)
+            assert field_eval(f, field_pow(alpha, coset[0], modulus), modulus) == 0
 
     def test_large_degree_factor_irreducible(self):
         # the degree-28 factor at N=29 via the same exhaustive oracle

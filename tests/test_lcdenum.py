@@ -1,5 +1,6 @@
 import pytest
 
+from z4lcd import cyclotomic
 from z4lcd.codes import divisor_poly, hull_report, reciprocal_set
 from z4lcd.cyclotomic import PAIR_FIRST, build_factor_table
 from z4lcd.lcdenum import (
@@ -47,6 +48,20 @@ class TestCountNsrf:
                             seen[t] = True
                             stack.append(t)
             assert count_nsrf(n) == orbits
+
+    def test_factors_a_prime_length_twice(self, monkeypatch):
+        # once to list the divisors, once for the pair class of N itself
+        n = 10**12 + 39
+        calls = []
+        factorize = cyclotomic._factorize
+
+        def counting(k):
+            calls.append(k)
+            return factorize(k)
+
+        monkeypatch.setattr(cyclotomic, "_factorize", counting)
+        assert count_nsrf(n) == 2
+        assert calls.count(n) == 2
 
     def test_rejects_even(self):
         with pytest.raises(ValueError):

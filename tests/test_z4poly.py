@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from z4lcd.z4poly import F2Poly, NEG_INF, Z4Poly, _bits_divmod, format_terms
+from z4lcd.z4poly import F2Poly, NEG_INF, Z4Poly, _bits_divmod, _bits_min_poly, format_terms
 
 
 def z4(*coeffs):
@@ -145,6 +145,21 @@ class TestF2Poly:
         b = F2Poly([1, 1]) * F2Poly([1, 1, 0, 1])
         assert a.gcd(b) == F2Poly([1, 1])
         assert F2Poly([1, 1]).gcd(F2Poly.zero()) == F2Poly([1, 1])
+
+
+class TestMinPoly:
+    MODULUS = 0b1011  # X^3 + X + 1, irreducible
+
+    def test_known_minimal_polynomials(self):
+        assert _bits_min_poly(1, 1, self.MODULUS) == 0b11  # X + 1
+        assert _bits_min_poly(0b10, 3, self.MODULUS) == self.MODULUS  # X itself
+        # X^3 = X + 1 has conjugates X^3, X^6, X^12 = X^5: X^3 + X^2 + 1
+        assert _bits_min_poly(0b011, 3, self.MODULUS) == 0b1101
+
+    @pytest.mark.parametrize("beta,degree", [(1, 2), (1, 0), (0b10, 2), (0b10, 4)])
+    def test_rejects_a_wrong_degree(self, beta, degree):
+        with pytest.raises(AssertionError):
+            _bits_min_poly(beta, degree, self.MODULUS)
 
 
 def random_monic_unit(rng, max_degree=10):
