@@ -45,18 +45,12 @@ def _parse_divisor_arg(text: str, table: cyclotomic.FactorTable) -> codes.Diviso
             ids = [int(part) for part in body.split(",")] if body else []
         except ValueError as exc:
             raise UsageError(f"bad id list {text!r}") from exc
-        try:
-            return codes.DivisorSet.of(table, ids)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        return codes.DivisorSet.of(table, ids)
     try:
         poly = Z4Poly.from_string(text)
     except ValueError as exc:
         raise UsageError(f"bad coefficient string {text!r}") from exc
-    try:
-        return codes.factor_divisor(poly, table)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return codes.factor_divisor(poly, table)
 
 
 def _odd_length(value: int) -> int:
@@ -108,11 +102,7 @@ def cmd_classify(args) -> int:
 def cmd_hull(args) -> int:
     length = _odd_length(args.N)
     table = cyclotomic.build_factor_table(length)
-    f_set = _parse_divisor_arg(args.f, table)
-    g_set = _parse_divisor_arg(args.g, table)
-    if f_set.members & g_set.members:
-        raise UsageError("f and g overlap")
-    spec = codes.CodeSpec.of(table, f_set.members, g_set.members)
+    spec = codes.CodeSpec(_parse_divisor_arg(args.f, table), _parse_divisor_arg(args.g, table))
     report = codes.hull_report(spec)
     if args.json:
         _emit_json(codes.hull_to_wire(report))

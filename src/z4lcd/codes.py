@@ -6,6 +6,10 @@ generated by f(x)g(x) and 2f(x).  Because the factors are pairwise coprime,
 gcd and lcm of divisors are plain set operations on factor ids, never a
 Euclidean algorithm (Z4[X] has none).
 
+Factor ids are checked once, where they enter (DivisorSet.of, CodeSpec.of,
+factor_divisor); sets built from valid sets are not checked again.  A
+CodeSpec stores f and g only; h is derived as the rest of the factors.
+
 The hull cardinality comes out of the factor sets alone:
 
     |Hull(C)| = 4^deg(H) * 2^deg(G)
@@ -25,19 +29,22 @@ from .z4poly import Z4Poly
 
 @dataclass(frozen=True)
 class DivisorSet:
-    """A monic divisor of X^N - 1, as the set of factor ids it comprises."""
+    """A monic divisor of X^N - 1, as the set of factor ids it comprises.
+
+    The constructor trusts that members are ids of table; DivisorSet.of checks.
+    """
 
     table: FactorTable
     members: frozenset[int]
 
-    def __post_init__(self):
-        unknown = self.members - self.table.ids()
-        if unknown:
-            raise ValueError(f"unknown factor ids: {sorted(unknown)}")
-
     @classmethod
     def of(cls, table: FactorTable, ids=()) -> "DivisorSet":
-        return cls(table, frozenset(ids))
+        """Build a divisor set from ids, rejecting any that table lacks."""
+        members = frozenset(ids)
+        unknown = members - table.ids()
+        if unknown:
+            raise ValueError(f"unknown factor ids: {sorted(unknown)}")
+        return cls(table, members)
 
     @property
     def degree(self) -> int:
@@ -58,31 +65,31 @@ class DivisorSet:
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """A cyclic code as the partition (f, g, h) of the factor table."""
+    """A cyclic code as the partition (f, g, h) of the factor table.
+
+    Only f and g are stored; h is derived as the complement of f | g.
+    """
 
     f_set: DivisorSet
     g_set: DivisorSet
-    h_set: DivisorSet
 
     def __post_init__(self):
-        table = self.f_set.table
-        if self.g_set.table != table or self.h_set.table != table:
+        if self.g_set.table != self.f_set.table:
             raise ValueError("partition parts must share one factor table")
-        f, g, h = self.f_set.members, self.g_set.members, self.h_set.members
-        if f & g or f & h or g & h:
-            raise ValueError("f, g, h must be pairwise disjoint")
-        if f | g | h != table.ids():
-            raise ValueError("f, g, h must cover every factor")
+        if self.f_set.members & self.g_set.members:
+            raise ValueError("f and g overlap")
 
     @classmethod
     def of(cls, table: FactorTable, f=(), g=(), h=None) -> "CodeSpec":
-        """Build a partition; h defaults to the complement of f and g."""
-        f_ids = frozenset(f)
-        g_ids = frozenset(g)
-        h_ids = table.ids() - f_ids - g_ids if h is None else frozenset(h)
-        return cls(
-            DivisorSet(table, f_ids), DivisorSet(table, g_ids), DivisorSet(table, h_ids)
-        )
+        """Build a partition from ids; h, if given, must be the rest of the factors."""
+        spec = cls(DivisorSet.of(table, f), DivisorSet.of(table, g))
+        if h is not None and frozenset(h) != spec.h_set.members:
+            raise ValueError("h must be the complement of f and g")
+        return spec
+
+    @property
+    def h_set(self) -> DivisorSet:
+        return (self.f_set | self.g_set).complement()
 
     @property
     def table(self) -> FactorTable:
@@ -152,8 +159,9 @@ def hull_report(spec: CodeSpec) -> HullReport:
     G = everything outside H and L
     |Hull| = 4^deg(H) * 2^deg(G), and the code is LCD iff that is 1.
     """
-    h_common = spec.h_set & reciprocal_set(spec.f_set)
-    lcm_set = spec.f_set | reciprocal_set(spec.h_set)
+    h_set = spec.h_set
+    h_common = h_set & reciprocal_set(spec.f_set)
+    lcm_set = spec.f_set | reciprocal_set(h_set)
     g_residual = (h_common | lcm_set).complement()
     deg_h = h_common.degree
     deg_g = g_residual.degree

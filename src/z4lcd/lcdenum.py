@@ -100,7 +100,7 @@ def all_partitions(table: cyclotomic.FactorTable):
     for assignment in itertools.product(range(3), repeat=len(ids)):
         f = frozenset(i for i, part in zip(ids, assignment) if part == 0)
         g = frozenset(i for i, part in zip(ids, assignment) if part == 1)
-        yield CodeSpec.of(table, f, g)
+        yield CodeSpec(DivisorSet(table, f), DivisorSet(table, g))
 
 
 def lcd_census(length: int, sweep_budget: int = DEFAULT_SWEEP_BUDGET) -> LcdCensus:

@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .codes import CodeSpec, code_size, divisor_poly, hull_report, is_lcd, reciprocal_set, spec_to_wire
+from .codes import CodeSpec, code_size, divisor_poly, hull_report, reciprocal_set, spec_to_wire
 from .cyclotomic import build_factor_table
 from .lcdenum import all_partitions
 from .z4poly import Z4Poly
@@ -202,15 +202,15 @@ def sweep_verify(length: int, bound: int = DEFAULT_BOUND) -> SweepReport:
         partitions += 1
         code = expand_code(spec, bound)
         dual = dual_bruteforce(code, bound)
-        check(spec, "hullSize", hull_report(spec).hull_size, len(code.words & dual.words))
+        report = hull_report(spec)
+        check(spec, "hullSize", report.hull_size, len(code.words & dual.words))
         check(spec, "codeSize", code_size(spec), len(code.words))
         reciprocal_closed = (
             not spec.g_set.members
             and reciprocal_set(spec.f_set).members == spec.f_set.members
         )
-        verdict = is_lcd(spec)
-        check(spec, "lcd", reciprocal_closed, verdict)
-        if verdict:
+        check(spec, "lcd", reciprocal_closed, report.lcd)
+        if report.lcd:
             lcd_count += 1
     return SweepReport(length, partitions, tuple(mismatches), lcd_count)
 

@@ -140,6 +140,24 @@ class TestHull:
         assert result.returncode == 2
         assert "overlap" in result.stderr
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--f", "ids:0,9"), "unknown factor ids: [9]"),
+            (("--f", "ids:-1"), "unknown factor ids: [-1]"),
+            (("--f", "ids:a"), "bad id list 'ids:a'"),
+            (("--f", "3,1,"), "bad coefficient string '3,1,'"),
+            (("--f", "2"), "not a monic polynomial"),
+            (("--f", "0,1"), "'0,1' does not divide X^7-1"),
+            (("--f", "ids:0", "--g", "ids:0"), "f and g overlap"),
+            (("--f", "3,1", "--g", "3,1"), "f and g overlap"),
+        ],
+    )
+    def test_rejection_messages(self, args, message):
+        result = run_cli("hull", "7", *args)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: {message}\n"
+
 
 class TestEnumerate:
     def test_golden_text(self):

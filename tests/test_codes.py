@@ -14,7 +14,7 @@ from z4lcd.codes import (
     reciprocal_set,
     spec_to_wire,
 )
-from z4lcd.cyclotomic import build_factor_table
+from z4lcd.cyclotomic import FactorTable, build_factor_table
 from z4lcd.z4poly import Z4Poly
 
 SWEEP_LENGTHS = list(range(1, 16, 2))
@@ -50,6 +50,16 @@ class TestDivisorSet:
 
     def test_complement(self, t7):
         assert DivisorSet.of(t7, [0]).complement().members == frozenset({1, 2})
+
+    def test_set_operations_do_not_recheck_ids(self, t7, monkeypatch):
+        a, b = DivisorSet.of(t7, [0, 1]), DivisorSet.of(t7, [1, 2])
+        calls = []
+        ids = FactorTable.ids
+        monkeypatch.setattr(FactorTable, "ids", lambda table: calls.append(1) or ids(table))
+        assert (a | b).members == frozenset({0, 1, 2})
+        assert (a & b).members == frozenset({1})
+        assert reciprocal_set(a).members == frozenset({0, 2})
+        assert calls == []
 
 
 class TestDivisorPoly:
@@ -111,12 +121,18 @@ class TestFactorDivisor:
 
 class TestCodeSpec:
     def test_rejects_overlap(self, t7):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="f and g overlap"):
             CodeSpec.of(t7, f={0}, g={0})
+        with pytest.raises(ValueError, match="complement"):
+            CodeSpec.of(t7, f={0}, g=set(), h={0, 1, 2})
 
     def test_rejects_missing_cover(self, t7):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="complement"):
             CodeSpec.of(t7, f={0}, g=set(), h=set())
+
+    def test_rejects_unknown_ids(self, t7):
+        with pytest.raises(ValueError, match=r"unknown factor ids: \[3\]"):
+            CodeSpec.of(t7, f={0}, g={3})
 
     def test_h_defaults_to_complement(self, t7):
         spec = CodeSpec.of(t7, f={0}, g=set())
