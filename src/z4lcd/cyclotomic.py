@@ -29,6 +29,10 @@ SELF_RECIPROCAL = "selfReciprocal"
 PAIR_FIRST = "pairFirst"
 PAIR_SECOND = "pairSecond"
 
+# Factor tables kept by build_factor_table; a bound, so that a sweep over
+# ever larger N cannot hold every table it built
+FACTOR_TABLE_CACHE_SIZE = 128
+
 
 @dataclass(frozen=True)
 class PairClass:
@@ -240,7 +244,7 @@ def graeffe_lift(f2: F2Poly) -> Z4Poly:
     return lifted
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=FACTOR_TABLE_CACHE_SIZE)
 def build_factor_table(length: int) -> FactorTable:
     """Lift every mod-2 factor of X^N + 1 and assemble the factor table.
 

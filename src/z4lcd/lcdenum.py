@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import codes, cyclotomic
-from .codes import CodeSpec, DivisorSet, divisor_poly, hull_report
+from .codes import CodeSpec, DivisorSet, hull_report
 from .cyclotomic import GOOD, SELF_RECIPROCAL, build_factor_table, factor_label
 from .z4poly import Z4Poly
 
@@ -79,17 +79,20 @@ def enumerate_lcd(length: int) -> LcdCatalog:
 
     One entry per subset of the reciprocal-closed atoms; the empty subset is
     the whole ambient code (1) and the full subset is the zero code (0).
-    Entries are sorted by factor-set size, then by their sorted id lists.
+    Each entry costs one product: starting from the empty subset, every atom
+    in turn doubles the list by multiplying each entry so far by that atom's
+    polynomial.  Entries are sorted by factor-set size, then by their sorted
+    id lists.
     """
     table = build_factor_table(length)
     atoms = _atoms(table)
-    entries = []
-    for choice in itertools.product((False, True), repeat=len(atoms)):
-        ids = frozenset(
-            i for picked, atom in zip(choice, atoms) if picked for i in atom
-        )
-        f_set = DivisorSet(table, ids)
-        entries.append(LcdEntry(f_set, divisor_poly(f_set)))
+    products = [(frozenset(), Z4Poly.one())]
+    for atom in atoms:
+        atom_poly = table[atom[0]].poly
+        if len(atom) == 2:
+            atom_poly = atom_poly * table[atom[1]].poly
+        products += [(ids.union(atom), poly * atom_poly) for ids, poly in products]
+    entries = [LcdEntry(DivisorSet(table, ids), poly) for ids, poly in products]
     entries.sort(key=lambda e: (len(e.f_set.members), sorted(e.f_set.members)))
     return LcdCatalog(length, len(atoms), tuple(entries))
 
@@ -124,7 +127,7 @@ def entry_label(entry: LcdEntry) -> str:
     ids = entry.f_set.members
     if not ids:
         return "(1)"
-    if ids == table.ids():
+    if len(ids) == len(table):
         return "(0)"
     labels = [factor_label(table[i]) for i in sorted(ids)]
     return "(" + "".join(labels) + ")"

@@ -14,6 +14,12 @@ view over such an int, and the splitting-field code in ``cyclotomic`` calls
 them directly.  A minimal polynomial is the first F2-linear relation among
 the powers of an element, so degree d costs d field multiplications.
 
+Z4 multiplication is Kronecker substitution: both operands are packed into
+Python ints, one fixed-width byte slot per coefficient, wide enough that no
+slot overflows (``9 * min(len(a), len(b))`` fits in it), and multiplied
+once, so the work runs in the interpreter's big-int code, not in a Python
+loop; each slot of the product is then read back mod 4.
+
 Z4[X] is not a Euclidean domain, so only division by a *monic* divisor is
 offered (quotient and remainder are then unique).  F2[X] is a Euclidean
 domain and supports full divmod and gcd.
@@ -29,6 +35,14 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 
 _Z4_UNITS = (1, 3)
 _Z4_INVERSE = {1: 1, 3: 3}
+_LOW_2_BITS = bytes(i & 3 for i in range(256))  # byte -> byte mod 4
+
+
+def _pack(coeffs: tuple[int, ...], width: int) -> int:
+    """The int with coeffs[k] in the low byte of its k-th slot of `width` bytes."""
+    slots = bytearray(len(coeffs) * width)
+    slots[::width] = bytes(coeffs)
+    return int.from_bytes(slots, "little")
 
 
 class Z4Poly:
@@ -41,6 +55,13 @@ class Z4Poly:
         while out and out[-1] == 0:
             out.pop()
         self.coeffs: tuple[int, ...] = tuple(out)
+
+    @classmethod
+    def _of(cls, coeffs: tuple[int, ...]) -> "Z4Poly":
+        """Wrap coefficients that are already canonical residues, top one nonzero."""
+        poly = cls.__new__(cls)
+        poly.coeffs = coeffs
+        return poly
 
     @classmethod
     def zero(cls) -> "Z4Poly":
@@ -106,17 +127,26 @@ class Z4Poly:
         return self + (-other)
 
     def __mul__(self, other):
+        """Product by Kronecker substitution: one big-int multiplication.
+
+        Each operand is packed into an int with one slot of w bytes per
+        coefficient.  A product coefficient is a sum of at most
+        min(len(a), len(b)) terms, each at most 3 * 3 = 9, so w is the byte
+        length of 9 * min(len(a), len(b)) and no slot can carry into the
+        next.  Slot k of the product is then the exact integer coefficient
+        of X^k; its low byte, masked to the low 2 bits, is that
+        coefficient mod 4.
+        """
         if not isinstance(other, Z4Poly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Z4Poly.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] = (out[i + j] + ca * cb) % 4
-        return Z4Poly(out)
+        w = ((9 * min(len(a), len(b))).bit_length() + 7) // 8
+        slots = len(a) + len(b) - 1
+        product = _pack(a, w) * _pack(b, w)
+        low = product.to_bytes(slots * w, "little")[::w].translate(_LOW_2_BITS)
+        return Z4Poly._of(tuple(low.rstrip(b"\0")))
 
     def scale(self, unit: int) -> "Z4Poly":
         """Multiply every coefficient by an integer (reduced mod 4)."""

@@ -173,6 +173,17 @@ class TestEnumerate:
         assert parsed == catalog_to_wire(enumerate_lcd(7))
         assert parsed["count"] == 4
 
+    def test_matches_digests(self, capsys):
+        # sha256 of `enumerate-lcd N` and `enumerate-lcd N --json` stdout,
+        # captured with one fresh product per entry, for every odd N < 200 with
+        # ord_N(2) <= 36: any change of generator, order or label shows here
+        expected = json.loads((Path(__file__).parent / "data" / "enumerate_lcd_digests.json").read_text())
+        got = {}
+        for args in expected:
+            assert cli.main(["enumerate-lcd", *args.split()]) == 0
+            got[args] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert [args for args in expected if got[args] != expected[args]] == []
+
 
 class TestCount:
     def test_text(self):

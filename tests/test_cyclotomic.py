@@ -379,6 +379,11 @@ class TestFactorTable:
         with pytest.raises(ValueError):
             build_factor_table(8)
 
+    def test_cache_is_bounded(self):
+        # a bound of 64 or more keeps every table the benchmark's lcd workload warms
+        maxsize = build_factor_table.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 64
+
 
 class TestWire:
     def test_schema(self):

@@ -115,6 +115,25 @@ class TestEnumerate:
             enumerated = {e.f_set.members for e in enumerate_lcd(n).entries}
             assert enumerated == swept
 
+    def test_generators_are_products_of_members(self):
+        for n in range(1, 64, 2):
+            table = build_factor_table(n)
+            for entry in enumerate_lcd(n).entries:
+                product = Z4Poly.one()
+                for i in entry.f_set.members:
+                    product = product * table[i].poly
+                assert entry.generator == product, (n, sorted(entry.f_set.members))
+
+    def test_one_product_per_entry(self, monkeypatch):
+        table = build_factor_table(127)
+        pairs = sum(1 for r in table.records if r.kind == PAIR_FIRST)
+        nsrf = count_nsrf(127)
+        calls = []
+        mul = Z4Poly.__mul__
+        monkeypatch.setattr(Z4Poly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        assert len(enumerate_lcd(127).entries) == 2 ** nsrf
+        assert len(calls) <= 2 ** nsrf - 1 + pairs
+
     def test_entries_sorted(self):
         for n in (7, 15, 21):
             entries = enumerate_lcd(n).entries
@@ -143,6 +162,15 @@ class TestCensus:
 
 
 class TestWire:
+    def test_labels_do_not_build_the_id_set(self, monkeypatch):
+        catalog = enumerate_lcd(63)
+        calls = []
+        ids = cyclotomic.FactorTable.ids
+        monkeypatch.setattr(cyclotomic.FactorTable, "ids", lambda table: calls.append(1) or ids(table))
+        wire = catalog_to_wire(catalog)
+        assert [e["label"] for e in wire["entries"]].count("(0)") == 1
+        assert calls == []
+
     def test_schema(self):
         wire = catalog_to_wire(enumerate_lcd(7))
         assert wire["N"] == 7 and wire["nsrf"] == 2 and wire["count"] == 4

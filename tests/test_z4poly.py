@@ -55,6 +55,30 @@ class TestMul:
     def test_zero_annihilates(self):
         assert Z4Poly.zero() * z4(2, 0, 3, 1) == Z4Poly.zero()
 
+    def test_matches_schoolbook(self):
+        # the reference is the literal double loop over coefficient pairs
+        def schoolbook(a, b):
+            out = [0] * max(len(a) + len(b) - 1, 0)
+            for i, ca in enumerate(a):
+                for j, cb in enumerate(b):
+                    out[i + j] = (out[i + j] + ca * cb) % 4
+            return Z4Poly(out)
+
+        rng = random.Random(20261018)
+        for _ in range(400):
+            a, b = ([rng.randrange(4) for _ in range(rng.randrange(0, 91))] for _ in range(2))
+            if rng.random() < 0.5:  # top coefficient 2 on both: the top product cancels
+                a, b = a + [2], b + [2]
+            assert z4(*a) * z4(*b) == schoolbook(z4(*a).coeffs, z4(*b).coeffs)
+
+    @pytest.mark.parametrize("length", [28, 29, 7281, 7282])
+    def test_all_three_square_across_slot_widths(self, length):
+        # coefficient k of the square sums min(k + 1, 2L - 1 - k) products 3 * 3;
+        # 9 * 28 fits a byte and 9 * 29 does not, 9 * 7281 fits two and 9 * 7282 does not
+        p = Z4Poly([3] * length)
+        expected = [9 * min(k + 1, 2 * length - 1 - k) % 4 for k in range(2 * length - 1)]
+        assert (p * p).coeffs == tuple(expected)
+
 
 class TestDivmodMonic:
     def test_x7_minus_1_by_x_minus_1(self):
