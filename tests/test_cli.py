@@ -216,6 +216,13 @@ class TestVerify:
         parsed = json.loads(run_cli("verify", "3", "--json").stdout)
         assert parsed == {"N": 3, "partitions": 9, "mismatches": [], "lcdCount": 4}
 
+    def test_raised_bound_reaches_eleven(self):
+        # the formula checked against the ambient scan past the default bound
+        result = run_cli("verify", "11", "--max-bruteforce", "11", "--json")
+        assert result.returncode == 0
+        parsed = json.loads(result.stdout)
+        assert parsed == {"N": 11, "partitions": 9, "mismatches": [], "lcdCount": 4}
+
     def test_bound_exceeded(self):
         result = run_cli("verify", "11")
         assert result.returncode == 2

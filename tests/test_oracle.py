@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +57,24 @@ def worklist_closure(generators, length, lifo=True):
                     words.add(v)
                     stable = False
     return words
+
+
+def literal_dual(basis, length):
+    """Every vector of Z4^N whose dot product mod 4 with each basis vector is 0."""
+    return {
+        x
+        for x in itertools.product(range(4), repeat=length)
+        if all(sum(a * b for a, b in zip(x, s)) % 4 == 0 for s in basis)
+    }
+
+
+def words_digest(words):
+    return hashlib.sha256(",".join(map(str, sorted(words))).encode()).hexdigest()
+
+
+def partition_key(spec):
+    ids = lambda s: ",".join(map(str, sorted(s.members)))
+    return f"{spec.length} f={ids(spec.f_set)} g={ids(spec.g_set)}"
 
 
 class TestEncoding:
@@ -138,6 +159,19 @@ class TestDualBruteforce:
                 dual = dual_bruteforce(code)
                 assert len(code) * len(dual) == 4**length
 
+    @pytest.mark.parametrize("length", [1, 3, 5])
+    def test_matches_literal_scan(self, length):
+        # N = 1 is the split with an empty low half
+        table = build_factor_table(length)
+        for spec in all_partitions(table):
+            code = expand_code(spec)
+            basis = [decode_word(v, length) for v in code.spanning]
+            expected = literal_dual(basis, length)
+            assert set(dual_bruteforce(code).vectors()) == expected
+            if length <= 3:
+                full = CodeSet(length, code.words, None)
+                assert set(dual_bruteforce(full).vectors()) == expected
+
     def test_order_reversing_on_chain(self):
         # C=(0) within C=(2f) within C=(f), with f the lift pair at length 7
         table = build_factor_table(7)
@@ -147,6 +181,24 @@ class TestDualBruteforce:
         assert zero.words <= two_f.words <= full_f.words
         d0, d1, d2 = (dual_bruteforce(c) for c in (zero, two_f, full_f))
         assert d2.words <= d1.words <= d0.words
+
+
+class TestDigests:
+    def test_code_and_dual_words_match_digests(self):
+        # sha256 of the sorted word encodings of expand_code and
+        # dual_bruteforce for every partition at N = 1, 3, 5, 7, 9, captured
+        # with the chunked scan and the np.unique closure
+        expected = json.loads((Path(__file__).parent / "data" / "oracle_digests.json").read_text())
+        got = {}
+        for length in (1, 3, 5, 7, 9):
+            for spec in all_partitions(build_factor_table(length)):
+                code = expand_code(spec)
+                dual = dual_bruteforce(code)
+                got[partition_key(spec)] = {
+                    "code": words_digest(code.words),
+                    "dual": words_digest(dual.words),
+                }
+        assert got == expected
 
 
 class TestHullBruteforce:
