@@ -1,14 +1,13 @@
 """Ground-truth brute force for small lengths.
 
-Codes are expanded into explicit codeword sets (the additive span of the
-cyclic shifts of their two generators), duals are found by scanning the
-whole ambient space Z4^N for vectors orthogonal to a spanning set, and
-hulls are literal set intersections.  Nothing here touches the hull
-formula, so these results are an independent check of it.
+Codes are expanded as the additive span of the cyclic shifts of their two
+generators, duals are found by scanning Z4^N for vectors orthogonal to a
+spanning set, and hulls are literal intersections.  Nothing here touches
+the hull formula, so these results are an independent check of it.
 
-Codewords are stored as base-4 integer encodings (digit i is the entry at
-position i).  Both the expansion and the scan work on boolean masks over
-the 4^N ambient words, indexed through one split of the encoding,
+A word is identified with its base-4 integer encoding (digit i is the entry
+at position i), and a `CodeSet` holds one boolean membership mask over the
+4^N ambient words, indexed through one split of the encoding,
 x = hi·4^L + lo with L = N // 2 and H = N - L:
 
 - the dual scan tests every ambient word against every spanning vector s,
@@ -19,10 +18,10 @@ x = hi·4^L + lo with L = N // 2 and H = N - L:
   4^L or 4^H index table.
 
 Only the half tables are int64; the 4^N arrays are one byte per word.  On a
-2-vCPU VM a full `verify` sweep costs about 30 ms at N = 7 (27 partitions)
-and 0.3 s at N = 9, both under the default bound of 9; N = 11 (9
-partitions) needs an explicit higher bound and takes about 3 s and 420 MB,
-most of it in the frozensets of up to 4^11 words.
+2-vCPU VM a full `verify` sweep costs about 25 ms at N = 7 (27 partitions)
+and 0.2 s at N = 9, both under the default bound of 9; N = 11 and N = 13
+(9 partitions each) need an explicit higher bound and take about 1 s and
+50 MB, and 22 s and 350 MB.
 """
 
 from __future__ import annotations
@@ -63,27 +62,29 @@ def decode_word(value: int, length: int) -> tuple[int, ...]:
     return tuple((value >> (2 * k)) & 3 for k in range(length))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeSet:
-    """An explicit codeword set, with a spanning set when one is known.
+    """A code as its membership mask, with a spanning set when one is known.
 
-    spanning=None means no small spanning set is available and orthogonality
-    must be checked against every word.
+    mask is the (4^H, 4^L) boolean array of `_split`'s layout: its flat index
+    is the word's encoding.  spanning=None means no small spanning set is
+    available and orthogonality must be checked against every word.
     """
 
     length: int
-    words: frozenset[int]
-    spanning: tuple[int, ...] | None = None
+    mask: np.ndarray
+    spanning: tuple[tuple[int, ...], ...] | None = None
+
+    @property
+    def words(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.mask).tolist())
 
     def __len__(self) -> int:
-        return len(self.words)
+        return int(np.count_nonzero(self.mask))
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
-        for value in sorted(self.words):
+        for value in np.flatnonzero(self.mask).tolist():
             yield decode_word(value, self.length)
-
-    def __contains__(self, vector) -> bool:
-        return encode_word(vector) in self.words
 
 
 def _vector_mod(poly: Z4Poly, length: int) -> tuple[int, ...]:
@@ -160,8 +161,7 @@ def expand_code(spec: CodeSpec, bound: int = DEFAULT_BOUND) -> CodeSet:
             rows = _translate(hi_digits, minus[low:])
             cols = _translate(lo_digits, minus[:low])
             members |= members.take(rows, axis=0).take(cols, axis=1)
-    words = frozenset(np.flatnonzero(members).tolist())
-    return CodeSet(length, words, tuple(encode_word(v) for v in gens))
+    return CodeSet(length, members, tuple(gens))
 
 
 def dual_bruteforce(code: CodeSet, bound: int = DEFAULT_BOUND) -> CodeSet:
@@ -176,22 +176,22 @@ def dual_bruteforce(code: CodeSet, bound: int = DEFAULT_BOUND) -> CodeSet:
     """
     length = code.length
     _check_bound(length, bound)
-    basis = code.spanning if code.spanning is not None else sorted(code.words)
+    basis = code.spanning if code.spanning is not None else tuple(code.vectors())
     low, lo_digits, hi_digits = _split(length)
     orthogonal = np.ones((len(hi_digits), len(lo_digits)), dtype=bool)
-    for value in basis:
-        s = np.array(decode_word(value, length), dtype=np.int64)
+    for vector in basis:
+        s = np.array(vector, dtype=np.int64)
         lo_dots = ((lo_digits @ s[:low]) % 4).astype(np.uint8)
         minus_hi_dots = (-(hi_digits @ s[low:]) % 4).astype(np.uint8)
         orthogonal &= minus_hi_dots[:, None] == lo_dots
-    return CodeSet(length, frozenset(np.flatnonzero(orthogonal).tolist()), None)
+    return CodeSet(length, orthogonal, None)
 
 
 def hull_bruteforce(spec: CodeSpec, bound: int = DEFAULT_BOUND) -> int:
     """|C intersect C-perp| by explicit expansion and ambient scan."""
     code = expand_code(spec, bound)
     dual = dual_bruteforce(code, bound)
-    return len(code.words & dual.words)
+    return int(np.count_nonzero(code.mask & dual.mask))
 
 
 @dataclass(frozen=True)
@@ -237,8 +237,8 @@ def sweep_verify(length: int, bound: int = DEFAULT_BOUND) -> SweepReport:
         code = expand_code(spec, bound)
         dual = dual_bruteforce(code, bound)
         report = hull_report(spec)
-        check(spec, "hullSize", report.hull_size, len(code.words & dual.words))
-        check(spec, "codeSize", code_size(spec), len(code.words))
+        check(spec, "hullSize", report.hull_size, np.count_nonzero(code.mask & dual.mask))
+        check(spec, "codeSize", code_size(spec), len(code))
         reciprocal_closed = (
             not spec.g_set.members
             and reciprocal_set(spec.f_set).members == spec.f_set.members

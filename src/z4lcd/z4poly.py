@@ -36,6 +36,7 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 _Z4_UNITS = (1, 3)
 _Z4_INVERSE = {1: 1, 3: 3}
 _LOW_2_BITS = bytes(i & 3 for i in range(256))  # byte -> byte mod 4
+_ASCII_DIGIT = bytes(48 + (i & 3) for i in range(256))  # residue byte -> its ASCII digit
 
 
 def _pack(coeffs: tuple[int, ...], width: int) -> int:
@@ -88,7 +89,7 @@ class Z4Poly:
 
     def to_string(self) -> str:
         """Canonical comma-separated ascending coefficient form."""
-        return ",".join(str(c) for c in self.coeffs)
+        return ",".join(bytes(self.coeffs).translate(_ASCII_DIGIT).decode())
 
     @property
     def degree(self):

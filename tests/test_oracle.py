@@ -1,11 +1,12 @@
 import hashlib
 import itertools
 import json
+from collections import deque
 from pathlib import Path
 
 import pytest
 
-from z4lcd.codes import CodeSpec, divisor_poly
+from z4lcd.codes import CodeSpec, divisor_poly, hull_report
 from z4lcd.cyclotomic import build_factor_table
 from z4lcd.lcdenum import all_partitions
 from z4lcd.oracle import (
@@ -34,9 +35,9 @@ def worklist_closure(generators, length, lifo=True):
     """Literal closure under addition mod 4 and cyclic shift, no span tricks."""
     zero = (0,) * length
     words = {zero}
-    pending = [tuple(g) for g in generators]
+    pending = deque(tuple(g) for g in generators)
     while pending:
-        w = pending.pop() if lifo else pending.pop(0)
+        w = pending.pop() if lifo else pending.popleft()
         if w in words:
             continue
         words.add(w)
@@ -148,7 +149,7 @@ class TestDualBruteforce:
         table = build_factor_table(3)
         for spec in all_partitions(table):
             code = expand_code(spec)
-            full = CodeSet(code.length, code.words, None)
+            full = CodeSet(code.length, code.mask, None)
             assert dual_bruteforce(code).words == dual_bruteforce(full).words
 
     def test_duality_cardinality(self):
@@ -165,11 +166,10 @@ class TestDualBruteforce:
         table = build_factor_table(length)
         for spec in all_partitions(table):
             code = expand_code(spec)
-            basis = [decode_word(v, length) for v in code.spanning]
-            expected = literal_dual(basis, length)
+            expected = literal_dual(code.spanning, length)
             assert set(dual_bruteforce(code).vectors()) == expected
             if length <= 3:
-                full = CodeSet(length, code.words, None)
+                full = CodeSet(length, code.mask, None)
                 assert set(dual_bruteforce(full).vectors()) == expected
 
     def test_order_reversing_on_chain(self):
@@ -219,6 +219,17 @@ class TestHullBruteforce:
             table = build_factor_table(length)
             for spec in all_partitions(table):
                 assert hull_bruteforce(spec) == hull_bruteforce(reciprocal_spec(spec))
+
+
+class TestMaskOnly:
+    def test_sweep_and_hull_build_no_word_set(self, monkeypatch):
+        def refuse(code):
+            raise AssertionError("a word set was built")
+
+        monkeypatch.setattr(CodeSet, "words", property(refuse))
+        assert sweep_verify(7).ok
+        for spec in all_partitions(build_factor_table(5)):
+            assert hull_bruteforce(spec) == hull_report(spec).hull_size
 
 
 class TestSweepVerify:
