@@ -9,9 +9,10 @@ Exit codes: 0 on success, 1 when `verify` finds a mismatch, 2 for usage
 and validation errors.
 
 Polynomial arguments are comma-separated ascending coefficient strings
-("3,1" is X-1, "1" is the constant 1); factor-id lists are given with an
-ids: prefix ("ids:0,2").  A JSON config file ({"max_bruteforce": M}) can
-set the default brute-force bound for `verify`.
+("3,1" is X-1, "1" is the constant 1); signed input must be attached to its
+flag ("--f=-1,1"), or argparse reads it as an option.  Factor-id lists are
+given with an ids: prefix ("ids:0,2").  A JSON config file
+({"max_bruteforce": M}) can set the default brute-force bound for `verify`.
 """
 
 from __future__ import annotations

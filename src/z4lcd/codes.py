@@ -9,6 +9,8 @@ Euclidean algorithm (Z4[X] has none).
 Factor ids are checked once, where they enter (DivisorSet.of, CodeSpec.of,
 factor_divisor); sets built from valid sets are not checked again.  A
 CodeSpec stores f and g only; h is derived as the rest of the factors.
+A polynomial divisor is read from its reduction mod 2, and one product
+check rejects any polynomial that is not a divisor.
 
 The hull cardinality comes out of the factor sets alone:
 
@@ -134,21 +136,20 @@ def reciprocal_set(divisor: DivisorSet) -> DivisorSet:
 def factor_divisor(poly: Z4Poly, table: FactorTable) -> DivisorSet:
     """Resolve a monic divisor of X^N - 1 to its unique set of factor ids.
 
-    Trial division by each table record; rejects input that is not monic or
-    leaves a residual other than 1.
+    The members are the factors whose reductions mod 2 divide that of poly.
+    X^N + 1 is squarefree for odd N and each factor is the unique monic lift
+    of its reduction, so a monic divisor is the product of exactly those
+    factors; one product check rejects any other polynomial, even one equal
+    to a divisor mod 2, and input that is not monic is rejected first.
     """
     if not poly.is_monic:
         raise ValueError("not a monic polynomial")
-    residual = poly
-    members = set()
-    for record in table.records:
-        quotient, remainder = residual.divmod_monic(record.poly)
-        if remainder.is_zero:
-            members.add(record.index)
-            residual = quotient
-    if residual != Z4Poly.one():
+    reduction = poly.reduce_mod2()
+    members = (r.index for r in table.records if not reduction % r.poly.reduce_mod2())
+    divisor = DivisorSet(table, frozenset(members))
+    if divisor_poly(divisor) != poly:
         raise ValueError(f"{poly.to_string()!r} does not divide X^{table.length}-1")
-    return DivisorSet(table, frozenset(members))
+    return divisor
 
 
 def hull_report(spec: CodeSpec) -> HullReport:

@@ -212,7 +212,7 @@ def factor_mod2(length: int) -> list[F2Poly]:
     of size d.
     """
     cosets = cyclotomic_cosets(length)
-    m = mult_order_of_2(length)
+    m = max(map(len, cosets))  # the coset of 1 has ord_N(2) members
     modulus = _least_irreducible(m)
     group_order = (1 << m) - 1
     alpha = _bits_powmod(_least_generator(m, modulus), group_order // length, modulus)
@@ -250,28 +250,25 @@ def build_factor_table(length: int) -> FactorTable:
 
     Records are ordered by the minimal representative of their coset.  Each
     record is assigned the divisor n = N / gcd(N, s) its roots have order n
-    for, a 1-based index within its n-block, and its reciprocal partner;
-    within a pair the record with the smaller minimal representative is the
-    pairFirst.
+    for, a 1-based index within its n-block, and its reciprocal partner.
+    Reciprocation maps the roots alpha^s to alpha^-s, so the partner of the
+    coset of s is the coset of -s mod N; the lifted partner must equal the
+    reciprocal of the lifted factor.  Within a pair the record with the
+    smaller minimal representative is the pairFirst.
     """
     _require_odd(length)
     cosets = cyclotomic_cosets(length)
     lifted = [graeffe_lift(f2) for f2 in factor_mod2(length)]
-
-    by_poly = {poly: idx for idx, poly in enumerate(lifted)}
-    partners = []
-    for poly in lifted:
-        partner = by_poly.get(poly.reciprocal())
-        if partner is None:
-            raise AssertionError("reciprocal of a factor is again a factor")
-        partners.append(partner)
+    coset_of = {s: idx for idx, coset in enumerate(cosets) for s in coset}
 
     self_counter: dict[int, int] = {}
     pair_counter: dict[int, int] = {}
     records: list[FactorRecord] = []
     for idx, (coset, poly) in enumerate(zip(cosets, lifted)):
         divisor = length // math.gcd(length, coset[0])
-        partner = partners[idx]
+        partner = coset_of[-coset[0] % length]
+        if lifted[partner] != poly.reciprocal():
+            raise AssertionError("reciprocal of a factor is the factor of the negated coset")
         if partner == idx:
             kind = SELF_RECIPROCAL
             block = self_counter[divisor] = self_counter.get(divisor, 0) + 1

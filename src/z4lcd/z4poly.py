@@ -175,11 +175,6 @@ class Z4Poly:
                     rem[top - dd + k] = (rem[top - dd + k] - lead * d[k]) % 4
         return Z4Poly(quot), Z4Poly(rem)
 
-    def divides(self, other: "Z4Poly") -> bool:
-        """True when this monic polynomial divides `other` exactly."""
-        _, rem = other.divmod_monic(self)
-        return rem.is_zero
-
     def reciprocal(self) -> "Z4Poly":
         """a0^-1 * X^deg * p(1/X): coefficient reversal scaled monic.
 

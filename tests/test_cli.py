@@ -117,6 +117,14 @@ class TestHull:
         result = run_cli("hull", "7", "--f", "1", "--g", "3,0,0,0,0,0,0,1")
         assert f"hullSize={2**7} lcd=no" in result.stdout
 
+    def test_signed_input_attached_to_flag(self):
+        signed = run_cli("hull", "7", "--f=-1,1", "--g", "1")
+        canonical = run_cli("hull", "7", "--f", "3,1", "--g", "1")
+        assert canonical.returncode == 0
+        assert (signed.returncode, signed.stdout, signed.stderr) == (
+            canonical.returncode, canonical.stdout, canonical.stderr,
+        )
+
     def test_ids_input(self):
         result = run_cli("hull", "7", "--f", "ids:1,2", "--g", "ids:")
         assert result.returncode == 0

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -117,6 +118,30 @@ class TestFactorDivisor:
             for members in all_subsets(table.ids()):
                 ds = DivisorSet(table, members)
                 assert factor_divisor(divisor_poly(ds), table).members == members
+
+    def test_resolves_without_z4_division(self, monkeypatch):
+        def no_division(self, divisor):
+            raise AssertionError("Z4 long division")
+
+        monkeypatch.setattr(Z4Poly, "divmod_monic", no_division)
+        t15, t1023 = build_factor_table(15), build_factor_table(1023)
+        rng = random.Random(1023)
+        cases = [(t15, members) for members in all_subsets(t15.ids())]
+        cases.append((t1023, frozenset(i for i in sorted(t1023.ids()) if rng.random() < 0.5)))
+        for table, members in cases:
+            poly = divisor_poly(DivisorSet(table, members))
+            assert factor_divisor(poly, table).members == members
+
+    def test_rejects_divisor_plus_two_x_power(self):
+        # 2X^k keeps the reduction mod 2, so the mod-2 test picks the divisor's
+        # factors and only the product check can reject
+        table = build_factor_table(63)
+        poly = divisor_poly(DivisorSet.of(table, [1, 5]))
+        for k in range(poly.degree):
+            perturbed = poly + Z4Poly((0,) * k + (2,))
+            assert perturbed.reduce_mod2() == poly.reduce_mod2()
+            with pytest.raises(ValueError, match=r"does not divide X\^63-1$"):
+                factor_divisor(perturbed, table)
 
 
 class TestCodeSpec:

@@ -363,6 +363,7 @@ class TestFactorTable:
             for r in table.records:
                 partner = table[r.partner]
                 assert r.poly.reciprocal() == partner.poly
+                assert -r.coset[0] % n in partner.coset
                 assert partner.partner == r.index
                 assert (r.kind == SELF_RECIPROCAL) == (r.partner == r.index)
                 if r.kind == PAIR_FIRST:
