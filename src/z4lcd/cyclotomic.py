@@ -4,10 +4,10 @@ The route is classical: the 2-cyclotomic cosets mod N give the monic
 irreducible factors of X^N + 1 over F2 (one factor per coset, the minimal
 polynomial of alpha^s in the splitting field F_{2^m}, m = ord_N(2)), and a
 single Graeffe step lifts each factor to the unique monic basic irreducible
-divisor of X^N - 1 over Z4 with that mod-2 reduction.  A minimal polynomial
-is found as the first F2-linear relation among the powers of alpha^s read
-as m-bit vectors, so a coset of size d costs d field multiplications and at
-most d*m XORs.
+divisor of X^N - 1 over Z4 with that mod-2 reduction.  One chain of N
+field multiplications lists the powers of alpha and checks alpha^N = 1, and a minimal polynomial is
+the first F2-linear relation among the powers of alpha^s read from it as
+m-bit vectors, so a coset of size d costs at most d*m XORs.
 
 Each divisor n of N contributes a block of factors: gamma(n) self-reciprocal
 ones when (n, 2) is a good pair, beta(n) reciprocal pairs when bad, where
@@ -20,7 +20,17 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .z4poly import F2Poly, Z4Poly, _bits_is_irreducible, _bits_min_poly, _bits_powmod
+from .z4poly import (
+    _LOW_2_BITS,
+    F2Poly,
+    Z4Poly,
+    _bits_is_irreducible,
+    _bits_min_poly,
+    _bits_mod,
+    _bits_mul,
+    _bits_powmod,
+    _pack,
+)
 
 GOOD = "good"
 BAD = "bad"
@@ -182,9 +192,13 @@ def cyclotomic_cosets(length: int) -> list[tuple[int, ...]]:
 # Splitting field F_{2^m} = F2[X]/(modulus), elements int-encoded as in z4poly
 
 def _least_irreducible(degree: int) -> int:
-    for low in range(1 << degree):
+    if degree == 1:
+        return 0b10  # X, which the filter below would skip for its zero constant term
+    # a candidate with a zero constant term has the root 0, and one with an
+    # even number of terms the root 1: skip both before Ben-Or
+    for low in range(1, 1 << degree, 2):
         candidate = (1 << degree) | low
-        if _bits_is_irreducible(candidate):
+        if candidate.bit_count() % 2 and _bits_is_irreducible(candidate):
             return candidate
     raise AssertionError(f"no irreducible of degree {degree}")  # unreachable
 
@@ -206,20 +220,26 @@ def factor_mod2(length: int) -> list[F2Poly]:
 
     Factor j is the minimal polynomial of alpha^s, s the least member of
     coset j, where alpha is a fixed element of multiplicative order N in
-    F_{2^m}; the list is ordered to match cyclotomic_cosets(N).  Each factor
-    is the first F2-linear relation among 1, alpha^s, alpha^2s, ... read as
-    m-bit vectors: d field multiplications and at most d*m XORs for a coset
-    of size d.
+    F_{2^m}; the list is ordered to match cyclotomic_cosets(N).  One chain
+    of field multiplications lists alpha^j for j < N, and it must close
+    (alpha^N = 1).  Each factor is then the first F2-linear relation
+    among 1, alpha^s, alpha^2s, ..., read from that list as m-bit vectors:
+    at most d*m XORs for a coset of size d.
     """
     cosets = cyclotomic_cosets(length)
     m = max(map(len, cosets))  # the coset of 1 has ord_N(2) members
     modulus = _least_irreducible(m)
     group_order = (1 << m) - 1
     alpha = _bits_powmod(_least_generator(m, modulus), group_order // length, modulus)
-    return [
-        F2Poly._of(_bits_min_poly(_bits_powmod(alpha, coset[0], modulus), len(coset), modulus))
-        for coset in cosets
-    ]
+    powers = [1]
+    for _ in range(length):
+        powers.append(_bits_mod(_bits_mul(powers[-1], alpha), modulus))
+    if powers.pop() != 1:
+        raise AssertionError(f"alpha has multiplicative order {length}")
+    return [F2Poly._of(_bits_min_poly(powers, coset[0], len(coset))) for coset in cosets]
+
+
+_NEG_LOW_2_BITS = bytes(-i & 3 for i in range(256))  # byte -> its negative mod 4
 
 
 def graeffe_lift(f2: F2Poly) -> Z4Poly:
@@ -227,21 +247,25 @@ def graeffe_lift(f2: F2Poly) -> Z4Poly:
 
     Splits f2(X) = e(X^2) + X o(X^2) and returns
     (-1)^deg (e(X)^2 - X o(X)^2) mod 4, which is the monic polynomial over
-    Z4 reducing to f2 mod 2 and dividing X^N - 1.
+    Z4 reducing to f2 mod 2 and dividing X^N - 1.  e and o are packed into
+    the byte slots of Z4Poly.__mul__, so e^2 + 3 X o^2 is one big-int
+    expression; a slot holds at most len(e) + 3 len(o) <= 4 len(e), and
+    the sign is a byte table applied to the slots mod 4.
     """
     if not f2.is_monic:
         raise ValueError("lift requires a monic polynomial")
-    if not f2.coeffs[0]:
+    if not f2.bits & 1:
         raise ValueError("lift requires a nonzero constant term")
-    even = Z4Poly(f2.coeffs[0::2])
-    odd = Z4Poly(f2.coeffs[1::2])
-    x = Z4Poly((0, 1))
-    lifted = even * even - x * odd * odd
-    if len(f2.coeffs) % 2 == 0:  # odd degree
-        lifted = -lifted
-    if not lifted.is_monic:
+    digits = format(f2.bits, "b")[::-1].encode().translate(_LOW_2_BITS)  # ASCII "0"/"1" -> 0/1
+    width = ((4 * len(digits[0::2])).bit_length() + 7) // 8
+    even, odd = _pack(digits[0::2], width), _pack(digits[1::2], width)
+    packed = even * even + (3 * odd * odd << 8 * width)  # e^2 + 3 X o^2, X one slot
+    slots = packed.to_bytes(len(digits) * width, "little")
+    sign = _LOW_2_BITS if len(digits) % 2 else _NEG_LOW_2_BITS  # (-1)^deg
+    lifted = slots[::width].translate(sign)
+    if lifted[-1] != 1:
         raise AssertionError("Graeffe lift is monic by the sign choice")
-    return lifted
+    return Z4Poly._of(tuple(lifted))
 
 
 @functools.lru_cache(maxsize=FACTOR_TABLE_CACHE_SIZE)

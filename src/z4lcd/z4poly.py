@@ -7,12 +7,22 @@ Constructors reduce arbitrary integer coefficients into canonical form, so
 inputs may use the signed convention (-1 for 3, -2 for 2, and so on).
 
 F2 polynomials have one encoding, an int whose bit k is the coefficient of
-X^k (0 is the zero polynomial).  The ``_bits_*`` routines (carry-less
-multiply, divmod, gcd, modular power, minimal polynomial, irreducibility)
-are the only F2[X] arithmetic in the package: ``F2Poly`` is a thin public
-view over such an int, and the splitting-field code in ``cyclotomic`` calls
-them directly.  A minimal polynomial is the first F2-linear relation among
-the powers of an element, so degree d costs d field multiplications.
+X^k (0 is the zero polynomial).  The ``_bits_*`` routines are the only
+F2[X] arithmetic in the package: ``F2Poly`` is a thin public view over such
+an int, and the splitting-field code in ``cyclotomic`` calls them directly.
+
+- ``_bits_mul``, ``_bits_divmod`` and ``_bits_gcd``: carry-less multiply,
+  long division and Euclid, one Python loop iteration per bit.
+- ``_bits_sqr``: the square, as the binary digits read as base-4 digits,
+  in the interpreter's int/str conversion code.
+- ``_bits_mod``: the remainder mod X^m + tail, by folding the bits at and
+  above degree m back through the tail, a few big-int steps per fold when
+  the tail is short.
+- ``_bits_powmod``: left-to-right square and multiply on those two kernels.
+- ``_bits_min_poly``: the first F2-linear relation among the powers of an
+  element, read from a list of the powers of a generator.
+- ``_bits_is_irreducible``: Ben-Or's test, with Frobenius steps on the two
+  kernels and one gcd per step.
 
 Z4 multiplication is Kronecker substitution: both operands are packed into
 Python ints, one fixed-width byte slot per coefficient, wide enough that no
@@ -333,30 +343,52 @@ def _bits_gcd(a: int, b: int) -> int:
     return a
 
 
+def _bits_sqr(a: int) -> int:
+    # squaring is linear over F2: bit k moves to bit 2k, so the binary
+    # digits of a, read as base-4 digits, are a^2
+    return int(format(a, "b"), 4)
+
+
+def _bits_mod(a: int, mod: int) -> int:
+    # X^m = tail (mod `mod`): fold the bits at and above degree m back
+    # through the tail; each fold costs one pass per tail bit, so a short
+    # tail (degree <= 9 in the least irreducible of each degree m <= 210)
+    # costs a few big-int steps, not one loop iteration per bit as
+    # _bits_divmod does
+    if not mod:
+        raise ZeroDivisionError("division by the zero polynomial")
+    m = mod.bit_length() - 1
+    tail = mod ^ 1 << m
+    mask = (1 << m) - 1
+    while a >> m:
+        a = a & mask ^ _bits_mul(a >> m, tail)
+    return a
+
+
 def _bits_powmod(base: int, exp: int, mod: int) -> int:
+    base = _bits_mod(base, mod)
     result = 1
-    base = _bits_divmod(base, mod)[1]
-    while exp:
-        if exp & 1:
-            result = _bits_divmod(_bits_mul(result, base), mod)[1]
-        base = _bits_divmod(_bits_mul(base, base), mod)[1]
-        exp >>= 1
+    for digit in format(exp, "b"):  # left to right: square, then multiply
+        result = _bits_mod(_bits_sqr(result), mod)
+        if digit == "1":
+            result = _bits_mod(_bits_mul(result, base), mod)
     return result
 
 
-def _bits_min_poly(beta: int, degree: int, modulus: int) -> int:
-    """Minimal polynomial over F2 of beta in F2[X]/(modulus), of known degree.
+def _bits_min_poly(powers: list[int], step: int, degree: int) -> int:
+    """Minimal polynomial over F2 of beta = alpha^step, of known degree.
 
-    Reduces 1, beta, beta^2, ... as bit vectors against a basis keyed by
-    leading bit, tracking the powers each basis vector combines; the first
-    power that reduces to zero gives the first linear relation, which is
-    the minimal polynomial.  Costs `degree` field multiplications and at
-    most degree * deg(modulus) XORs.
+    `powers` lists alpha^j for j below the order n of alpha, so beta^k is
+    powers[step * k % n] and costs no field multiplication.  Reduces
+    1, beta, beta^2, ... as bit vectors against a basis keyed by leading
+    bit, tracking the powers each basis vector combines; the first power
+    that reduces to zero gives the first linear relation, which is the
+    minimal polynomial.  Costs at most degree * m XORs in F_{2^m}.
     """
     basis: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, powers used)
-    power = 1
+    n = len(powers)
     for k in range(degree + 1):
-        vector, used = power, 1 << k
+        vector, used = powers[step * k % n], 1 << k
         while vector:
             lead = vector.bit_length() - 1
             if lead not in basis:
@@ -369,7 +401,6 @@ def _bits_min_poly(beta: int, degree: int, modulus: int) -> int:
                 raise AssertionError(f"minimal polynomial has degree {k}, not {degree}")
             return used
         basis[lead] = (vector, used)
-        power = _bits_divmod(_bits_mul(power, beta), modulus)[1]
     raise AssertionError(f"minimal polynomial has degree above {degree}")
 
 
@@ -381,7 +412,7 @@ def _bits_is_irreducible(a: int) -> bool:
         return False
     frob = 2  # X
     for _ in range(deg // 2):
-        frob = _bits_divmod(_bits_mul(frob, frob), a)[1]
+        frob = _bits_mod(_bits_sqr(frob), a)
         if _bits_gcd(frob ^ 2, a) != 1:
             return False
     return True

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import operator
+import random
 from pathlib import Path
 
 import pytest
@@ -255,6 +256,21 @@ class TestFactorMod2:
         assert f2_is_irreducible_by_trial_division(factors[1])
 
 
+class TestLeastIrreducible:
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_is_the_least_irreducible_of_its_degree(self, m):
+        # the modulus convention the factor labels rest on, pinned without
+        # the candidate filter: for m = 1 the least is X, not X + 1
+        least = next(
+            bits
+            for bits in range(1 << m, 2 << m)
+            if f2_is_irreducible_by_trial_division(F2Poly([bits >> k & 1 for k in range(m + 1)]))
+        )
+        assert _least_irreducible(m) == least
+        if m == 1:
+            assert least == 0b10
+
+
 class TestGraeffeLift:
     @pytest.mark.parametrize(
         "mod2,lifted",
@@ -275,6 +291,24 @@ class TestGraeffeLift:
                 assert lift.reduce_mod2() == f2
                 _, rem = Z4Poly.x_pow_minus_one(n).divmod_monic(lift)
                 assert rem.is_zero
+
+    @staticmethod
+    def lift_by_z4_arithmetic(f2):
+        even, odd = Z4Poly(f2.coeffs[0::2]), Z4Poly(f2.coeffs[1::2])
+        lifted = even * even - Z4Poly((0, 1)) * odd * odd
+        return -lifted if f2.degree % 2 else lifted
+
+    def test_matches_z4_arithmetic_across_slot_widths(self):
+        # all-ones polynomials fill the byte slots most; a slot widens to
+        # 2 bytes at degree 126 and to 3 at degree 32766
+        rng = random.Random(20261022)
+        degrees = [*range(0, 12), *range(124, 132), 400, 32765, 32766]
+        for degree in degrees:
+            all_ones = F2Poly([1] * (degree + 1))
+            middle = [int(rng.random() < 0.1) for _ in range(degree - 1)]
+            sparse = F2Poly([1, *middle, 1] if degree else [1])
+            for f2 in (all_ones, sparse):
+                assert graeffe_lift(f2) == self.lift_by_z4_arithmetic(f2)
 
     def test_rejects_zero_constant(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,18 @@ import random
 
 import pytest
 
-from z4lcd.z4poly import F2Poly, NEG_INF, Z4Poly, _bits_divmod, _bits_min_poly, format_terms
+from z4lcd.z4poly import (
+    NEG_INF,
+    F2Poly,
+    Z4Poly,
+    _bits_divmod,
+    _bits_min_poly,
+    _bits_mod,
+    _bits_mul,
+    _bits_powmod,
+    _bits_sqr,
+    format_terms,
+)
 
 
 def z4(*coeffs):
@@ -171,19 +182,78 @@ class TestF2Poly:
         assert F2Poly([1, 1]).gcd(F2Poly.zero()) == F2Poly([1, 1])
 
 
+class TestFieldKernels:
+    # X^8 + X^4 + X^3 + X + 1 (short tail), a dense degree-8 modulus, and the
+    # degree-1 moduli X and X + 1, whose folds clear one bit at a time
+    MODULI = [0b100011011, 0b111111111, 0b110110101, 0b10, 0b11]
+
+    def random_moduli(self, rng):
+        moduli = list(self.MODULI)
+        for degree in (13, 64, 200):
+            tail = rng.getrandbits(degree)
+            moduli += [1 << degree | tail, 1 << degree | tail & 0b10111]  # dense, sparse
+        return moduli
+
+    def test_square_is_self_product(self):
+        rng = random.Random(20261018)
+        operands = [0, 1, 0b10] + [rng.getrandbits(rng.randrange(1, 500)) for _ in range(200)]
+        for a in operands:
+            assert _bits_sqr(a) == _bits_mul(a, a)
+
+    def test_fold_matches_long_division(self):
+        rng = random.Random(20261019)
+        for mod in self.random_moduli(rng):
+            bits = 3 * mod.bit_length()
+            operands = [0, 1, mod, mod ^ 1] + [rng.getrandbits(rng.randrange(1, bits)) for _ in range(40)]
+            for a in operands:
+                assert _bits_mod(a, mod) == _bits_divmod(a, mod)[1]
+
+    def test_fold_rejects_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            _bits_mod(0b11, 0)
+
+    def test_operands_past_the_int_string_digit_limit(self):
+        # int <-> str in bases 2 and 4 is exempt from CPython's 4300-digit
+        # limit on conversions, so squaring works at any size
+        rng = random.Random(20261020)
+        a = rng.getrandbits(15_500) | 1 << 15_499
+        square = _bits_sqr(a)
+        assert square == _bits_mul(a, a)
+        assert square.bit_length() == 30_999
+        mod = 1 << 15_001 | 0b1000000001  # X^15001 + X^9 + 1
+        assert _bits_mod(square, mod) == _bits_divmod(square, mod)[1]
+
+    def test_powmod_is_repeated_multiplication(self):
+        rng = random.Random(20261021)
+        for mod in self.random_moduli(rng):
+            base = rng.getrandbits(mod.bit_length() + 5)
+            expected = 1
+            for exp in range(40):
+                assert _bits_powmod(base, exp, mod) == expected
+                expected = _bits_divmod(_bits_mul(expected, base), mod)[1]
+
+
 class TestMinPoly:
-    MODULUS = 0b1011  # X^3 + X + 1, irreducible
+    # alpha = X in F2[X]/(X^3 + X + 1) has order 7; POWERS[j] = X^j
+    POWERS = [0b001, 0b010, 0b100, 0b011, 0b110, 0b111, 0b101]
+
+    def min_poly(self, beta, degree):
+        return _bits_min_poly(self.POWERS, self.POWERS.index(beta), degree)
+
+    def test_power_list(self):
+        for j, power in enumerate(self.POWERS):
+            assert power == _bits_powmod(0b10, j, 0b1011)
 
     def test_known_minimal_polynomials(self):
-        assert _bits_min_poly(1, 1, self.MODULUS) == 0b11  # X + 1
-        assert _bits_min_poly(0b10, 3, self.MODULUS) == self.MODULUS  # X itself
+        assert self.min_poly(1, 1) == 0b11  # X + 1
+        assert self.min_poly(0b10, 3) == 0b1011  # X itself: the modulus
         # X^3 = X + 1 has conjugates X^3, X^6, X^12 = X^5: X^3 + X^2 + 1
-        assert _bits_min_poly(0b011, 3, self.MODULUS) == 0b1101
+        assert self.min_poly(0b011, 3) == 0b1101
 
     @pytest.mark.parametrize("beta,degree", [(1, 2), (1, 0), (0b10, 2), (0b10, 4)])
     def test_rejects_a_wrong_degree(self, beta, degree):
         with pytest.raises(AssertionError):
-            _bits_min_poly(beta, degree, self.MODULUS)
+            self.min_poly(beta, degree)
 
 
 def random_monic_unit(rng, max_degree=10):
