@@ -7,7 +7,7 @@ Run from the repository root after `pip install -e .`:
 """
 
 from z4lcd import count_nsrf, enumerate_lcd, format_terms, lcd_census
-from z4lcd.lcdenum import entry_label
+from z4lcd.lcdenum import catalog_rows
 
 # A cyclic code over Z4 of odd length is LCD (its hull is trivial) exactly
 # when it is generated by a single self-reciprocal divisor of X^N - 1.
@@ -17,8 +17,8 @@ from z4lcd.lcdenum import entry_label
 
 catalog = enumerate_lcd(7)
 print(f"length 7: nsrf={catalog.nsrf}, {len(catalog.entries)} LCD codes")
-for entry in catalog.entries:
-    print(f"  {entry_label(entry):<18} generator {format_terms(entry.generator)}")
+for entry, (_, _, label) in zip(catalog.entries, catalog_rows(catalog)):
+    print(f"  {label:<18} generator {format_terms(entry.generator)}")
 
 # The count grows with the number of atoms, not with N itself:
 

@@ -126,12 +126,11 @@ def cmd_enumerate_lcd(args) -> int:
     length = _odd_length(args.N)
     catalog = lcdenum.enumerate_lcd(length)
     if args.json:
-        _emit_json(lcdenum.catalog_to_wire(catalog))
+        lcdenum.write_catalog_json(catalog, sys.stdout)
         return EXIT_OK
     print(f"N={length} nsrf={catalog.nsrf} count={len(catalog.entries)}")
-    for entry in catalog.entries:
-        label = lcdenum.entry_label(entry)
-        print(f"  {label:<24} generator={entry.generator.to_string()}")
+    for _, generator, label in lcdenum.catalog_rows(catalog):
+        print(f"  {label:<24} generator={generator}")
     return EXIT_OK
 
 

@@ -7,13 +7,20 @@ taken singly plus the reciprocal pairs taken whole.  With nsrf such atoms
 there are 2^nsrf LCD codes, counted divisor-wise as
 
     nsrf = sum over n | N of gamma(n) if (n,2) good else beta(n).
+
+A catalog is rendered row by row: catalog_rows gives each entry's sorted
+ids, generator string and label, with the factor labels made once per
+table.  write_catalog_json streams the --json form entry by entry from
+fixed templates, byte for byte what json.dumps(..., indent=2,
+sort_keys=True) gives, without the encoder that indent forces into pure
+Python.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, TextIO
 
 from . import codes, cyclotomic
 from .codes import CodeSpec, DivisorSet, hull_report
@@ -121,29 +128,44 @@ def lcd_census(length: int, sweep_budget: int = DEFAULT_SWEEP_BUDGET) -> LcdCens
     return LcdCensus(formula, enumerated, swept)
 
 
-def entry_label(entry: LcdEntry) -> str:
-    """Display form of the generator: (1), (0), or the factor labels."""
-    table = entry.f_set.table
-    ids = entry.f_set.members
-    if not ids:
-        return "(1)"
-    if len(ids) == len(table):
-        return "(0)"
-    labels = [factor_label(table[i]) for i in sorted(ids)]
-    return "(" + "".join(labels) + ")"
+def catalog_rows(catalog: LcdCatalog) -> Iterator[tuple[list[int], str, str]]:
+    """(sorted ids, generator string, label) of each entry, in catalog order.
+
+    The label is (1) for the whole ambient code, (0) for the zero code and
+    otherwise the factor labels in id order; each factor's label is made
+    once per table, not once per entry.
+    """
+    table = catalog.entries[0].f_set.table  # every catalog holds (1) and (0)
+    labels = [factor_label(r) for r in table.records]
+    everything = len(table)
+    for entry in catalog.entries:
+        ids = sorted(entry.f_set.members)
+        if not ids:
+            label = "(1)"
+        elif len(ids) == everything:
+            label = "(0)"
+        else:
+            label = "(" + "".join([labels[i] for i in ids]) + ")"
+        yield ids, entry.generator.to_string(), label
 
 
-def catalog_to_wire(catalog: LcdCatalog) -> dict:
-    return {
-        "N": catalog.length,
-        "nsrf": catalog.nsrf,
-        "count": len(catalog.entries),
-        "entries": [
-            {
-                "f": sorted(entry.f_set.members),
-                "generator": entry.generator.to_string(),
-                "label": entry_label(entry),
-            }
-            for entry in catalog.entries
-        ],
-    }
+_JSON_HEAD = '{\n  "N": %d,\n  "count": %d,\n  "entries": [\n'
+_JSON_ENTRY = '    {\n      "f": %s,\n      "generator": "%s",\n      "label": "%s"\n    }'
+_JSON_TAIL = '\n  ],\n  "nsrf": %d\n}\n'
+_JSON_ID_SEP = ",\n        "
+
+
+def write_catalog_json(catalog: LcdCatalog, out: TextIO) -> None:
+    """Write the catalog as json.dumps(..., indent=2, sort_keys=True) would.
+
+    Fixed templates stand in for the encoder, which runs in pure Python
+    whenever indent is set; ids, generators and labels hold nothing that
+    JSON escapes.  Entries are written one at a time.
+    """
+    out.write(_JSON_HEAD % (catalog.length, len(catalog.entries)))
+    sep = ""
+    for ids, generator, label in catalog_rows(catalog):
+        f = "[\n        " + _JSON_ID_SEP.join(map(str, ids)) + "\n      ]" if ids else "[]"
+        out.write(sep + _JSON_ENTRY % (f, generator, label))
+        sep = ",\n"
+    out.write(_JSON_TAIL % catalog.nsrf)

@@ -1,16 +1,19 @@
+import io
+import json
+
 import pytest
 
-from z4lcd import cyclotomic
+from z4lcd import cli, cyclotomic
 from z4lcd.codes import divisor_poly, hull_report, reciprocal_set
 from z4lcd.cyclotomic import PAIR_FIRST, build_factor_table
 from z4lcd.lcdenum import (
     LcdCensus,
     all_partitions,
-    catalog_to_wire,
+    catalog_rows,
     count_nsrf,
-    entry_label,
     enumerate_lcd,
     lcd_census,
+    write_catalog_json,
 )
 from z4lcd.z4poly import Z4Poly
 
@@ -72,7 +75,7 @@ class TestEnumerate:
     def test_seven_golden_list(self):
         catalog = enumerate_lcd(7)
         assert catalog.nsrf == 2
-        assert [entry_label(e) for e in catalog.entries] == [
+        assert [label for _, _, label in catalog_rows(catalog)] == [
             "(1)",
             "(g[1,1])",
             "(f[1,7]f*[1,7])",
@@ -87,7 +90,7 @@ class TestEnumerate:
 
     def test_length_one(self):
         catalog = enumerate_lcd(1)
-        assert [entry_label(e) for e in catalog.entries] == ["(1)", "(0)"]
+        assert [label for _, _, label in catalog_rows(catalog)] == ["(1)", "(0)"]
 
     def test_fifteen_size(self):
         assert len(enumerate_lcd(15).entries) == 16
@@ -161,18 +164,26 @@ class TestCensus:
         assert census.formula == census.enumerated == 4
 
 
+def catalog_json(n: int) -> str:
+    out = io.StringIO()
+    write_catalog_json(enumerate_lcd(n), out)
+    return out.getvalue()
+
+
 class TestWire:
     def test_labels_do_not_build_the_id_set(self, monkeypatch):
         catalog = enumerate_lcd(63)
         calls = []
         ids = cyclotomic.FactorTable.ids
         monkeypatch.setattr(cyclotomic.FactorTable, "ids", lambda table: calls.append(1) or ids(table))
-        wire = catalog_to_wire(catalog)
+        out = io.StringIO()
+        write_catalog_json(catalog, out)
+        wire = json.loads(out.getvalue())
         assert [e["label"] for e in wire["entries"]].count("(0)") == 1
         assert calls == []
 
     def test_schema(self):
-        wire = catalog_to_wire(enumerate_lcd(7))
+        wire = json.loads(catalog_json(7))
         assert wire["N"] == 7 and wire["nsrf"] == 2 and wire["count"] == 4
         assert wire["entries"][0] == {"f": [], "generator": "1", "label": "(1)"}
         assert wire["entries"][3] == {
@@ -180,3 +191,82 @@ class TestWire:
             "generator": "3,0,0,0,0,0,0,1",
             "label": "(0)",
         }
+
+    @pytest.mark.parametrize("n,text", [
+        (1, """{
+  "N": 1,
+  "count": 2,
+  "entries": [
+    {
+      "f": [],
+      "generator": "1",
+      "label": "(1)"
+    },
+    {
+      "f": [
+        0
+      ],
+      "generator": "3,1",
+      "label": "(0)"
+    }
+  ],
+  "nsrf": 1
+}
+"""),
+        (7, """{
+  "N": 7,
+  "count": 4,
+  "entries": [
+    {
+      "f": [],
+      "generator": "1",
+      "label": "(1)"
+    },
+    {
+      "f": [
+        0
+      ],
+      "generator": "3,1",
+      "label": "(g[1,1])"
+    },
+    {
+      "f": [
+        1,
+        2
+      ],
+      "generator": "1,1,1,1,1,1,1",
+      "label": "(f[1,7]f*[1,7])"
+    },
+    {
+      "f": [
+        0,
+        1,
+        2
+      ],
+      "generator": "3,0,0,0,0,0,0,1",
+      "label": "(0)"
+    }
+  ],
+  "nsrf": 2
+}
+"""),
+    ])
+    def test_golden_json(self, n, text, capsys):
+        assert cli.main(["enumerate-lcd", str(n), "--json"]) == 0
+        assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("n", [1, 7, 15, 63, 127])
+    def test_matches_the_indented_encoder(self, n):
+        text = catalog_json(n)
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    def test_never_runs_the_pure_python_encoder(self, monkeypatch, capsys):
+        # json.dumps with indent set always goes through _make_iterencode
+        def refuse(*args, **kwargs):
+            raise AssertionError("pure-Python JSON encoder used")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        with pytest.raises(AssertionError):
+            json.dumps({"N": 1}, indent=2)
+        assert cli.main(["enumerate-lcd", "63", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 256
