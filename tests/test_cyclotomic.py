@@ -1,8 +1,10 @@
 import functools
+import hashlib
 import json
 import math
 import operator
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,17 +28,16 @@ from z4lcd.cyclotomic import (
     mult_order_of_2,
     table_to_wire,
 )
+from z4lcd.codes import hull_report
+from z4lcd.lcdenum import all_partitions
 from z4lcd.z4poly import F2Poly, Z4Poly
 
+DATA = Path(__file__).parent / "data"
 ODD_LENGTHS = list(range(1, 32, 2))
 WIDE_ODD_LENGTHS = range(1, 3000, 2)
 # odd N whose factor table builds in under 1 s with the product-of-roots
 # minimal polynomials (m up to 100), kept with their `factor --json` digests
-DIGEST_LENGTHS = sorted(
-    int(n) for n in json.loads(
-        (Path(__file__).parent / "data" / "factor_digests.json").read_text()
-    )
-)
+DIGEST_LENGTHS = sorted(int(n) for n in json.loads((DATA / "factor_digests.json").read_text()))
 
 
 def phi_by_count(n):
@@ -430,3 +431,36 @@ class TestWire:
         assert first["poly"] == "3,1"
         assert first["coset"] == [0]
         assert wire["records"][1]["kind"] == "pairFirst"
+
+
+def label_free_digest(table):
+    # sha256 over the sorted (poly, partner's poly, n) rows: blind to which
+    # coset a factor is filed under, so any relabelling leaves it fixed
+    rows = sorted(
+        (r.poly.to_string(), table[r.partner].poly.to_string(), r.divisor)
+        for r in table.records
+    )
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+class TestLabelFreeInvariants:
+    # captured before the factor labels became canonical: a change of
+    # labelling convention must leave every one of these fixed
+    EXPECTED = json.loads((DATA / "factor_multiset_digests.json").read_text())
+
+    def test_covers_every_digest_length(self):
+        assert sorted(map(int, self.EXPECTED["records"])) == DIGEST_LENGTHS
+
+    def test_factor_multisets_match_digests(self):
+        expected = self.EXPECTED["records"]
+        got = {n: label_free_digest(build_factor_table(int(n))) for n in expected}
+        assert [n for n in expected if got[n] != expected[n]] == []
+
+    @pytest.mark.parametrize("n", range(1, 22, 2))
+    def test_hull_size_multiset(self, n):
+        # hull sizes over all 3^r partitions, as {size: number of codes}
+        table = build_factor_table(n)
+        sizes = Counter(hull_report(spec).hull_size for spec in all_partitions(table))
+        assert sizes == Counter(
+            {int(size): count for size, count in self.EXPECTED["hull_sizes"][str(n)].items()}
+        )
