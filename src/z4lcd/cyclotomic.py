@@ -4,10 +4,13 @@ The route is classical: the 2-cyclotomic cosets mod N give the monic
 irreducible factors of X^N + 1 over F2 (one factor per coset, the minimal
 polynomial of alpha^s in the splitting field F_{2^m}, m = ord_N(2)), and a
 single Graeffe step lifts each factor to the unique monic basic irreducible
-divisor of X^N - 1 over Z4 with that mod-2 reduction.  One chain of N
-field multiplications lists the powers of alpha and checks alpha^N = 1, and a minimal polynomial is
-the first F2-linear relation among the powers of alpha^s read from it as
-m-bit vectors, so a coset of size d costs at most d*m XORs.
+divisor of X^N - 1 over Z4 with that mod-2 reduction.  alpha is a root of
+the least irreducible factor of Phi_N mod 2 in the int encoding, so the
+labels depend on no choice of modulus.  One chain of N field
+multiplications lists the powers of an element of order N, which needs the
+primes of N but never those of 2^m - 1, and a minimal polynomial is the
+first F2-linear relation among the powers read from it as m-bit vectors,
+so a coset of size d costs at most d*m XORs.
 
 Each divisor n of N contributes a block of factors: gamma(n) self-reciprocal
 ones when (n, 2) is a good pair, beta(n) reciprocal pairs when bad, where
@@ -203,40 +206,51 @@ def _least_irreducible(degree: int) -> int:
     raise AssertionError(f"no irreducible of degree {degree}")  # unreachable
 
 
-def _least_generator(degree: int, modulus: int) -> int:
-    """Smallest encoding of full multiplicative order in F_{2^degree}."""
-    group_order = (1 << degree) - 1
-    if group_order == 1:
-        return 1
-    primes = _factorize(group_order)
-    for candidate in range(2, 1 << degree):
-        if all(_bits_powmod(candidate, group_order // q, modulus) != 1 for q in primes):
-            return candidate
-    raise AssertionError("multiplicative group has a generator")  # unreachable
+def _element_of_order(length: int, degree: int, modulus: int) -> int:
+    """The first c^((2^degree - 1)/N), c = 1, 2, ..., of multiplicative order N.
+
+    The order is checked against the primes of N only, so 2^degree - 1 is
+    never factored.
+    """
+    cofactor = ((1 << degree) - 1) // length
+    primes = _factorize(length)
+    for candidate in range(1, 1 << degree):
+        gamma = _bits_powmod(candidate, cofactor, modulus)
+        if all(_bits_powmod(gamma, length // q, modulus) != 1 for q in primes):
+            return gamma
+    raise AssertionError(f"F_(2^{degree})* has an element of order {length}")  # unreachable
 
 
 def factor_mod2(length: int) -> list[F2Poly]:
     """Monic irreducible factors of X^N + 1 over F2, one per cyclotomic coset.
 
     Factor j is the minimal polynomial of alpha^s, s the least member of
-    coset j, where alpha is a fixed element of multiplicative order N in
-    F_{2^m}; the list is ordered to match cyclotomic_cosets(N).  One chain
-    of field multiplications lists alpha^j for j < N, and it must close
-    (alpha^N = 1).  Each factor is then the first F2-linear relation
-    among 1, alpha^s, alpha^2s, ..., read from that list as m-bit vectors:
-    at most d*m XORs for a coset of size d.
+    coset j, where alpha is a root of the least irreducible factor of the
+    cyclotomic polynomial Phi_N mod 2, least in the int encoding; the list
+    is ordered to match cyclotomic_cosets(N).  alpha is fixed up to
+    Frobenius, so the labels depend on no field modulus or search order.
+    Any element gamma of order N in F_{2^m} serves to find it: one chain of
+    field multiplications lists gamma^j for j < N, and it must close.  The
+    minimal polynomial of gamma^s is the first F2-linear relation among
+    1, gamma^s, gamma^2s, ..., read from that list as m-bit vectors: at
+    most d*m XORs for a coset of size d.  Of the cosets of units, the one
+    with the least such polynomial has a least member t, so alpha =
+    gamma^t, and factor j is the polynomial of the coset of t*s: one
+    permutation of the list.
     """
     cosets = cyclotomic_cosets(length)
     m = max(map(len, cosets))  # the coset of 1 has ord_N(2) members
     modulus = _least_irreducible(m)
-    group_order = (1 << m) - 1
-    alpha = _bits_powmod(_least_generator(m, modulus), group_order // length, modulus)
+    gamma = _element_of_order(length, m, modulus)
     powers = [1]
     for _ in range(length):
-        powers.append(_bits_mod(_bits_mul(powers[-1], alpha), modulus))
+        powers.append(_bits_mod(_bits_mul(powers[-1], gamma), modulus))
     if powers.pop() != 1:
-        raise AssertionError(f"alpha has multiplicative order {length}")
-    return [F2Poly._of(_bits_min_poly(powers, coset[0], len(coset))) for coset in cosets]
+        raise AssertionError(f"gamma has multiplicative order {length}")
+    raw = [_bits_min_poly(powers, coset[0], len(coset)) for coset in cosets]
+    coset_of = {s: idx for idx, coset in enumerate(cosets) for s in coset}
+    _, t = min((raw[idx], c[0]) for idx, c in enumerate(cosets) if math.gcd(c[0], length) == 1)
+    return [F2Poly._of(raw[coset_of[t * coset[0] % length]]) for coset in cosets]
 
 
 _NEG_LOW_2_BITS = bytes(-i & 3 for i in range(256))  # byte -> its negative mod 4

@@ -57,10 +57,12 @@ class TestFactor:
         assert json.loads(run_cli("--json", "factor", "7").stdout)["N"] == 7
 
     def test_json_matches_digests(self, capsys):
-        # sha256 of `factor N --json` stdout, captured with the product-of-roots
-        # minimal polynomials, for every odd N < 400 whose table then built in
-        # under 1 s and for 1023, 2047, 4095, 8191: any change of alpha, of
-        # factor order or of labels shows here; run in-process to stay quick
+        # sha256 of `factor N --json` stdout for every odd N < 400 whose table
+        # built in under 1 s with the product-of-roots minimal polynomials and
+        # for 1023, 2047, 4095, 8191; the N whose labels moved when alpha became
+        # a root of the least factor of Phi_N mod 2 were re-captured then: any
+        # change of alpha, of factor order or of labels shows here; run
+        # in-process to stay quick
         expected = json.loads((Path(__file__).parent / "data" / "factor_digests.json").read_text())
         got = {}
         for n in expected:
@@ -192,7 +194,8 @@ class TestEnumerate:
     def test_matches_digests(self, capsys):
         # sha256 of `enumerate-lcd N` and `enumerate-lcd N --json` stdout,
         # captured with one fresh product per entry, for every odd N < 200 with
-        # ord_N(2) <= 36: any change of generator, order or label shows here
+        # ord_N(2) <= 36, and re-captured where the canonical labels of
+        # factor_mod2 moved: any change of generator, order or label shows here
         expected = json.loads((Path(__file__).parent / "data" / "enumerate_lcd_digests.json").read_text())
         got = {}
         for args in expected:

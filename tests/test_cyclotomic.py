@@ -9,13 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from z4lcd import cyclotomic
 from z4lcd.cyclotomic import (
     BAD,
     GOOD,
     PAIR_FIRST,
     PAIR_SECOND,
     SELF_RECIPROCAL,
-    _least_generator,
     _least_irreducible,
     build_factor_table,
     classify_pair,
@@ -233,28 +233,68 @@ class TestFactorMod2:
     @pytest.mark.parametrize("n", [n for n in DIGEST_LENGTHS if n < 200])
     def test_factor_is_minimal_polynomial_of_its_coset(self, n):
         # the definition: factor j has degree |coset j| and vanishes at
-        # alpha^s, s = min coset j, for alpha of order N in F_{2^m}; with
-        # irreducibility (checked above) that makes it the minimal polynomial
+        # beta^s, s = min coset j, where beta is a root of the factor of the
+        # coset of 1; with irreducibility (checked above) that makes it the
+        # minimal polynomial.  beta is found here from the first power
+        # c^((2^m - 1)/N) whose literal order walk takes N steps
         m = mult_order_of_2(n)
         modulus = _least_irreducible(m)
-        generator = _least_generator(m, modulus)
-        alpha = field_pow(generator, ((1 << m) - 1) // n, modulus)
-        power, order = alpha, 1
-        while power != 1:
-            power, order = field_mul(power, alpha, modulus), order + 1
-        assert order == n
+        for c in range(1, 1 << m):
+            alpha = field_pow(c, ((1 << m) - 1) // n, modulus)
+            power, order = alpha, 1
+            while power != 1:
+                power, order = field_mul(power, alpha, modulus), order + 1
+            if order == n:
+                break
         factors = factor_mod2(n)
         cosets = cyclotomic_cosets(n)
         assert len(factors) == len(cosets)
+        first = next(j for j, coset in enumerate(cosets) if 1 % n in coset)
+        beta = next(
+            root
+            for coset in cosets
+            if math.gcd(coset[0], n) == 1
+            for root in [field_pow(alpha, coset[0], modulus)]
+            if field_eval(factors[first], root, modulus) == 0
+        )
         for f, coset in zip(factors, cosets):
             assert f.degree == len(coset)
-            assert field_eval(f, field_pow(alpha, coset[0], modulus), modulus) == 0
+            assert field_eval(f, field_pow(beta, coset[0], modulus), modulus) == 0
+
+    @pytest.mark.parametrize("n", DIGEST_LENGTHS)
+    def test_coset_of_one_has_the_least_primitive_factor(self, n):
+        # the labelling convention: alpha is a root of the least irreducible
+        # factor of Phi_N mod 2, the factors of the records with n = N
+        records = [r for r in build_factor_table(n).records if r.divisor == n]
+        least = min(records, key=lambda r: r.poly.reduce_mod2().bits)
+        assert 1 % n in least.coset
 
     def test_large_degree_factor_irreducible(self):
         # the degree-28 factor at N=29 via the same exhaustive oracle
         factors = factor_mod2(29)
         assert [len(f.coeffs) - 1 for f in factors] == [1, 28]
         assert f2_is_irreducible_by_trial_division(factors[1])
+
+
+class TestDeepLengths:
+    @pytest.mark.parametrize("n", [83, 107, 131, 167, 179])
+    def test_builds_without_factoring_the_group_order(self, n, monkeypatch):
+        # m = ord_N(2) is 82 to 178 here: the field set-up factors N and its
+        # divisors' totients, never 2^m - 1, which trial division cannot
+        calls = []
+        factorize = cyclotomic._factorize
+
+        def counting(k):
+            calls.append(k)
+            return factorize(k)
+
+        monkeypatch.setattr(cyclotomic, "_factorize", counting)
+        table = build_factor_table.__wrapped__(n)  # past the cache
+        product = functools.reduce(
+            operator.mul, (r.poly.reduce_mod2() for r in table.records), F2Poly.one()
+        )
+        assert product == F2Poly.x_pow_plus_one(n)
+        assert calls and max(calls) <= n
 
 
 class TestLeastIrreducible:
