@@ -225,18 +225,14 @@ def factor_mod2(length: int) -> list[F2Poly]:
     """Monic irreducible factors of X^N + 1 over F2, one per cyclotomic coset.
 
     Factor j is the minimal polynomial of alpha^s, s the least member of
-    coset j, where alpha is a root of the least irreducible factor of the
-    cyclotomic polynomial Phi_N mod 2, least in the int encoding; the list
-    is ordered to match cyclotomic_cosets(N).  alpha is fixed up to
-    Frobenius, so the labels depend on no field modulus or search order.
-    Any element gamma of order N in F_{2^m} serves to find it: one chain of
-    field multiplications lists gamma^j for j < N, and it must close.  The
-    minimal polynomial of gamma^s is the first F2-linear relation among
-    1, gamma^s, gamma^2s, ..., read from that list as m-bit vectors: at
-    most d*m XORs for a coset of size d.  Of the cosets of units, the one
-    with the least such polynomial has a least member t, so alpha =
-    gamma^t, and factor j is the polynomial of the coset of t*s: one
-    permutation of the list.
+    coset j, for alpha a root of the least irreducible factor of Phi_N mod 2
+    in the int encoding; the list is ordered to match cyclotomic_cosets(N).
+    One chain of field multiplications lists gamma^j for j < N, gamma any
+    element of order N, and it must close.  The minimal polynomial of
+    gamma^s is the first F2-linear relation among 1, gamma^s, gamma^2s, ...
+    read from that list as m-bit vectors, at most d*m XORs for a coset of
+    size d.  The unit coset with the least of these has least member t, so
+    alpha = gamma^t up to Frobenius, and factor j is the one of coset t*s.
     """
     cosets = cyclotomic_cosets(length)
     m = max(map(len, cosets))  # the coset of 1 has ord_N(2) members

@@ -240,12 +240,13 @@ class TestFactorMod2:
         m = mult_order_of_2(n)
         modulus = _least_irreducible(m)
         for c in range(1, 1 << m):
-            alpha = field_pow(c, ((1 << m) - 1) // n, modulus)
-            power, order = alpha, 1
+            gamma = field_pow(c, ((1 << m) - 1) // n, modulus)
+            power, order = gamma, 1
             while power != 1:
-                power, order = field_mul(power, alpha, modulus), order + 1
+                power, order = field_mul(power, gamma, modulus), order + 1
             if order == n:
                 break
+        assert order == n
         factors = factor_mod2(n)
         cosets = cyclotomic_cosets(n)
         assert len(factors) == len(cosets)
@@ -254,7 +255,7 @@ class TestFactorMod2:
             root
             for coset in cosets
             if math.gcd(coset[0], n) == 1
-            for root in [field_pow(alpha, coset[0], modulus)]
+            for root in [field_pow(gamma, coset[0], modulus)]
             if field_eval(factors[first], root, modulus) == 0
         )
         for f, coset in zip(factors, cosets):
@@ -264,7 +265,7 @@ class TestFactorMod2:
     @pytest.mark.parametrize("n", DIGEST_LENGTHS)
     def test_coset_of_one_has_the_least_primitive_factor(self, n):
         # the labelling convention: alpha is a root of the least irreducible
-        # factor of Phi_N mod 2, the factors of the records with n = N
+        # factor of Phi_N mod 2, and the records with n = N are those factors
         records = [r for r in build_factor_table(n).records if r.divisor == n]
         least = min(records, key=lambda r: r.poly.reduce_mod2().bits)
         assert 1 % n in least.coset
@@ -279,8 +280,8 @@ class TestFactorMod2:
 class TestDeepLengths:
     @pytest.mark.parametrize("n", [83, 107, 131, 167, 179])
     def test_builds_without_factoring_the_group_order(self, n, monkeypatch):
-        # m = ord_N(2) is 82 to 178 here: the field set-up factors N and its
-        # divisors' totients, never 2^m - 1, which trial division cannot
+        # m = ord_N(2) is 82 to 178 here: the field set-up factors N, never
+        # 2^m - 1, which trial division could not finish for N = 167 or 179
         calls = []
         factorize = cyclotomic._factorize
 
