@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomic import FactorTable
-from .z4poly import Z4Poly
+from .z4poly import Z4Poly, _bits_rem
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,8 @@ def reciprocal_set(divisor: DivisorSet) -> DivisorSet:
 def factor_divisor(poly: Z4Poly, table: FactorTable) -> DivisorSet:
     """Resolve a monic divisor of X^N - 1 to its unique set of factor ids.
 
-    The members are the factors whose reductions mod 2 divide that of poly.
+    The members are the factors whose reductions mod 2 divide that of poly,
+    read as a zero remainder of F2 long division on the int encoding.
     X^N + 1 is squarefree for odd N and each factor is the unique monic lift
     of its reduction, so a monic divisor is the product of exactly those
     factors; one product check rejects any other polynomial, even one equal
@@ -145,7 +146,9 @@ def factor_divisor(poly: Z4Poly, table: FactorTable) -> DivisorSet:
     if not poly.is_monic:
         raise ValueError("not a monic polynomial")
     reduction = poly.reduce_mod2()
-    members = (r.index for r in table.records if not reduction % r.poly.reduce_mod2())
+    members = (
+        r.index for r in table.records if not _bits_rem(reduction.bits, r.poly.reduce_mod2().bits)
+    )
     divisor = DivisorSet(table, frozenset(members))
     if divisor_poly(divisor) != poly:
         raise ValueError(f"{poly.to_string()!r} does not divide X^{table.length}-1")

@@ -8,11 +8,13 @@ inputs may use the signed convention (-1 for 3, -2 for 2, and so on).
 
 F2 polynomials have one encoding, an int whose bit k is the coefficient of
 X^k (0 is the zero polynomial).  The ``_bits_*`` routines are the only
-F2[X] arithmetic in the package: ``F2Poly`` is a thin public view over such
-an int, and the splitting-field code in ``cyclotomic`` calls them directly.
+F2[X] arithmetic in the package: ``F2Poly`` is a public view over such an
+int with no arithmetic of its own, and the splitting-field code in
+``cyclotomic`` and the divisor lookup in ``codes`` call them directly.
 
-- ``_bits_mul``, ``_bits_divmod`` and ``_bits_gcd``: carry-less multiply,
-  long division and Euclid, one Python loop iteration per bit.
+- ``_bits_mul``, ``_bits_rem`` and ``_bits_gcd``: carry-less multiply,
+  the remainder of long division, and Euclid, one Python loop iteration
+  per bit.
 - ``_bits_sqr``: the square, as the binary digits read as base-4 digits,
   in the interpreter's int/str conversion code.
 - ``_bits_mod``: the remainder mod X^m + tail, by folding the bits at and
@@ -30,9 +32,10 @@ slot overflows (``9 * min(len(a), len(b))`` fits in it), and multiplied
 once, so the work runs in the interpreter's big-int code, not in a Python
 loop; each slot of the product is then read back mod 4.
 
+Z4 polynomials have products, reciprocals and reduction mod 2, but no sum.
 Z4[X] is not a Euclidean domain, so only division by a *monic* divisor is
-offered (quotient and remainder are then unique).  F2[X] is a Euclidean
-domain and supports full divmod and gcd.
+offered (quotient and remainder are then unique).  In F2[X] nothing needs a
+quotient, so long division returns only the remainder.
 
 The text form of a polynomial is its comma-separated ascending coefficient
 list, e.g. ``"3,1,2,1"`` for X^3+2X^2+X-1; the empty string is the zero
@@ -43,8 +46,6 @@ from __future__ import annotations
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
-_Z4_UNITS = (1, 3)
-_Z4_INVERSE = {1: 1, 3: 3}
 _LOW_2_BITS = bytes(i & 3 for i in range(256))  # byte -> byte mod 4
 _ASCII_DIGIT = bytes(48 + (i & 3) for i in range(256))  # residue byte -> its ASCII digit
 
@@ -118,25 +119,6 @@ class Z4Poly:
     def constant_term(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
 
-    def __add__(self, other):
-        if not isinstance(other, Z4Poly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = (out[k] + c) % 4
-        return Z4Poly(out)
-
-    def __neg__(self):
-        return Z4Poly(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        if not isinstance(other, Z4Poly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         """Product by Kronecker substitution: one big-int multiplication.
 
@@ -194,10 +176,9 @@ class Z4Poly:
         if not self.is_monic:
             raise ValueError("reciprocal requires a monic polynomial")
         a0 = self.constant_term
-        if a0 not in _Z4_UNITS:
+        if a0 not in (1, 3):  # the units of Z4, each its own inverse
             raise ValueError("reciprocal requires a unit constant term")
-        inv = _Z4_INVERSE[a0]
-        return Z4Poly(inv * c for c in reversed(self.coeffs))
+        return Z4Poly(a0 * c for c in reversed(self.coeffs))
 
     def is_self_reciprocal(self) -> bool:
         return self == self.reciprocal()
@@ -223,7 +204,10 @@ class Z4Poly:
 
 
 class F2Poly:
-    """A polynomial over F2, held as the int whose bit k is the coefficient of X^k."""
+    """A polynomial over F2, held as the int whose bit k is the coefficient of X^k.
+
+    A value only: arithmetic runs on ``bits`` through the ``_bits_*`` kernels.
+    """
 
     __slots__ = ("bits",)
 
@@ -270,34 +254,6 @@ class F2Poly:
     def is_monic(self) -> bool:
         return bool(self.bits)  # any nonzero leading coefficient is 1
 
-    def __add__(self, other):
-        if not isinstance(other, F2Poly):
-            return NotImplemented
-        return F2Poly._of(self.bits ^ other.bits)
-
-    __sub__ = __add__  # characteristic 2
-
-    def __mul__(self, other):
-        if not isinstance(other, F2Poly):
-            return NotImplemented
-        return F2Poly._of(_bits_mul(self.bits, other.bits))
-
-    def __divmod__(self, divisor):
-        if not isinstance(divisor, F2Poly):
-            return NotImplemented
-        quot, rem = _bits_divmod(self.bits, divisor.bits)
-        return F2Poly._of(quot), F2Poly._of(rem)
-
-    def __floordiv__(self, divisor):
-        return divmod(self, divisor)[0]
-
-    def __mod__(self, divisor):
-        return divmod(self, divisor)[1]
-
-    def gcd(self, other: "F2Poly") -> "F2Poly":
-        """Monic greatest common divisor (Euclidean algorithm)."""
-        return F2Poly._of(_bits_gcd(self.bits, other.bits))
-
     def __eq__(self, other):
         return isinstance(other, F2Poly) and self.bits == other.bits
 
@@ -324,22 +280,20 @@ def _bits_mul(a: int, b: int) -> int:
     return out
 
 
-def _bits_divmod(a: int, b: int) -> tuple[int, int]:
+def _bits_rem(a: int, b: int) -> int:
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
     width = b.bit_length()
-    quot = 0
     shift = a.bit_length() - width
     while shift >= 0:
-        quot |= 1 << shift
         a ^= b << shift
         shift = a.bit_length() - width
-    return quot, a
+    return a
 
 
 def _bits_gcd(a: int, b: int) -> int:
     while b:
-        a, b = b, _bits_divmod(a, b)[1]
+        a, b = b, _bits_rem(a, b)
     return a
 
 
@@ -354,7 +308,7 @@ def _bits_mod(a: int, mod: int) -> int:
     # through the tail; each fold costs one pass per tail bit, so a short
     # tail (degree <= 9 in the least irreducible of each degree m <= 210)
     # costs a few big-int steps, not one loop iteration per bit as
-    # _bits_divmod does
+    # _bits_rem does
     if not mod:
         raise ZeroDivisionError("division by the zero polynomial")
     m = mod.bit_length() - 1

@@ -32,6 +32,14 @@ from z4lcd.codes import hull_report
 from z4lcd.lcdenum import all_partitions
 from z4lcd.z4poly import F2Poly, Z4Poly
 
+from schoolbook import (
+    f2_gcd,
+    f2_is_irreducible_by_trial_division,
+    f2_mul,
+    z4_add,
+    z4_divmod_monic,
+)
+
 DATA = Path(__file__).parent / "data"
 ODD_LENGTHS = list(range(1, 32, 2))
 WIDE_ODD_LENGTHS = range(1, 3000, 2)
@@ -42,19 +50,6 @@ DIGEST_LENGTHS = sorted(int(n) for n in json.loads((DATA / "factor_digests.json"
 
 def phi_by_count(n):
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-
-
-def f2_is_irreducible_by_trial_division(poly):
-    # exhaustive check against every monic divisor of degree <= deg/2
-    deg = len(poly.coeffs) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for bits in range(1 << d):
-            divisor = F2Poly([(bits >> k) & 1 for k in range(d)] + [1])
-            if (poly % divisor).is_zero:
-                return False
-    return True
 
 
 def field_mul(a, b, modulus):
@@ -217,18 +212,18 @@ class TestFactorMod2:
     def test_three(self):
         factors = factor_mod2(3)
         assert factors == [F2Poly([1, 1]), F2Poly([1, 1, 1])]
-        product = functools.reduce(operator.mul, factors)
-        assert product == F2Poly.x_pow_plus_one(3)
+        product = functools.reduce(f2_mul, (f.coeffs for f in factors))
+        assert F2Poly(product) == F2Poly.x_pow_plus_one(3)
 
     def test_product_degree_and_irreducibility(self):
         for n in ODD_LENGTHS:
             factors = factor_mod2(n)
             cosets = cyclotomic_cosets(n)
             assert [len(f.coeffs) - 1 for f in factors] == [len(c) for c in cosets]
-            product = functools.reduce(operator.mul, factors, F2Poly.one())
-            assert product == F2Poly.x_pow_plus_one(n)
+            product = functools.reduce(f2_mul, (f.coeffs for f in factors), [1])
+            assert F2Poly(product) == F2Poly.x_pow_plus_one(n)
             if n <= 15:  # exhaustive divisor scan stays cheap here
-                assert all(f2_is_irreducible_by_trial_division(f) for f in factors)
+                assert all(f2_is_irreducible_by_trial_division(f.coeffs) for f in factors)
 
     @pytest.mark.parametrize("n", [n for n in DIGEST_LENGTHS if n < 200])
     def test_factor_is_minimal_polynomial_of_its_coset(self, n):
@@ -274,7 +269,7 @@ class TestFactorMod2:
         # the degree-28 factor at N=29 via the same exhaustive oracle
         factors = factor_mod2(29)
         assert [len(f.coeffs) - 1 for f in factors] == [1, 28]
-        assert f2_is_irreducible_by_trial_division(factors[1])
+        assert f2_is_irreducible_by_trial_division(factors[1].coeffs)
 
 
 class TestDeepLengths:
@@ -292,9 +287,9 @@ class TestDeepLengths:
         monkeypatch.setattr(cyclotomic, "_factorize", counting)
         table = build_factor_table.__wrapped__(n)  # past the cache
         product = functools.reduce(
-            operator.mul, (r.poly.reduce_mod2() for r in table.records), F2Poly.one()
+            f2_mul, (r.poly.reduce_mod2().coeffs for r in table.records), [1]
         )
-        assert product == F2Poly.x_pow_plus_one(n)
+        assert F2Poly(product) == F2Poly.x_pow_plus_one(n)
         assert calls and max(calls) <= n
 
 
@@ -306,7 +301,7 @@ class TestLeastIrreducible:
         least = next(
             bits
             for bits in range(1 << m, 2 << m)
-            if f2_is_irreducible_by_trial_division(F2Poly([bits >> k & 1 for k in range(m + 1)]))
+            if f2_is_irreducible_by_trial_division([bits >> k & 1 for k in range(m + 1)])
         )
         assert _least_irreducible(m) == least
         if m == 1:
@@ -331,14 +326,15 @@ class TestGraeffeLift:
                 lift = graeffe_lift(f2)
                 assert lift.is_monic
                 assert lift.reduce_mod2() == f2
-                _, rem = Z4Poly.x_pow_minus_one(n).divmod_monic(lift)
-                assert rem.is_zero
+                _, rem = z4_divmod_monic(Z4Poly.x_pow_minus_one(n).coeffs, lift.coeffs)
+                assert not any(rem)
 
     @staticmethod
     def lift_by_z4_arithmetic(f2):
         even, odd = Z4Poly(f2.coeffs[0::2]), Z4Poly(f2.coeffs[1::2])
-        lifted = even * even - Z4Poly((0, 1)) * odd * odd
-        return -lifted if f2.degree % 2 else lifted
+        lifted = z4_add((even * even).coeffs, [0] + [-c for c in (odd * odd).coeffs])
+        sign = -1 if f2.degree % 2 else 1
+        return Z4Poly(sign * c for c in lifted)
 
     def test_matches_z4_arithmetic_across_slot_widths(self):
         # all-ones polynomials fill the byte slots most; a slot widens to
@@ -408,16 +404,16 @@ class TestFactorTable:
             mod2 = factor_mod2(n)
             for r in table.records:
                 assert r.poly.reduce_mod2() == mod2[r.index]
-                _, rem = Z4Poly.x_pow_minus_one(n).divmod_monic(r.poly)
-                assert rem.is_zero
+                _, rem = z4_divmod_monic(Z4Poly.x_pow_minus_one(n).coeffs, r.poly.coeffs)
+                assert not any(rem)
 
     def test_pairwise_coprime_mod_2(self):
         for n in ODD_LENGTHS:
             table = build_factor_table(n)
-            reductions = [r.poly.reduce_mod2() for r in table.records]
+            reductions = [r.poly.reduce_mod2().coeffs for r in table.records]
             for i, a in enumerate(reductions):
                 for b in reductions[i + 1 :]:
-                    assert a.gcd(b) == F2Poly.one()
+                    assert f2_gcd(a, b) == [1]
 
     def test_block_counts_match_pair_class(self):
         for n in ODD_LENGTHS:
