@@ -9,8 +9,9 @@ Euclidean algorithm (Z4[X] has none).
 Factor ids are checked once, where they enter (DivisorSet.of, CodeSpec.of,
 factor_divisor); sets built from valid sets are not checked again.  A
 CodeSpec stores f and g only; h is derived as the rest of the factors.
-A polynomial divisor is read from its reduction mod 2, and one product
-check rejects any polynomial that is not a divisor.
+A polynomial divisor is read from its reduction mod 2: the factors whose
+reductions leave remainder 0, all found in one pass over its bits; one
+product check rejects any polynomial that is not a divisor.
 
 The hull cardinality comes out of the factor sets alone:
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomic import FactorTable
-from .z4poly import Z4Poly, _bits_rem
+from .z4poly import Z4Poly, _bits_rems
 
 
 @dataclass(frozen=True)
@@ -136,8 +137,9 @@ def reciprocal_set(divisor: DivisorSet) -> DivisorSet:
 def factor_divisor(poly: Z4Poly, table: FactorTable) -> DivisorSet:
     """Resolve a monic divisor of X^N - 1 to its unique set of factor ids.
 
-    The members are the factors whose reductions mod 2 divide that of poly,
-    read as a zero remainder of F2 long division on the int encoding.
+    The members are the factors whose reductions mod 2 divide that of poly:
+    those left with remainder 0 by one bit-sliced pass of _bits_rems over
+    the reduction of poly, which divides by every factor at once.
     X^N + 1 is squarefree for odd N and each factor is the unique monic lift
     of its reduction, so a monic divisor is the product of exactly those
     factors; one product check rejects any other polynomial, even one equal
@@ -145,10 +147,8 @@ def factor_divisor(poly: Z4Poly, table: FactorTable) -> DivisorSet:
     """
     if not poly.is_monic:
         raise ValueError("not a monic polynomial")
-    reduction = poly.reduce_mod2()
-    members = (
-        r.index for r in table.records if not _bits_rem(reduction.bits, r.poly.reduce_mod2().bits)
-    )
+    rems = _bits_rems(poly.reduce_mod2().bits, [r.poly.reduce_mod2().bits for r in table.records])
+    members = (r.index for r, rem in zip(table.records, rems) if not rem)
     divisor = DivisorSet(table, frozenset(members))
     if divisor_poly(divisor) != poly:
         raise ValueError(f"{poly.to_string()!r} does not divide X^{table.length}-1")

@@ -15,6 +15,9 @@ int with no arithmetic of its own, and the splitting-field code in
 - ``_bits_mul``, ``_bits_rem`` and ``_bits_gcd``: carry-less multiply,
   the remainder of long division, and Euclid, one Python loop iteration
   per bit.
+- ``_bits_rems``: the remainders of one polynomial modulo many, in one
+  bit-sliced Horner pass over its coefficients, a few big-int steps per
+  coefficient whatever the number of moduli.
 - ``_bits_sqr``: the square, as the binary digits read as base-4 digits,
   in the interpreter's int/str conversion code.
 - ``_bits_mod``: the remainder mod X^m + tail, by folding the bits at and
@@ -48,6 +51,7 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 
 _LOW_2_BITS = bytes(i & 3 for i in range(256))  # byte -> byte mod 4
 _ASCII_DIGIT = bytes(48 + (i & 3) for i in range(256))  # residue byte -> its ASCII digit
+_PARITY_DIGIT = bytes(48 + (i & 1) for i in range(256))  # residue byte -> ASCII digit mod 2
 
 
 def _pack(coeffs: tuple[int, ...], width: int) -> int:
@@ -185,7 +189,8 @@ class Z4Poly:
 
     def reduce_mod2(self) -> "F2Poly":
         """Coefficient-wise reduction mod 2 (degree may drop)."""
-        return F2Poly(self.coeffs)
+        digits = bytes(self.coeffs)[::-1].translate(_PARITY_DIGIT)  # top coefficient first
+        return F2Poly._of(int(digits, 2) if digits else 0)
 
     def __eq__(self, other):
         return isinstance(other, Z4Poly) and self.coeffs == other.coeffs
@@ -289,6 +294,39 @@ def _bits_rem(a: int, b: int) -> int:
         a ^= b << shift
         shift = a.bit_length() - width
     return a
+
+
+def _bits_rems(a: int, mods: list[int]) -> list[int]:
+    """[_bits_rem(a, m) for m in mods], in one Horner pass over the bits of a.
+
+    One int holds a slot of D + 1 bits per modulus, D the largest degree;
+    a modulus of degree d sits in bits D - d ... D of its slot, and its
+    remainder in bits D - d ... D - 1.  Each coefficient of a, top first,
+    shifts every remainder up one degree, adds the coefficient at the
+    bottom of each, and subtracts each modulus whose X^d coefficient
+    reached bit D.
+    """
+    if not all(mods):
+        raise ZeroDivisionError("division by the zero polynomial")
+    degrees = [m.bit_length() - 1 for m in mods]
+    top = max(degrees, default=0)
+    width = top + 1
+    packed = low = tops = 0
+    for slot, (m, d) in enumerate(zip(mods, degrees)):
+        packed |= m << slot * width + top - d
+        low |= 1 << slot * width + top - d
+        tops |= 1 << slot * width + top
+    reg = 0
+    for digit in format(a, "b"):
+        # the coefficient goes in before the subtraction, so a modulus of
+        # degree 0, whose bottom is bit D, takes it straight back out
+        reg <<= 1
+        if digit == "1":
+            reg ^= low
+        over = reg & tops
+        # (over << 1) - (over >> D) covers each slot whose bit D is set
+        reg ^= ((over << 1) - (over >> top)) & packed
+    return [reg >> slot * width + top - d & (1 << d) - 1 for slot, d in enumerate(degrees)]
 
 
 def _bits_gcd(a: int, b: int) -> int:

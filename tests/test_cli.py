@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import z4lcd
-from z4lcd import cli
+from z4lcd import DivisorSet, cli, divisor_poly
 from z4lcd.cyclotomic import build_factor_table, table_to_wire
 
 SRC = str(Path(z4lcd.__file__).resolve().parent.parent)
@@ -138,6 +139,22 @@ class TestHull:
         assert parsed == {
             "degH": 3, "degG": 0, "hullSize": 64, "lcd": False, "H": [2], "G": [],
         }
+
+    def test_polynomial_form_matches_ids_form_at_1023(self):
+        table = build_factor_table(1023)
+        ids = sorted(table.ids())
+        rng = random.Random(1023)
+        f = sorted(rng.sample(ids, len(ids) // 2))
+        g = sorted(rng.sample(sorted(set(ids) - set(f)), len(ids) // 4))
+        f_poly, g_poly = (divisor_poly(DivisorSet.of(table, s)).to_string() for s in (f, g))
+        f_ids, g_ids = ("ids:" + ",".join(map(str, s)) for s in (f, g))
+        by_poly = run_cli("hull", "1023", "--f", f_poly, "--g", g_poly, "--json")
+        by_ids = run_cli("hull", "1023", "--f", f_ids, "--g", g_ids, "--json")
+        assert (by_poly.returncode, by_poly.stderr) == (0, "")
+        assert json.loads(by_poly.stdout)["hullSize"] > 1
+        assert (by_poly.returncode, by_poly.stdout, by_poly.stderr) == (
+            by_ids.returncode, by_ids.stdout, by_ids.stderr,
+        )
 
     def test_non_divisor_rejected(self):
         result = run_cli("hull", "7", "--f", "1,1", "--g", "1")

@@ -121,6 +121,18 @@ class TestFactorDivisor:
                 ds = DivisorSet(table, members)
                 assert factor_divisor(divisor_poly(ds), table).members == members
 
+    def test_round_trip_at_4095(self):
+        # 351 factors of degrees 1 to 12 in one bit-sliced pass
+        table = build_factor_table(4095)
+        ids = sorted(table.ids())
+        assert len(ids) == 351
+        assert len({table[i].degree for i in ids}) > 2
+        rng = random.Random(4095)
+        cases = [frozenset(), frozenset(ids)]
+        cases += [frozenset(rng.sample(ids, rng.randrange(1, len(ids)))) for _ in range(4)]
+        for members in cases:
+            assert factor_divisor(divisor_poly(DivisorSet(table, members)), table).members == members
+
     def test_resolves_without_z4_division(self, monkeypatch):
         def no_division(self, divisor):
             raise AssertionError("Z4 long division")
@@ -137,15 +149,18 @@ class TestFactorDivisor:
     def test_rejects_divisor_plus_two_x_power(self):
         # 2X^k keeps the reduction mod 2, so the mod-2 test picks the divisor's
         # factors and only the product check can reject
-        table = build_factor_table(63)
-        poly = divisor_poly(DivisorSet.of(table, [1, 5]))
-        for k in range(poly.degree):
-            coeffs = list(poly.coeffs)
-            coeffs[k] += 2
-            perturbed = Z4Poly(coeffs)
-            assert perturbed.reduce_mod2() == poly.reduce_mod2()
-            with pytest.raises(ValueError, match=r"does not divide X\^63-1$"):
-                factor_divisor(perturbed, table)
+        t63, t4095 = build_factor_table(63), build_factor_table(4095)
+        one_per_degree = {t4095[i].degree: i for i in sorted(t4095.ids(), reverse=True)}
+        for table, members in [(t63, [1, 5]), (t4095, one_per_degree.values())]:
+            poly = divisor_poly(DivisorSet.of(table, members))
+            assert factor_divisor(poly, table).members == frozenset(members)
+            for k in range(poly.degree):
+                coeffs = list(poly.coeffs)
+                coeffs[k] += 2
+                perturbed = Z4Poly(coeffs)
+                assert perturbed.reduce_mod2() == poly.reduce_mod2()
+                with pytest.raises(ValueError, match=rf"does not divide X\^{table.length}-1$"):
+                    factor_divisor(perturbed, table)
 
 
 class TestCodeSpec:

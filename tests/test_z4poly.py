@@ -13,6 +13,7 @@ from z4lcd.z4poly import (
     _bits_mul,
     _bits_powmod,
     _bits_rem,
+    _bits_rems,
     _bits_sqr,
     format_terms,
 )
@@ -135,10 +136,29 @@ class TestSelfReciprocal:
 
 
 class TestReduceMod2:
+    @staticmethod
+    def parity_bits(coeffs):
+        # literal reduction: bit k is the parity of the coefficient of X^k
+        return sum(1 << k for k, c in enumerate(coeffs) if c % 2)
+
     def test_examples(self):
         assert z4(3, 1, 2, 1).reduce_mod2() == F2Poly([1, 1, 0, 1])
         assert z4(2, 2).reduce_mod2() == F2Poly.zero()
         assert Z4Poly.x_pow_minus_one(7).reduce_mod2() == F2Poly.x_pow_plus_one(7)
+
+    @pytest.mark.parametrize(
+        "coeffs, bits",
+        [((), 0), ((1, 3, 2), 0b11), ((2,) * 40, 0), ((2, 0, 3, 0, 0, 2), 0b100)],
+        ids=["zero", "leading-2", "all-2", "inner-zeros-and-leading-2"],
+    )
+    def test_degree_drops(self, coeffs, bits):
+        assert Z4Poly(coeffs).reduce_mod2().bits == self.parity_bits(coeffs) == bits
+
+    def test_matches_coefficient_parity(self):
+        rng = random.Random(20261031)
+        for _ in range(200):
+            coeffs = [rng.randrange(4) for _ in range(rng.randrange(0, 5000))]
+            assert Z4Poly(coeffs).reduce_mod2().bits == self.parity_bits(coeffs)
 
 
 class TestF2Poly:
@@ -182,6 +202,38 @@ class TestF2Poly:
     def test_divmod_rejects_zero(self):
         with pytest.raises(ZeroDivisionError):
             _bits_rem(0b11, 0)
+
+    def test_rems_match_one_division_per_modulus(self):
+        # the bit-sliced pass against one long division per modulus, on
+        # moduli of mixed degree beside X + 1 and the constant 1
+        rng = random.Random(20261027)
+        for _ in range(300):
+            mods = [
+                rng.getrandbits(d) | 1 << d
+                for d in (rng.randrange(0, 40) for _ in range(rng.randrange(1, 12)))
+            ]
+            mods += rng.sample([0b1, 0b11, 0b10], rng.randrange(0, 3))
+            rng.shuffle(mods)
+            below_all = rng.getrandbits(min(m.bit_length() for m in mods) - 1)
+            wide = rng.getrandbits(1000) | 1 << 999
+            for a in (0, below_all, rng.getrandbits(rng.randrange(1, 1000)), wide):
+                assert _bits_rems(a, mods) == [_bits_rem(a, m) for m in mods]
+
+    def test_rems_edge_cases(self):
+        mods = [0b1011, 0b111, 0b11, 0b1]
+        assert _bits_rems(0, mods) == [0, 0, 0, 0]
+        assert _bits_rems(0b1, mods) == [0b1, 0b1, 0b1, 0]  # below every positive degree
+        assert _bits_rems(0b10, [0b111, 0b1011]) == [0b10, 0b10]
+        assert _bits_rems(0b101, [0b1, 0b1]) == [0, 0]
+        a = random.Random(20261028).getrandbits(1000)
+        assert _bits_rems(a, []) == []
+        assert _bits_rems(a, [0b11]) == [bin(a).count("1") % 2]  # a(1), the remainder mod X + 1
+
+    def test_rems_rejects_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            _bits_rems(0b11, [0b11, 0])
+        with pytest.raises(ZeroDivisionError):
+            _bits_rems(0, [0])
 
     def test_gcd(self):
         a = _bits_mul(0b11, 0b111)  # (X + 1)(X^2 + X + 1)
