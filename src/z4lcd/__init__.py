@@ -38,14 +38,13 @@ from .lcdenum import (
     enumerate_lcd,
     lcd_census,
 )
-from .z4poly import F2Poly, NEG_INF, Z4Poly, format_terms
+from .z4poly import NEG_INF, Z4Poly, format_terms
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CodeSpec",
     "DivisorSet",
-    "F2Poly",
     "FactorRecord",
     "FactorTable",
     "HullReport",

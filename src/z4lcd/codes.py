@@ -147,7 +147,7 @@ def factor_divisor(poly: Z4Poly, table: FactorTable) -> DivisorSet:
     """
     if not poly.is_monic:
         raise ValueError("not a monic polynomial")
-    rems = _bits_rems(poly.reduce_mod2().bits, [r.poly.reduce_mod2().bits for r in table.records])
+    rems = _bits_rems(poly.reduce_mod2(), [r.poly.reduce_mod2() for r in table.records])
     members = (r.index for r, rem in zip(table.records, rems) if not rem)
     divisor = DivisorSet(table, frozenset(members))
     if divisor_poly(divisor) != poly:

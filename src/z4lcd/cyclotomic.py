@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from .z4poly import (
     _LOW_2_BITS,
-    F2Poly,
     Z4Poly,
     _bits_is_irreducible,
     _bits_min_poly,
@@ -221,8 +220,10 @@ def _element_of_order(length: int, degree: int, modulus: int) -> int:
     raise AssertionError(f"F_(2^{degree})* has an element of order {length}")  # unreachable
 
 
-def factor_mod2(length: int) -> list[F2Poly]:
+def factor_mod2(length: int) -> list[int]:
     """Monic irreducible factors of X^N + 1 over F2, one per cyclotomic coset.
+
+    Each factor is in the int encoding, bit k the coefficient of X^k.
 
     Factor j is the minimal polynomial of alpha^s, s the least member of
     coset j, for alpha a root of the least irreducible factor of Phi_N mod 2
@@ -246,27 +247,28 @@ def factor_mod2(length: int) -> list[F2Poly]:
     raw = [_bits_min_poly(powers, coset[0], len(coset)) for coset in cosets]
     coset_of = {s: idx for idx, coset in enumerate(cosets) for s in coset}
     _, t = min((raw[idx], c[0]) for idx, c in enumerate(cosets) if math.gcd(c[0], length) == 1)
-    return [F2Poly._of(raw[coset_of[t * coset[0] % length]]) for coset in cosets]
+    return [raw[coset_of[t * coset[0] % length]] for coset in cosets]
 
 
 _NEG_LOW_2_BITS = bytes(-i & 3 for i in range(256))  # byte -> its negative mod 4
 
 
-def graeffe_lift(f2: F2Poly) -> Z4Poly:
+def graeffe_lift(bits: int) -> Z4Poly:
     """One Graeffe step from a mod-2 factor to its unique Z4 lift.
 
-    Splits f2(X) = e(X^2) + X o(X^2) and returns
+    `bits` encodes the factor f2, bit k the coefficient of X^k; f2 must
+    have a nonzero constant term, so `bits` is a positive odd int.  Splits
+    f2(X) = e(X^2) + X o(X^2) and returns
     (-1)^deg (e(X)^2 - X o(X)^2) mod 4, which is the monic polynomial over
     Z4 reducing to f2 mod 2 and dividing X^N - 1.  e and o are packed into
     the byte slots of Z4Poly.__mul__, so e^2 + 3 X o^2 is one big-int
     expression; a slot holds at most len(e) + 3 len(o) <= 4 len(e), and
     the sign is a byte table applied to the slots mod 4.
     """
-    if not f2.is_monic:
-        raise ValueError("lift requires a monic polynomial")
-    if not f2.bits & 1:
-        raise ValueError("lift requires a nonzero constant term")
-    digits = format(f2.bits, "b")[::-1].encode().translate(_LOW_2_BITS)  # ASCII "0"/"1" -> 0/1
+    if bits <= 0 or not bits & 1:
+        # a negative int would read its sign as a digit below
+        raise ValueError("lift requires a positive odd encoding: a nonzero constant term")
+    digits = format(bits, "b")[::-1].encode().translate(_LOW_2_BITS)  # ASCII "0"/"1" -> 0/1
     width = ((4 * len(digits[0::2])).bit_length() + 7) // 8
     even, odd = _pack(digits[0::2], width), _pack(digits[1::2], width)
     packed = even * even + (3 * odd * odd << 8 * width)  # e^2 + 3 X o^2, X one slot
@@ -292,7 +294,7 @@ def build_factor_table(length: int) -> FactorTable:
     """
     _require_odd(length)
     cosets = cyclotomic_cosets(length)
-    lifted = [graeffe_lift(f2) for f2 in factor_mod2(length)]
+    lifted = [graeffe_lift(bits) for bits in factor_mod2(length)]
     coset_of = {s: idx for idx, coset in enumerate(cosets) for s in coset}
 
     self_counter: dict[int, int] = {}

@@ -7,10 +7,10 @@ Constructors reduce arbitrary integer coefficients into canonical form, so
 inputs may use the signed convention (-1 for 3, -2 for 2, and so on).
 
 F2 polynomials have one encoding, an int whose bit k is the coefficient of
-X^k (0 is the zero polynomial).  The ``_bits_*`` routines are the only
-F2[X] arithmetic in the package: ``F2Poly`` is a public view over such an
-int with no arithmetic of its own, and the splitting-field code in
-``cyclotomic`` and the divisor lookup in ``codes`` call them directly.
+X^k (0 is the zero polynomial).  ``Z4Poly.reduce_mod2``,
+``cyclotomic.factor_mod2`` and ``cyclotomic.graeffe_lift`` take and return
+it as a plain int, and the ``_bits_*`` routines are the only F2[X]
+arithmetic in the package.
 
 - ``_bits_mul``, ``_bits_rem`` and ``_bits_gcd``: carry-less multiply,
   the remainder of long division, and Euclid, one Python loop iteration
@@ -187,10 +187,10 @@ class Z4Poly:
     def is_self_reciprocal(self) -> bool:
         return self == self.reciprocal()
 
-    def reduce_mod2(self) -> "F2Poly":
-        """Coefficient-wise reduction mod 2 (degree may drop)."""
+    def reduce_mod2(self) -> int:
+        """Coefficient-wise reduction mod 2, in the int encoding (degree may drop)."""
         digits = bytes(self.coeffs)[::-1].translate(_PARITY_DIGIT)  # top coefficient first
-        return F2Poly._of(int(digits, 2) if digits else 0)
+        return int(digits, 2) if digits else 0
 
     def __eq__(self, other):
         return isinstance(other, Z4Poly) and self.coeffs == other.coeffs
@@ -208,72 +208,8 @@ class Z4Poly:
         return format_terms(self)
 
 
-class F2Poly:
-    """A polynomial over F2, held as the int whose bit k is the coefficient of X^k.
-
-    A value only: arithmetic runs on ``bits`` through the ``_bits_*`` kernels.
-    """
-
-    __slots__ = ("bits",)
-
-    def __init__(self, coeffs=()):
-        self.bits: int = sum(1 << k for k, c in enumerate(coeffs) if c % 2)
-
-    @classmethod
-    def _of(cls, bits: int) -> "F2Poly":
-        poly = cls.__new__(cls)
-        poly.bits = bits
-        return poly
-
-    @classmethod
-    def zero(cls) -> "F2Poly":
-        return cls._of(0)
-
-    @classmethod
-    def one(cls) -> "F2Poly":
-        return cls._of(1)
-
-    @classmethod
-    def x_pow_plus_one(cls, n: int) -> "F2Poly":
-        """X^n + 1 for n >= 1."""
-        if n < 1:
-            raise ValueError("exponent must be positive")
-        return cls._of(1 << n | 1)
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return tuple(self.bits >> k & 1 for k in range(self.bits.bit_length()))
-
-    def to_string(self) -> str:
-        return ",".join(str(c) for c in self.coeffs)
-
-    @property
-    def degree(self):
-        return self.bits.bit_length() - 1 if self.bits else NEG_INF
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.bits
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.bits)  # any nonzero leading coefficient is 1
-
-    def __eq__(self, other):
-        return isinstance(other, F2Poly) and self.bits == other.bits
-
-    def __hash__(self):
-        return hash((F2Poly, self.bits))
-
-    def __bool__(self):
-        return bool(self.bits)
-
-    def __repr__(self):
-        return f"F2Poly([{self.to_string()}])"
-
-
 # ---------------------------------------------------------------------------
-# F2[X] arithmetic on the int encoding, behind F2Poly and cyclotomic alike
+# F2[X] arithmetic on the int encoding
 
 def _bits_mul(a: int, b: int) -> int:
     out = 0

@@ -4,7 +4,23 @@ A polynomial is a list or tuple of coefficients, lowest degree first.  Each
 routine is the schoolbook loop over coefficients, with none of the packing,
 folding or int encodings the library uses.  Z4 results may carry trailing
 zeros (wrap them in ``Z4Poly`` to compare); F2 remainders and gcds do not.
+``f2_bits`` and ``f2_coeffs`` convert between F2 coefficient lists and the
+library's int encoding of F2[X], bit k the coefficient of X^k.
 """
+
+
+def f2_bits(coeffs):
+    """The int encoding of an F2 polynomial; coefficients are taken mod 2."""
+    return int("".join(str(c % 2) for c in reversed(coeffs)) or "0", 2)
+
+
+def f2_coeffs(bits):
+    """The coefficient list of an int encoding, without trailing zeros."""
+    coeffs = []
+    while bits:
+        coeffs.append(bits % 2)
+        bits //= 2
+    return coeffs
 
 
 def z4_add(a, b):

@@ -32,7 +32,7 @@ from z4lcd.lcdenum import all_partitions, count_nsrf, enumerate_lcd, lcd_census
 from z4lcd.oracle import dual_bruteforce, expand_code, sweep_verify
 from z4lcd.z4poly import Z4Poly
 
-from schoolbook import f2_is_irreducible_by_trial_division, z4_add
+from schoolbook import f2_coeffs, f2_is_irreducible_by_trial_division, z4_add
 
 SRC = str(Path(z4lcd.__file__).resolve().parent.parent)
 SWEEP_LENGTHS = (1, 3, 5, 7, 9)
@@ -187,7 +187,7 @@ def test_criterion_6_factorization_structure():
         for r in table.records:
             assert r.poly.is_monic
             assert r.poly.reduce_mod2() == mod2[r.index]
-            assert f2_is_irreducible_by_trial_division(mod2[r.index].coeffs)
+            assert f2_is_irreducible_by_trial_division(f2_coeffs(mod2[r.index]))
             assert table[r.partner].poly == r.poly.reciprocal()
             assert table[r.partner].partner == r.index
     assert time.perf_counter() - started < 10.0

@@ -302,3 +302,30 @@ class TestUsage:
 
     def test_missing_length(self):
         assert run_cli("factor").returncode == 2
+
+
+class TestWithoutNumpy:
+    # only `verify` imports the oracle, and with it numpy; every other
+    # command and the package itself must run where numpy is absent
+    SCRIPT = """
+import contextlib, io, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import z4lcd
+from z4lcd import cli
+for args in (["factor", "7"], ["classify", "15"], ["hull", "7", "--f=ids:1"],
+             ["enumerate-lcd", "7"], ["count-lcd", "21"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(args) == 0, args
+try:
+    import z4lcd.oracle
+except ImportError:
+    print("ok")
+"""
+
+    def test_commands_other_than_verify_run_without_numpy(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-c", self.SCRIPT], capture_output=True, text=True, env=env
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "ok\n", "")

@@ -30,9 +30,11 @@ from z4lcd.cyclotomic import (
 )
 from z4lcd.codes import hull_report
 from z4lcd.lcdenum import all_partitions
-from z4lcd.z4poly import F2Poly, Z4Poly
+from z4lcd.z4poly import Z4Poly
 
 from schoolbook import (
+    f2_bits,
+    f2_coeffs,
     f2_gcd,
     f2_is_irreducible_by_trial_division,
     f2_mul,
@@ -75,10 +77,10 @@ def field_pow(a, e, modulus):
     return out
 
 
-def field_eval(poly, x, modulus):
+def field_eval(bits, x, modulus):
     # Horner's rule with F2 coefficients, highest degree first
     acc = 0
-    for c in reversed(poly.coeffs):
+    for c in reversed(f2_coeffs(bits)):
         acc = field_mul(acc, x, modulus) ^ c
     return acc
 
@@ -201,29 +203,29 @@ class TestCyclotomicCosets:
 class TestFactorMod2:
     def test_seven(self):
         assert factor_mod2(7) == [
-            F2Poly([1, 1]),
-            F2Poly([1, 1, 0, 1]),
-            F2Poly([1, 0, 1, 1]),
+            f2_bits([1, 1]),
+            f2_bits([1, 1, 0, 1]),
+            f2_bits([1, 0, 1, 1]),
         ]
 
     def test_one(self):
-        assert factor_mod2(1) == [F2Poly([1, 1])]
+        assert factor_mod2(1) == [f2_bits([1, 1])]
 
     def test_three(self):
         factors = factor_mod2(3)
-        assert factors == [F2Poly([1, 1]), F2Poly([1, 1, 1])]
-        product = functools.reduce(f2_mul, (f.coeffs for f in factors))
-        assert F2Poly(product) == F2Poly.x_pow_plus_one(3)
+        assert factors == [f2_bits([1, 1]), f2_bits([1, 1, 1])]
+        product = functools.reduce(f2_mul, map(f2_coeffs, factors))
+        assert product == [1, 0, 0, 1]
 
     def test_product_degree_and_irreducibility(self):
         for n in ODD_LENGTHS:
             factors = factor_mod2(n)
             cosets = cyclotomic_cosets(n)
-            assert [len(f.coeffs) - 1 for f in factors] == [len(c) for c in cosets]
-            product = functools.reduce(f2_mul, (f.coeffs for f in factors), [1])
-            assert F2Poly(product) == F2Poly.x_pow_plus_one(n)
+            assert [len(f2_coeffs(f)) - 1 for f in factors] == [len(c) for c in cosets]
+            product = functools.reduce(f2_mul, map(f2_coeffs, factors), [1])
+            assert product == [1] + [0] * (n - 1) + [1]
             if n <= 15:  # exhaustive divisor scan stays cheap here
-                assert all(f2_is_irreducible_by_trial_division(f.coeffs) for f in factors)
+                assert all(f2_is_irreducible_by_trial_division(f2_coeffs(f)) for f in factors)
 
     @pytest.mark.parametrize("n", [n for n in DIGEST_LENGTHS if n < 200])
     def test_factor_is_minimal_polynomial_of_its_coset(self, n):
@@ -254,7 +256,7 @@ class TestFactorMod2:
             if field_eval(factors[first], root, modulus) == 0
         )
         for f, coset in zip(factors, cosets):
-            assert f.degree == len(coset)
+            assert len(f2_coeffs(f)) - 1 == len(coset)
             assert field_eval(f, field_pow(beta, coset[0], modulus), modulus) == 0
 
     @pytest.mark.parametrize("n", DIGEST_LENGTHS)
@@ -262,14 +264,14 @@ class TestFactorMod2:
         # the labelling convention: alpha is a root of the least irreducible
         # factor of Phi_N mod 2, and the records with n = N are those factors
         records = [r for r in build_factor_table(n).records if r.divisor == n]
-        least = min(records, key=lambda r: r.poly.reduce_mod2().bits)
+        least = min(records, key=lambda r: r.poly.reduce_mod2())
         assert 1 % n in least.coset
 
     def test_large_degree_factor_irreducible(self):
         # the degree-28 factor at N=29 via the same exhaustive oracle
         factors = factor_mod2(29)
-        assert [len(f.coeffs) - 1 for f in factors] == [1, 28]
-        assert f2_is_irreducible_by_trial_division(factors[1].coeffs)
+        assert [len(f2_coeffs(f)) - 1 for f in factors] == [1, 28]
+        assert f2_is_irreducible_by_trial_division(f2_coeffs(factors[1]))
 
 
 class TestDeepLengths:
@@ -287,9 +289,9 @@ class TestDeepLengths:
         monkeypatch.setattr(cyclotomic, "_factorize", counting)
         table = build_factor_table.__wrapped__(n)  # past the cache
         product = functools.reduce(
-            f2_mul, (r.poly.reduce_mod2().coeffs for r in table.records), [1]
+            f2_mul, (f2_coeffs(r.poly.reduce_mod2()) for r in table.records), [1]
         )
-        assert F2Poly(product) == F2Poly.x_pow_plus_one(n)
+        assert product == [1] + [0] * (n - 1) + [1]
         assert calls and max(calls) <= n
 
 
@@ -318,7 +320,7 @@ class TestGraeffeLift:
         ],
     )
     def test_known_lifts(self, mod2, lifted):
-        assert graeffe_lift(F2Poly(mod2)) == Z4Poly(lifted)
+        assert graeffe_lift(f2_bits(mod2)) == Z4Poly(lifted)
 
     def test_reduces_back_and_divides(self):
         for n in ODD_LENGTHS:
@@ -330,10 +332,10 @@ class TestGraeffeLift:
                 assert not any(rem)
 
     @staticmethod
-    def lift_by_z4_arithmetic(f2):
-        even, odd = Z4Poly(f2.coeffs[0::2]), Z4Poly(f2.coeffs[1::2])
+    def lift_by_z4_arithmetic(coeffs):
+        even, odd = Z4Poly(coeffs[0::2]), Z4Poly(coeffs[1::2])
         lifted = z4_add((even * even).coeffs, [0] + [-c for c in (odd * odd).coeffs])
-        sign = -1 if f2.degree % 2 else 1
+        sign = -1 if (len(coeffs) - 1) % 2 else 1
         return Z4Poly(sign * c for c in lifted)
 
     def test_matches_z4_arithmetic_across_slot_widths(self):
@@ -342,19 +344,26 @@ class TestGraeffeLift:
         rng = random.Random(20261022)
         degrees = [*range(0, 12), *range(124, 132), 400, 32765, 32766]
         for degree in degrees:
-            all_ones = F2Poly([1] * (degree + 1))
+            all_ones = [1] * (degree + 1)
             middle = [int(rng.random() < 0.1) for _ in range(degree - 1)]
-            sparse = F2Poly([1, *middle, 1] if degree else [1])
-            for f2 in (all_ones, sparse):
-                assert graeffe_lift(f2) == self.lift_by_z4_arithmetic(f2)
+            sparse = [1, *middle, 1] if degree else [1]
+            for coeffs in (all_ones, sparse):
+                assert graeffe_lift(f2_bits(coeffs)) == self.lift_by_z4_arithmetic(coeffs)
 
     def test_rejects_zero_constant(self):
         with pytest.raises(ValueError):
-            graeffe_lift(F2Poly([0, 1]))
+            graeffe_lift(f2_bits([0, 1]))
 
     def test_rejects_non_monic(self):
         with pytest.raises(ValueError):
-            graeffe_lift(F2Poly.zero())
+            graeffe_lift(0)
+
+    @pytest.mark.parametrize("bits", [-5, -1, -0b1011])
+    def test_rejects_negative(self, bits):
+        # an odd negative int is no encoding; its binary form has a sign
+        # that would otherwise be read as a coefficient
+        with pytest.raises(ValueError):
+            graeffe_lift(bits)
 
 
 class TestFactorTable:
@@ -410,7 +419,7 @@ class TestFactorTable:
     def test_pairwise_coprime_mod_2(self):
         for n in ODD_LENGTHS:
             table = build_factor_table(n)
-            reductions = [r.poly.reduce_mod2().coeffs for r in table.records]
+            reductions = [f2_coeffs(r.poly.reduce_mod2()) for r in table.records]
             for i, a in enumerate(reductions):
                 for b in reductions[i + 1 :]:
                     assert f2_gcd(a, b) == [1]

@@ -5,7 +5,6 @@ import pytest
 import z4lcd
 from z4lcd.z4poly import (
     NEG_INF,
-    F2Poly,
     Z4Poly,
     _bits_gcd,
     _bits_min_poly,
@@ -18,7 +17,7 @@ from z4lcd.z4poly import (
     format_terms,
 )
 
-from schoolbook import f2_gcd, f2_mul, f2_rem, z4_add
+from schoolbook import f2_bits, f2_coeffs, f2_gcd, f2_mul, f2_rem, z4_add
 
 
 def z4(*coeffs):
@@ -136,15 +135,10 @@ class TestSelfReciprocal:
 
 
 class TestReduceMod2:
-    @staticmethod
-    def parity_bits(coeffs):
-        # literal reduction: bit k is the parity of the coefficient of X^k
-        return sum(1 << k for k, c in enumerate(coeffs) if c % 2)
-
     def test_examples(self):
-        assert z4(3, 1, 2, 1).reduce_mod2() == F2Poly([1, 1, 0, 1])
-        assert z4(2, 2).reduce_mod2() == F2Poly.zero()
-        assert Z4Poly.x_pow_minus_one(7).reduce_mod2() == F2Poly.x_pow_plus_one(7)
+        assert z4(3, 1, 2, 1).reduce_mod2() == f2_bits([1, 1, 0, 1])
+        assert z4(2, 2).reduce_mod2() == 0
+        assert Z4Poly.x_pow_minus_one(7).reduce_mod2() == f2_bits([1, 0, 0, 0, 0, 0, 0, 1])
 
     @pytest.mark.parametrize(
         "coeffs, bits",
@@ -152,24 +146,18 @@ class TestReduceMod2:
         ids=["zero", "leading-2", "all-2", "inner-zeros-and-leading-2"],
     )
     def test_degree_drops(self, coeffs, bits):
-        assert Z4Poly(coeffs).reduce_mod2().bits == self.parity_bits(coeffs) == bits
+        assert Z4Poly(coeffs).reduce_mod2() == f2_bits(coeffs) == bits
 
     def test_matches_coefficient_parity(self):
         rng = random.Random(20261031)
         for _ in range(200):
             coeffs = [rng.randrange(4) for _ in range(rng.randrange(0, 5000))]
-            assert Z4Poly(coeffs).reduce_mod2().bits == self.parity_bits(coeffs)
+            assert Z4Poly(coeffs).reduce_mod2() == f2_bits(coeffs)
 
 
 class TestF2Poly:
-    def test_coefficient_view(self):
-        p = F2Poly([1, 0, -1, 2, 0])
-        assert (p.coeffs, p.to_string(), p.degree) == ((1, 0, 1), "1,0,1", 2)
-        assert (F2Poly.zero().coeffs, F2Poly.zero().degree) == ((), NEG_INF)
-        assert repr(F2Poly.x_pow_plus_one(3)) == "F2Poly([1,0,0,1])"
-
-    # F2Poly has no arithmetic of its own: these check the int kernels
-    # behind it against the schoolbook loops on coefficient lists
+    # the int kernels of F2[X] arithmetic against the schoolbook loops on
+    # coefficient lists
 
     def test_add_is_xor(self):
         # the sum in F2[X] is XOR of the encodings, and products distribute over it
@@ -180,11 +168,11 @@ class TestF2Poly:
         assert _bits_mul(0b11, 0b11) == 0b101  # (X + 1)^2 = X^2 + 1: 2X vanishes
 
     def test_mul(self):
-        assert _bits_mul(0b11, 0b111) == F2Poly.x_pow_plus_one(3).bits
+        assert _bits_mul(0b11, 0b111) == 0b1001  # (X + 1)(X^2 + X + 1) = X^3 + 1
         rng = random.Random(20261024)
         for _ in range(100):
-            a, b = (F2Poly._of(rng.getrandbits(rng.randrange(0, 120))) for _ in range(2))
-            assert _bits_mul(a.bits, b.bits) == F2Poly(f2_mul(a.coeffs, b.coeffs)).bits
+            a, b = (rng.getrandbits(rng.randrange(0, 120)) for _ in range(2))
+            assert _bits_mul(a, b) == f2_bits(f2_mul(f2_coeffs(a), f2_coeffs(b)))
 
     def test_divmod_round_trip(self):
         # the remainder matches long division, has degree below the divisor,
@@ -195,7 +183,7 @@ class TestF2Poly:
             a = rng.getrandbits(rng.randrange(0, 1000))
             b = rng.getrandbits(rng.randrange(1, 1000)) | 1 << rng.randrange(0, 1000)
             rem = _bits_rem(a, b)
-            assert rem == F2Poly(f2_rem(F2Poly._of(a).coeffs, F2Poly._of(b).coeffs)).bits
+            assert rem == f2_bits(f2_rem(f2_coeffs(a), f2_coeffs(b)))
             assert rem.bit_length() < b.bit_length()
             assert _bits_rem(a ^ _bits_mul(rng.getrandbits(300), b), b) == rem
 
@@ -244,7 +232,7 @@ class TestF2Poly:
         for _ in range(100):
             common = rng.getrandbits(rng.randrange(1, 30)) | 1
             a, b = (_bits_mul(common, rng.getrandbits(rng.randrange(1, 60)) | 1) for _ in range(2))
-            expected = F2Poly(f2_gcd(F2Poly._of(a).coeffs, F2Poly._of(b).coeffs)).bits
+            expected = f2_bits(f2_gcd(f2_coeffs(a), f2_coeffs(b)))
             assert _bits_gcd(a, b) == expected
             assert _bits_rem(expected, common) == 0
 
@@ -381,15 +369,22 @@ class TestPublicSurface:
 
     def test_package_exports(self):
         assert sorted(z4lcd.__all__) == [
-            "CodeSpec", "DivisorSet", "F2Poly", "FactorRecord", "FactorTable", "HullReport",
+            "CodeSpec", "DivisorSet", "FactorRecord", "FactorTable", "HullReport",
             "LcdCatalog", "LcdCensus", "LcdEntry", "NEG_INF", "PairClass", "Z4Poly",
             "build_factor_table", "classify_pair", "code_size", "count_nsrf", "cyclotomic_cosets",
             "divisor_poly", "enumerate_lcd", "euler_phi", "factor_divisor", "factor_label",
             "factor_mod2", "format_terms", "graeffe_lift", "hull_report", "is_lcd", "lcd_census",
             "mult_order_of_2", "reciprocal_set",
         ]
+        assert len(z4lcd.__all__) == 29
         for name in z4lcd.__all__:
             getattr(z4lcd, name)
+
+    def test_f2_values_are_plain_ints(self):
+        # F2[X] has one encoding, the int itself, with no wrapper around it
+        assert all(type(bits) is int for bits in z4lcd.factor_mod2(7))
+        assert type(z4(3, 1, 2, 1).reduce_mod2()) is int
+        assert type(Z4Poly.zero().reduce_mod2()) is int
 
     def test_z4poly_has_products_and_no_sums(self):
         assert self.public_names(Z4Poly) == {
@@ -399,12 +394,6 @@ class TestPublicSurface:
             # no library path divides in Z4[X]; kept while the benchmark's
             # tracer still times it as a layer of its own
             "divmod_monic",
-        }
-
-    def test_f2poly_is_a_view_without_arithmetic(self):
-        assert self.public_names(F2Poly) == {
-            "bits", "zero", "one", "x_pow_plus_one", "coeffs", "to_string", "degree", "is_zero",
-            "is_monic",
         }
 
 
