@@ -62,9 +62,6 @@ class DivisorSet:
     def __and__(self, other: "DivisorSet") -> "DivisorSet":
         return DivisorSet(self.table, self.members & other.members)
 
-    def __contains__(self, index: int) -> bool:
-        return index in self.members
-
 
 @dataclass(frozen=True)
 class CodeSpec:
@@ -180,7 +177,7 @@ def code_size(spec: CodeSpec) -> int:
 
 def is_lcd(spec: CodeSpec) -> bool:
     """True when the hull is trivial."""
-    return hull_report(spec).hull_size == 1
+    return hull_report(spec).lcd
 
 
 def spec_to_wire(spec: CodeSpec) -> dict:

@@ -8,12 +8,13 @@ there are 2^nsrf LCD codes, counted divisor-wise as
 
     nsrf = sum over n | N of gamma(n) if (n,2) good else beta(n).
 
-A catalog is rendered row by row: catalog_rows gives each entry's sorted
-ids, generator string and label, with the factor labels made once per
-table.  write_catalog_json streams the --json form entry by entry from
-fixed templates, byte for byte what json.dumps(..., indent=2,
-sort_keys=True) gives, without the encoder that indent forces into pure
-Python.
+An entry is a row: the sorted ids of the factors it takes and their
+product, the generator; the catalog holds its factor table once.
+catalog_rows gives each entry's ids, generator string and label, with the
+factor labels made once per table.  write_catalog_json streams the --json
+form entry by entry from fixed templates, byte for byte what
+json.dumps(..., indent=2, sort_keys=True) gives, without the encoder that
+indent forces into pure Python.
 """
 
 from __future__ import annotations
@@ -30,19 +31,18 @@ from .z4poly import Z4Poly
 DEFAULT_SWEEP_BUDGET = 200_000  # partitions; 3^11 is just under
 
 
-@dataclass(frozen=True)
-class LcdEntry:
-    """One LCD code: its factor set and the self-reciprocal generator."""
+class LcdEntry(NamedTuple):
+    """One LCD code: the sorted ids of its factors and the self-reciprocal generator."""
 
-    f_set: DivisorSet
+    ids: tuple[int, ...]
     generator: Z4Poly
 
 
 @dataclass(frozen=True)
 class LcdCatalog:
-    """All cyclic LCD codes of one odd length."""
+    """All cyclic LCD codes of one odd length; N is table.length."""
 
-    length: int
+    table: cyclotomic.FactorTable
     nsrf: int
     entries: tuple[LcdEntry, ...]
 
@@ -61,8 +61,7 @@ def count_nsrf(length: int) -> int:
     Per divisor n of N this is gamma(n) self-reciprocal factors for a good
     pair (n, 2) and beta(n) reciprocal pairs for a bad one.
     """
-    if length % 2 == 0:
-        raise ValueError("N must be odd")
+    cyclotomic._require_odd(length)
     total = 0
     for n in cyclotomic.divisors(length):
         pc = cyclotomic.classify_pair(n)
@@ -89,19 +88,19 @@ def enumerate_lcd(length: int) -> LcdCatalog:
     Each entry costs one product: starting from the empty subset, every atom
     in turn doubles the list by multiplying each entry so far by that atom's
     polynomial.  Entries are sorted by factor-set size, then by their sorted
-    id lists.
+    ids.
     """
     table = build_factor_table(length)
     atoms = _atoms(table)
-    products = [(frozenset(), Z4Poly.one())]
+    entries = [LcdEntry((), Z4Poly.one())]
     for atom in atoms:
         atom_poly = table[atom[0]].poly
         if len(atom) == 2:
             atom_poly = atom_poly * table[atom[1]].poly
-        products += [(ids.union(atom), poly * atom_poly) for ids, poly in products]
-    entries = [LcdEntry(DivisorSet(table, ids), poly) for ids, poly in products]
-    entries.sort(key=lambda e: (len(e.f_set.members), sorted(e.f_set.members)))
-    return LcdCatalog(length, len(atoms), tuple(entries))
+        # a pair's partner can exceed a later atom's id, so sort again
+        entries += [LcdEntry(tuple(sorted(ids + atom)), poly * atom_poly) for ids, poly in entries]
+    entries.sort(key=lambda e: (len(e.ids), e.ids))
+    return LcdCatalog(table, len(atoms), tuple(entries))
 
 
 def all_partitions(table: cyclotomic.FactorTable):
@@ -128,25 +127,23 @@ def lcd_census(length: int, sweep_budget: int = DEFAULT_SWEEP_BUDGET) -> LcdCens
     return LcdCensus(formula, enumerated, swept)
 
 
-def catalog_rows(catalog: LcdCatalog) -> Iterator[tuple[list[int], str, str]]:
+def catalog_rows(catalog: LcdCatalog) -> Iterator[tuple[tuple[int, ...], str, str]]:
     """(sorted ids, generator string, label) of each entry, in catalog order.
 
     The label is (1) for the whole ambient code, (0) for the zero code and
     otherwise the factor labels in id order; each factor's label is made
     once per table, not once per entry.
     """
-    table = catalog.entries[0].f_set.table  # every catalog holds (1) and (0)
-    labels = [factor_label(r) for r in table.records]
-    everything = len(table)
-    for entry in catalog.entries:
-        ids = sorted(entry.f_set.members)
+    labels = [factor_label(r) for r in catalog.table.records]
+    everything = len(catalog.table)
+    for ids, generator in catalog.entries:
         if not ids:
             label = "(1)"
         elif len(ids) == everything:
             label = "(0)"
         else:
             label = "(" + "".join([labels[i] for i in ids]) + ")"
-        yield ids, entry.generator.to_string(), label
+        yield ids, generator.to_string(), label
 
 
 _JSON_HEAD = '{\n  "N": %d,\n  "count": %d,\n  "entries": [\n'
@@ -162,7 +159,7 @@ def write_catalog_json(catalog: LcdCatalog, out: TextIO) -> None:
     whenever indent is set; ids, generators and labels hold nothing that
     JSON escapes.  Entries are written one at a time.
     """
-    out.write(_JSON_HEAD % (catalog.length, len(catalog.entries)))
+    out.write(_JSON_HEAD % (catalog.table.length, len(catalog.entries)))
     sep = ""
     for ids, generator, label in catalog_rows(catalog):
         f = "[\n        " + _JSON_ID_SEP.join(map(str, ids)) + "\n      ]" if ids else "[]"

@@ -4,10 +4,11 @@ import json
 import pytest
 
 from z4lcd import cli, cyclotomic
-from z4lcd.codes import divisor_poly, hull_report, reciprocal_set
+from z4lcd.codes import DivisorSet, divisor_poly, hull_report, reciprocal_set
 from z4lcd.cyclotomic import PAIR_FIRST, build_factor_table
 from z4lcd.lcdenum import (
     LcdCensus,
+    LcdEntry,
     all_partitions,
     catalog_rows,
     count_nsrf,
@@ -67,8 +68,12 @@ class TestCountNsrf:
         assert calls.count(n) == 2
 
     def test_rejects_even(self):
-        with pytest.raises(ValueError):
-            count_nsrf(4)
+        # the same messages as build_factor_table and classify_pair
+        for n, message in [(0, "N must be a positive integer"),
+                           (-3, "N must be a positive integer"),
+                           (4, "N must be odd")]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                count_nsrf(n)
 
 
 class TestEnumerate:
@@ -101,10 +106,12 @@ class TestEnumerate:
 
     def test_every_generator_self_reciprocal(self):
         for n in ODD_LENGTHS:
-            for entry in enumerate_lcd(n).entries:
+            catalog = enumerate_lcd(n)
+            for entry in catalog.entries:
+                f_set = DivisorSet.of(catalog.table, entry.ids)
                 assert entry.generator.is_self_reciprocal()
-                assert reciprocal_set(entry.f_set).members == entry.f_set.members
-                assert divisor_poly(entry.f_set) == entry.generator
+                assert reciprocal_set(f_set).members == f_set.members
+                assert divisor_poly(f_set) == entry.generator
 
     def test_matches_exhaustive_sweep(self):
         # both directions of the LCD criterion, per length
@@ -115,7 +122,7 @@ class TestEnumerate:
                 for spec in all_partitions(table)
                 if not spec.g_set.members and hull_report(spec).lcd
             }
-            enumerated = {e.f_set.members for e in enumerate_lcd(n).entries}
+            enumerated = {frozenset(e.ids) for e in enumerate_lcd(n).entries}
             assert enumerated == swept
 
     def test_generators_are_products_of_members(self):
@@ -123,9 +130,9 @@ class TestEnumerate:
             table = build_factor_table(n)
             for entry in enumerate_lcd(n).entries:
                 product = Z4Poly.one()
-                for i in entry.f_set.members:
+                for i in entry.ids:
                     product = product * table[i].poly
-                assert entry.generator == product, (n, sorted(entry.f_set.members))
+                assert entry.generator == product, (n, entry.ids)
 
     def test_one_product_per_entry(self, monkeypatch):
         table = build_factor_table(127)
@@ -140,8 +147,20 @@ class TestEnumerate:
     def test_entries_sorted(self):
         for n in (7, 15, 21):
             entries = enumerate_lcd(n).entries
-            keys = [(len(e.f_set.members), sorted(e.f_set.members)) for e in entries]
+            keys = [(len(e.ids), sorted(e.ids)) for e in entries]
             assert keys == sorted(keys)
+
+    def test_entries_are_rows(self):
+        # an entry is its sorted ids and its generator; the table is held once
+        for n in (1, 7, 15, 21, 63):
+            catalog = enumerate_lcd(n)
+            assert catalog.table is build_factor_table(n)
+            for entry in catalog.entries:
+                assert type(entry) is LcdEntry
+                assert type(entry.ids) is tuple
+                assert all(type(i) is int for i in entry.ids)
+                assert list(entry.ids) == sorted(set(entry.ids))
+        assert LcdEntry._fields == ("ids", "generator")
 
     def test_rejects_even(self):
         with pytest.raises(ValueError):

@@ -32,31 +32,18 @@ def reciprocal_spec(spec):
 
 
 def worklist_closure(generators, length, lifo=True):
-    """Literal closure under addition mod 4 and cyclic shift, no span tricks."""
+    """Literal additive closure: from 0, add every cyclic shift of every seed, mod 4."""
+    steps = [g[k:] + g[:k] for g in map(tuple, generators) for k in range(length)]
     zero = (0,) * length
     words = {zero}
-    pending = deque(tuple(g) for g in generators)
+    pending = deque([zero])
     while pending:
         w = pending.pop() if lifo else pending.popleft()
-        if w in words:
-            continue
-        words.add(w)
-        fresh = [w[-1:] + w[:-1]]
-        fresh.extend(tuple((a + b) % 4 for a, b in zip(u, w)) for u in list(words))
-        pending.extend(v for v in fresh if v not in words)
-    # drain shift/sum obligations of the seeds as well
-    stable = False
-    while not stable:
-        stable = True
-        for w in list(words):
-            candidates = [w[-1:] + w[:-1]]
-            candidates.extend(
-                tuple((a + b) % 4 for a, b in zip(u, w)) for u in list(words)
-            )
-            for v in candidates:
-                if v not in words:
-                    words.add(v)
-                    stable = False
+        for step in steps:
+            v = tuple((a + b) % 4 for a, b in zip(w, step))
+            if v not in words:
+                words.add(v)
+                pending.append(v)
     return words
 
 
@@ -119,6 +106,7 @@ class TestExpandCode:
             expected = worklist_closure([fg, two_f], length)
             expected_other = worklist_closure([two_f, fg], length, lifo=False)
             assert expected == expected_other  # strategy independence
+            assert {w[-1:] + w[:-1] for w in expected} == expected  # closed under shift
             assert set(expand_code(spec).vectors()) == expected
 
     def test_bound_enforced(self):
