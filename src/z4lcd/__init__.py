@@ -14,7 +14,6 @@ from .codes import (
     divisor_poly,
     factor_divisor,
     hull_report,
-    is_lcd,
     reciprocal_set,
 )
 from .cyclotomic import (
@@ -24,7 +23,6 @@ from .cyclotomic import (
     build_factor_table,
     classify_pair,
     cyclotomic_cosets,
-    euler_phi,
     factor_label,
     factor_mod2,
     graeffe_lift,
@@ -38,7 +36,7 @@ from .lcdenum import (
     enumerate_lcd,
     lcd_census,
 )
-from .z4poly import NEG_INF, Z4Poly, format_terms
+from .z4poly import Z4Poly, format_terms
 
 __version__ = "0.1.0"
 
@@ -51,7 +49,6 @@ __all__ = [
     "LcdCatalog",
     "LcdCensus",
     "LcdEntry",
-    "NEG_INF",
     "PairClass",
     "Z4Poly",
     "build_factor_table",
@@ -61,14 +58,12 @@ __all__ = [
     "cyclotomic_cosets",
     "divisor_poly",
     "enumerate_lcd",
-    "euler_phi",
     "factor_divisor",
     "factor_label",
     "factor_mod2",
     "format_terms",
     "graeffe_lift",
     "hull_report",
-    "is_lcd",
     "lcd_census",
     "mult_order_of_2",
     "reciprocal_set",

@@ -92,10 +92,6 @@ class CodeSpec:
         return (self.f_set | self.g_set).complement()
 
     @property
-    def table(self) -> FactorTable:
-        return self.f_set.table
-
-    @property
     def length(self) -> int:
         return self.f_set.table.length
 
@@ -173,11 +169,6 @@ def hull_report(spec: CodeSpec) -> HullReport:
 def code_size(spec: CodeSpec) -> int:
     """Number of codewords: 4^deg(h) * 2^deg(g)."""
     return 4 ** spec.h_set.degree * 2 ** spec.g_set.degree
-
-
-def is_lcd(spec: CodeSpec) -> bool:
-    """True when the hull is trivial."""
-    return hull_report(spec).lcd
 
 
 def spec_to_wire(spec: CodeSpec) -> dict:

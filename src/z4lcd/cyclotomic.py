@@ -115,11 +115,6 @@ def _factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def euler_phi(n: int) -> int:
-    """Euler's totient, by the product formula over prime divisors."""
-    return math.prod((p - 1) * p ** (e - 1) for p, e in _factorize(n).items())
-
-
 def divisors(n: int) -> list[int]:
     """Every positive divisor of n >= 1, ascending."""
     result = [1]

@@ -187,13 +187,6 @@ def dual_bruteforce(code: CodeSet, bound: int = DEFAULT_BOUND) -> CodeSet:
     return CodeSet(length, orthogonal, None)
 
 
-def hull_bruteforce(spec: CodeSpec, bound: int = DEFAULT_BOUND) -> int:
-    """|C intersect C-perp| by explicit expansion and ambient scan."""
-    code = expand_code(spec, bound)
-    dual = dual_bruteforce(code, bound)
-    return int(np.count_nonzero(code.mask & dual.mask))
-
-
 @dataclass(frozen=True)
 class Mismatch:
     spec: CodeSpec

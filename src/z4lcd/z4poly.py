@@ -2,7 +2,7 @@
 
 Z4 polynomials are held as tuples of canonical residues in ascending degree
 order: ``coeffs[k]`` is the coefficient of X^k.  The last entry is always
-nonzero; the zero polynomial is the empty tuple and has degree ``NEG_INF``.
+nonzero; the zero polynomial is the empty tuple.
 Constructors reduce arbitrary integer coefficients into canonical form, so
 inputs may use the signed convention (-1 for 3, -2 for 2, and so on).
 
@@ -46,8 +46,6 @@ polynomial.
 """
 
 from __future__ import annotations
-
-NEG_INF = float("-inf")  # degree of the zero polynomial
 
 _LOW_2_BITS = bytes(i & 3 for i in range(256))  # byte -> byte mod 4
 _ASCII_DIGIT = bytes(48 + (i & 3) for i in range(256))  # residue byte -> its ASCII digit
@@ -107,21 +105,8 @@ class Z4Poly:
         return ",".join(bytes(self.coeffs).translate(_ASCII_DIGIT).decode())
 
     @property
-    def degree(self):
-        """Degree of the polynomial; NEG_INF for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    @property
-    def constant_term(self) -> int:
-        return self.coeffs[0] if self.coeffs else 0
 
     def __mul__(self, other):
         """Product by Kronecker substitution: one big-int multiplication.
@@ -179,7 +164,7 @@ class Z4Poly:
         """
         if not self.is_monic:
             raise ValueError("reciprocal requires a monic polynomial")
-        a0 = self.constant_term
+        a0 = self.coeffs[0]
         if a0 not in (1, 3):  # the units of Z4, each its own inverse
             raise ValueError("reciprocal requires a unit constant term")
         return Z4Poly(a0 * c for c in reversed(self.coeffs))
@@ -352,7 +337,7 @@ def format_terms(p: Z4Poly) -> str:
     Residue 3 is written as -1, matching the usual signed display of Z4
     coefficients; residues 1 and 2 are written as-is.
     """
-    if p.is_zero:
+    if not p.coeffs:
         return "0"
     parts = []
     for k in range(len(p.coeffs) - 1, -1, -1):

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import z4lcd
-from z4lcd.codes import code_size, divisor_poly, hull_report, is_lcd, reciprocal_set
+from z4lcd.codes import code_size, divisor_poly, hull_report, reciprocal_set
 from z4lcd.cyclotomic import (
     GOOD,
     PAIR_FIRST,
@@ -147,7 +147,7 @@ def test_criterion_4_lcd_iff_self_reciprocal(oracle_sweeps):
                 not spec.g_set.members
                 and reciprocal_set(spec.f_set).members == spec.f_set.members
             )
-            assert is_lcd(spec) == structural
+            assert hull_report(spec).lcd == structural
             if structural:
                 assert divisor_poly(spec.f_set).is_self_reciprocal()
 
@@ -205,7 +205,7 @@ def test_criterion_7_property_suites():
         dividend = Z4Poly([rng.randrange(4) for _ in range(rng.randrange(14))])
         quotient, remainder = dividend.divmod_monic(f)
         assert Z4Poly(z4_add((quotient * f).coeffs, remainder.coeffs)) == dividend
-        assert remainder.degree < f.degree
+        assert len(remainder.coeffs) < len(f.coeffs)
     for n in (1, 3, 5, 7):
         for spec in all_partitions(build_factor_table(n)):
             code = expand_code(spec)

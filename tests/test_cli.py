@@ -272,6 +272,15 @@ class TestVerify:
         allowed = run_cli("verify", "3", "--config", str(config))
         assert allowed.returncode == 0
 
+    def test_config_before_subcommand(self, tmp_path):
+        # the subcommand's own --config defaults to SUPPRESS, so it must not
+        # clobber the global one given before the command
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_bruteforce": 3}))
+        result = run_cli("--config", str(config), "verify", "5")
+        assert result.returncode == 2
+        assert result.stderr == "error: length 5 exceeds brute-force bound 3\n"
+
     @pytest.mark.parametrize("body", ["[]", '"max_bruteforce"', "3"])
     def test_config_must_be_an_object(self, tmp_path, body):
         config = tmp_path / "config.json"

@@ -4,6 +4,7 @@ import json
 from collections import deque
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from z4lcd.codes import CodeSpec, divisor_poly, hull_report
@@ -16,7 +17,6 @@ from z4lcd.oracle import (
     dual_bruteforce,
     encode_word,
     expand_code,
-    hull_bruteforce,
     spanning_vectors,
     sweep_verify,
     sweep_to_wire,
@@ -25,8 +25,15 @@ from z4lcd.oracle import (
 from z4lcd.z4poly import Z4Poly
 
 
+def hull_bruteforce(spec):
+    """|C intersect C-perp| by explicit expansion and ambient scan, as the sweep counts it."""
+    code = expand_code(spec)
+    dual = dual_bruteforce(code)
+    return int(np.count_nonzero(code.mask & dual.mask))
+
+
 def reciprocal_spec(spec):
-    table = spec.table
+    table = spec.f_set.table
     part = lambda ds: {table[i].partner for i in ds.members}
     return CodeSpec.of(table, part(spec.f_set), part(spec.g_set), part(spec.h_set))
 
