@@ -9,9 +9,10 @@ Euclidean algorithm (Z4[X] has none).
 Factor ids are checked once, where they enter (DivisorSet.of, CodeSpec.of,
 factor_divisor); sets built from valid sets are not checked again.  A
 CodeSpec stores f and g only; h is derived as the rest of the factors.
-A polynomial divisor is read from its reduction mod 2: the factors whose
-reductions leave remainder 0, all found in one pass over its bits; one
-product check rejects any polynomial that is not a divisor.
+A polynomial divisor is read from its reduction a mod 2: the factors whose
+reductions leave remainder 0, found in one pass over its bits.  It is
+accepted when their degrees add up to its own, so their product is a, and
+it is the Graeffe lift of a, the one monic divisor of X^N - 1 above a.
 
 The hull cardinality comes out of the factor sets alone:
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import FactorTable
+from .cyclotomic import FactorTable, graeffe_lift
 from .z4poly import Z4Poly, _bits_rems
 
 
@@ -80,12 +81,9 @@ class CodeSpec:
             raise ValueError("f and g overlap")
 
     @classmethod
-    def of(cls, table: FactorTable, f=(), g=(), h=None) -> "CodeSpec":
-        """Build a partition from ids; h, if given, must be the rest of the factors."""
-        spec = cls(DivisorSet.of(table, f), DivisorSet.of(table, g))
-        if h is not None and frozenset(h) != spec.h_set.members:
-            raise ValueError("h must be the complement of f and g")
-        return spec
+    def of(cls, table: FactorTable, f=(), g=()) -> "CodeSpec":
+        """Build a partition from the ids of f and g; h is the rest of the factors."""
+        return cls(DivisorSet.of(table, f), DivisorSet.of(table, g))
 
     @property
     def h_set(self) -> DivisorSet:
@@ -130,22 +128,25 @@ def reciprocal_set(divisor: DivisorSet) -> DivisorSet:
 def factor_divisor(poly: Z4Poly, table: FactorTable) -> DivisorSet:
     """Resolve a monic divisor of X^N - 1 to its unique set of factor ids.
 
-    The members are the factors whose reductions mod 2 divide that of poly:
-    those left with remainder 0 by one bit-sliced pass of _bits_rems over
-    the reduction of poly, which divides by every factor at once.
-    X^N + 1 is squarefree for odd N and each factor is the unique monic lift
-    of its reduction, so a monic divisor is the product of exactly those
-    factors; one product check rejects any other polynomial, even one equal
-    to a divisor mod 2, and input that is not monic is rejected first.
+    The members are the factors whose reductions divide the reduction a of
+    poly: those left with remainder 0 by one _bits_rems pass over a.  Input
+    that is not monic is rejected first, then by two exact conditions:
+    1. The member degrees add up to deg(poly).  The members are coprime and
+       each divides a, so equal degrees make their product a; a then
+       divides X^N + 1 and is odd, as graeffe_lift needs.
+    2. graeffe_lift(a) == poly.  On any lift of a the Graeffe step gives
+       the product of (X - rho^2) over its roots rho; mod 4 each rho^2 is a
+       Teichmueller root squared, and squaring permutes the roots of a.  So
+       it is the unique monic lift of a dividing X^N - 1: the members' product.
     """
     if not poly.is_monic:
         raise ValueError("not a monic polynomial")
-    rems = _bits_rems(poly.reduce_mod2(), [r.poly.reduce_mod2() for r in table.records])
-    members = (r.index for r, rem in zip(table.records, rems) if not rem)
-    divisor = DivisorSet(table, frozenset(members))
-    if divisor_poly(divisor) != poly:
+    bits = poly.reduce_mod2()
+    rems = _bits_rems(bits, [r.bits for r in table.records])
+    found = [r for r, rem in zip(table.records, rems) if not rem]
+    if sum(r.degree for r in found) != len(poly.coeffs) - 1 or graeffe_lift(bits) != poly:
         raise ValueError(f"{poly.to_string()!r} does not divide X^{table.length}-1")
-    return divisor
+    return DivisorSet(table, frozenset(r.index for r in found))
 
 
 def hull_report(spec: CodeSpec) -> HullReport:

@@ -64,6 +64,7 @@ class FactorRecord:
 
     index: int
     poly: Z4Poly
+    bits: int  # the reduction of poly mod 2, in the int encoding
     divisor: int  # the n | N this factor belongs to
     block_index: int  # position within its n-block, 1-based
     kind: str  # SELF_RECIPROCAL, PAIR_FIRST or PAIR_SECOND
@@ -289,7 +290,8 @@ def build_factor_table(length: int) -> FactorTable:
     """
     _require_odd(length)
     cosets = cyclotomic_cosets(length)
-    lifted = [graeffe_lift(bits) for bits in factor_mod2(length)]
+    mod2 = factor_mod2(length)
+    lifted = [graeffe_lift(bits) for bits in mod2]
     coset_of = {s: idx for idx, coset in enumerate(cosets) for s in coset}
 
     self_counter: dict[int, int] = {}
@@ -310,7 +312,7 @@ def build_factor_table(length: int) -> FactorTable:
             kind = PAIR_SECOND
             block = records[partner].block_index
         records.append(
-            FactorRecord(idx, poly, divisor, block, kind, partner, coset)
+            FactorRecord(idx, poly, mod2[idx], divisor, block, kind, partner, coset)
         )
     return FactorTable(length, tuple(records))
 

@@ -112,16 +112,16 @@ def all_partitions(table: cyclotomic.FactorTable):
         yield CodeSpec(DivisorSet(table, f), DivisorSet(table, g))
 
 
-def lcd_census(length: int, sweep_budget: int = DEFAULT_SWEEP_BUDGET) -> LcdCensus:
+def lcd_census(length: int) -> LcdCensus:
     """Count LCD codes three ways: closed formula, catalog, partition sweep.
 
     The sweep applies the hull formula to all 3^r partitions and is skipped
-    (swept=None) when that count exceeds the budget.
+    (swept=None) when that count exceeds DEFAULT_SWEEP_BUDGET.
     """
     formula = 2 ** count_nsrf(length)
     enumerated = len(enumerate_lcd(length).entries)
     table = build_factor_table(length)
-    if 3 ** len(table.records) > sweep_budget:
+    if 3 ** len(table.records) > DEFAULT_SWEEP_BUDGET:
         return LcdCensus(formula, enumerated, None)
     swept = sum(1 for spec in all_partitions(table) if hull_report(spec).lcd)
     return LcdCensus(formula, enumerated, swept)

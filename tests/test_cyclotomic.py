@@ -412,7 +412,8 @@ class TestFactorTable:
             table = build_factor_table(n)
             mod2 = factor_mod2(n)
             for r in table.records:
-                assert r.poly.reduce_mod2() == mod2[r.index]
+                assert r.bits == mod2[r.index] == r.poly.reduce_mod2()
+                assert graeffe_lift(r.bits) == r.poly
                 _, rem = z4_divmod_monic(Z4Poly.x_pow_minus_one(n).coeffs, r.poly.coeffs)
                 assert not any(rem)
 

@@ -7,6 +7,7 @@ from z4lcd import cli, cyclotomic
 from z4lcd.codes import DivisorSet, divisor_poly, hull_report, reciprocal_set
 from z4lcd.cyclotomic import PAIR_FIRST, build_factor_table
 from z4lcd.lcdenum import (
+    DEFAULT_SWEEP_BUDGET,
     LcdCensus,
     LcdEntry,
     all_partitions,
@@ -178,9 +179,11 @@ class TestCensus:
             assert formula == enumerated == swept
 
     def test_budget_marker(self):
-        census = lcd_census(7, sweep_budget=10)
+        # 3^13 partitions at N = 63, over DEFAULT_SWEEP_BUDGET
+        assert 3 ** len(build_factor_table(63)) > DEFAULT_SWEEP_BUDGET
+        census = lcd_census(63)
         assert census.swept is None
-        assert census.formula == census.enumerated == 4
+        assert census.formula == census.enumerated == 2 ** count_nsrf(63)
 
 
 def catalog_json(n: int) -> str:

@@ -35,7 +35,7 @@ def hull_bruteforce(spec):
 def reciprocal_spec(spec):
     table = spec.f_set.table
     part = lambda ds: {table[i].partner for i in ds.members}
-    return CodeSpec.of(table, part(spec.f_set), part(spec.g_set), part(spec.h_set))
+    return CodeSpec.of(table, part(spec.f_set), part(spec.g_set))
 
 
 def worklist_closure(generators, length, lifo=True):
@@ -171,7 +171,7 @@ class TestDualBruteforce:
         # C=(0) within C=(2f) within C=(f), with f the lift pair at length 7
         table = build_factor_table(7)
         zero = expand_code(CodeSpec.of(table, f=table.ids(), g=set()))
-        two_f = expand_code(CodeSpec.of(table, f={1, 2}, g={0}, h=set()))
+        two_f = expand_code(CodeSpec.of(table, f={1, 2}, g={0}))
         full_f = expand_code(CodeSpec.of(table, f={1, 2}, g=set()))
         assert zero.words <= two_f.words <= full_f.words
         d0, d1, d2 = (dual_bruteforce(c) for c in (zero, two_f, full_f))
