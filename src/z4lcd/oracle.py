@@ -7,21 +7,20 @@ the hull formula, so these results are an independent check of it.
 
 A word is identified with its base-4 integer encoding (digit i is the entry
 at position i), and a `CodeSet` holds one boolean membership mask over the
-4^N ambient words, indexed through one split of the encoding,
-x = hi·4^L + lo with L = N // 2 and H = N - L:
+4^N ambient words, shaped (4^H, 4^L) by the split x = hi·4^L + lo of the
+encoding, L = N // 2 and H = N - L, so that its flat index is the encoding:
 
+- the expansion also lists the span's encodings, four bytes each, and adds
+  a generator step by their digit-wise sums with it, at O(|C|) a step;
 - the dual scan tests every ambient word against every spanning vector s,
-  using x·s ≡ lo·s_lo + hi·s_hi (mod 4): a 4^L and a 4^H table of partial
-  products give the zero test for all of Z4^N in one broadcast comparison;
-- the expansion holds the span as a membership mask and adds a generator
-  by translating the mask digit-wise, the low and high halves each by one
-  4^L or 4^H index table.
+  by x·s ≡ lo·s_lo + hi·s_hi (mod 4): a 4^L and a 4^H column of keys, each
+  packing the residues of up to 31 vectors, give the zero test for all of
+  Z4^N in one broadcast comparison.
 
-Only the half tables are int64; the 4^N arrays are one byte per word.  On a
-2-vCPU VM a full `verify` sweep costs about 25 ms at N = 7 (27 partitions)
-and 0.2 s at N = 9, both under the default bound of 9; N = 11 and N = 13
-(9 partitions each) need an explicit higher bound and take about 1 s and
-50 MB, and 22 s and 350 MB.
+On a 2-vCPU VM a `verify` sweep takes about 10 ms at N = 7 (27 partitions)
+and 25 ms at N = 9, under the default bound of 9; N = 11 and N = 13 (9
+partitions each) need a higher bound and take about 0.1 s and 2.5 s, at a
+peak RSS of 50 MB and 355 MB.
 """
 
 from __future__ import annotations
@@ -45,9 +44,7 @@ class BruteForceBoundError(ValueError):
 
 def _check_bound(length: int, bound: int) -> None:
     if length > bound:
-        raise BruteForceBoundError(
-            f"length {length} exceeds brute-force bound {bound}"
-        )
+        raise BruteForceBoundError(f"length {length} exceeds brute-force bound {bound}")
 
 
 def encode_word(vector) -> int:
@@ -66,8 +63,8 @@ def decode_word(value: int, length: int) -> tuple[int, ...]:
 class CodeSet:
     """A code as its membership mask, with a spanning set when one is known.
 
-    mask is the (4^H, 4^L) boolean array of `_split`'s layout: its flat index
-    is the word's encoding.  spanning=None means no small spanning set is
+    mask is the (4^H, 4^L) boolean array whose flat index is the word's
+    encoding.  spanning=None means no small spanning set is
     available and orthogonality must be checked against every word.
     """
 
@@ -117,21 +114,20 @@ def _digit_table(count: int) -> np.ndarray:
     return (index[:, None] >> (2 * np.arange(count, dtype=np.int64))) & 3
 
 
-def _split(length: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Split x = hi·4^L + lo of the ambient index, L = N // 2.
+def _add_words(a: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarray:
+    """Digit-wise sum mod 4 of the base-4 encodings in a and b, one dtype.
 
-    Returns L and the digit tables of the low and high halves; a boolean
-    array of shape (4^H, 4^L) is then indexed by ambient words in row-major
-    order, so that its flat index is the word's encoding.
+    Per digit: the XOR of the bits, with the carry of the low bits moved
+    into the high bit and the carry of the high bit dropped.  With out
+    given, the sum is written there and no temporary is made.
     """
-    low = length // 2
-    return low, _digit_table(low), _digit_table(length - low)
-
-
-def _translate(digits: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """Encodings of each row of digits plus vector, digit-wise mod 4."""
-    powers = 4 ** np.arange(digits.shape[1], dtype=np.int64)
-    return ((digits + vector) % 4) @ powers
+    carry_bits = a.dtype.type(((1 << 8 * a.dtype.itemsize) - 1) // 3)  # 0b0101…01
+    out = np.bitwise_and(a, b, out=out)
+    out &= carry_bits
+    out <<= 1
+    out ^= a
+    out ^= b
+    return out
 
 
 def expand_code(spec: CodeSpec, bound: int = DEFAULT_BOUND) -> CodeSet:
@@ -139,28 +135,31 @@ def expand_code(spec: CodeSpec, bound: int = DEFAULT_BOUND) -> CodeSet:
 
     Computed as the additive span of the shifts of the two generators; the
     shift closure is automatic because the spanning set is shift-closed.
-    The span is held as a membership mask over Z4^N: adding a generator g
-    maps C to C + {0, g} and then to C + {0, 2g}, that is C + {0, g, 2g, 3g},
-    each step the union of the mask with its image under a digit-wise
-    translation, gathered half by half through the split's tables.  A step
-    already in the mask adds nothing and is skipped: C + g = C when g is in
-    C, and 2g is in C + {0, g} only when it is in C.
+    Adding a generator g maps the span S to S + {0, g}, then to S + {0, 2g}.
+    A step in S adds nothing and is skipped (2g is in S + {0, g} only when
+    it is in S); any other step t gives S + t disjoint from S.  So the span
+    is listed as words beside its mask, and a step writes words[:k] ⊕ t,
+    ⊕ the digit-wise sum, into words[k:2k] and sets them in the mask.
     """
     length = spec.length
     _check_bound(length, bound)
     gens = spanning_vectors(spec)
-    low, lo_digits, hi_digits = _split(length)
-    members = np.zeros((len(hi_digits), len(lo_digits)), dtype=bool)
-    members[0, 0] = True
-    for gen in gens:
-        for step in (gen, tuple(2 * d % 4 for d in gen)):
-            if members.flat[encode_word(step)]:
+    low = length // 2
+    members = np.zeros((4 ** (length - low), 4**low), dtype=bool)
+    flat = members.reshape(-1)
+    flat[0] = True
+    word_type = np.uint32 if length <= 16 else np.uint64
+    # room for all of Z4^N from the zero word on; only pages the span fills are touched
+    words = np.zeros(4**length, dtype=word_type)
+    size = 1
+    ones = (4**length - 1) // 3  # digit 1 in every place
+    for gen in map(encode_word, gens):
+        for word in (gen, (gen & ones) << 1):  # g, then 2g: low bits moved up
+            if flat[word]:
                 continue  # already in the span, adds nothing
-            # the word at x - step moves to x
-            minus = -np.array(step, dtype=np.int64)
-            rows = _translate(hi_digits, minus[low:])
-            cols = _translate(lo_digits, minus[:low])
-            members |= members.take(rows, axis=0).take(cols, axis=1)
+            image = _add_words(words[:size], word_type(word), out=words[size : 2 * size])
+            flat[image] = True
+            size *= 2
     return CodeSet(length, members, tuple(gens))
 
 
@@ -170,20 +169,23 @@ def dual_bruteforce(code: CodeSet, bound: int = DEFAULT_BOUND) -> CodeSet:
     Checks orthogonality against the code's spanning set, which suffices
     because every codeword is a Z4-combination of it.  Every one of the 4^N
     ambient vectors x = hi·4^L + lo is tested against every spanning vector
-    s: x·s ≡ 0 (mod 4) exactly when lo·s_lo ≡ -hi·s_hi, so one 4^L table and
-    one 4^H table of partial products give the zero test for all of Z4^N as
-    one broadcast comparison.
+    s: x·s ≡ 0 (mod 4) exactly when lo·s_lo ≡ -hi·s_hi.  The 2-bit residues
+    of up to 31 vectors are packed into one int64 key per half-table row,
+    so one broadcast comparison of a 4^H and a 4^L key column tests all of
+    Z4^N against all 31 at once.
     """
     length = code.length
     _check_bound(length, bound)
     basis = code.spanning if code.spanning is not None else tuple(code.vectors())
-    low, lo_digits, hi_digits = _split(length)
+    low = length // 2
+    lo_digits, hi_digits = _digit_table(low), _digit_table(length - low)
     orthogonal = np.ones((len(hi_digits), len(lo_digits)), dtype=bool)
-    for vector in basis:
-        s = np.array(vector, dtype=np.int64)
-        lo_dots = ((lo_digits @ s[:low]) % 4).astype(np.uint8)
-        minus_hi_dots = (-(hi_digits @ s[low:]) % 4).astype(np.uint8)
-        orthogonal &= minus_hi_dots[:, None] == lo_dots
+    for start in range(0, len(basis), 31):
+        block = np.array(basis[start : start + 31], dtype=np.int64).T
+        places = 4 ** np.arange(block.shape[1], dtype=np.int64)  # two bits a residue
+        lo_key = ((lo_digits @ block[:low]) & 3) @ places
+        hi_key = (-(hi_digits @ block[low:]) & 3) @ places
+        orthogonal &= hi_key[:, None] == lo_key
     return CodeSet(length, orthogonal, None)
 
 
@@ -221,9 +223,7 @@ def sweep_verify(length: int, bound: int = DEFAULT_BOUND) -> SweepReport:
 
     def check(spec, label, expected, got):
         if expected != got:
-            mismatches.append(
-                Mismatch(spec, f"{label}={expected}", f"{label}={got}")
-            )
+            mismatches.append(Mismatch(spec, f"{label}={expected}", f"{label}={got}"))
 
     for spec in all_partitions(table):
         partitions += 1
@@ -232,11 +232,9 @@ def sweep_verify(length: int, bound: int = DEFAULT_BOUND) -> SweepReport:
         report = hull_report(spec)
         check(spec, "hullSize", report.hull_size, np.count_nonzero(code.mask & dual.mask))
         check(spec, "codeSize", code_size(spec), len(code))
-        reciprocal_closed = (
-            not spec.g_set.members
-            and reciprocal_set(spec.f_set).members == spec.f_set.members
-        )
-        check(spec, "lcd", reciprocal_closed, report.lcd)
+        del code, dual  # not held while the next partition expands
+        f_closed = reciprocal_set(spec.f_set).members == spec.f_set.members
+        check(spec, "lcd", f_closed and not spec.g_set.members, report.lcd)
         if report.lcd:
             lcd_count += 1
     return SweepReport(length, partitions, tuple(mismatches), lcd_count)

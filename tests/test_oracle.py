@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from collections import deque
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from z4lcd.oracle import (
     spanning_vectors,
     sweep_verify,
     sweep_to_wire,
+    _add_words,
     _vector_mod,
 )
 from z4lcd.z4poly import Z4Poly
@@ -76,6 +78,25 @@ class TestEncoding:
     def test_round_trip(self):
         for vec in itertools.product(range(4), repeat=3):
             assert decode_word(encode_word(vec), 3) == vec
+
+
+class TestAddWords:
+    @pytest.mark.parametrize("length", [1, 2, 15, 16])
+    def test_matches_digit_wise_sum(self, length):
+        # N = 16 fills every bit of a uint32; all-3 words carry in every digit
+        rng = random.Random(length)
+        word = lambda: tuple(rng.randrange(4) for _ in range(length))
+        threes = (3,) * length
+        pairs = [(threes, threes)] + [(word(), word()) for _ in range(200)]
+        pairs += [(threes, b) for _, b in pairs[1:20]]
+        a = np.array([encode_word(x) for x, _ in pairs], dtype=np.uint32)
+        b = np.array([encode_word(y) for _, y in pairs], dtype=np.uint32)
+        expected = [tuple((p + q) % 4 for p, q in zip(x, y)) for x, y in pairs]
+        assert [decode_word(w, length) for w in _add_words(a, b).tolist()] == expected
+        assert decode_word(int(_add_words(a[:1], b[0])[0]), length) == (2,) * length
+        out = np.empty_like(a)
+        assert _add_words(a, b, out=out) is out
+        assert [decode_word(w, length) for w in out.tolist()] == expected
 
 
 class TestVectorMod:
@@ -167,6 +188,20 @@ class TestDualBruteforce:
                 full = CodeSet(length, code.mask, None)
                 assert set(dual_bruteforce(full).vectors()) == expected
 
+    @pytest.mark.parametrize("count", [31, 32, 62])
+    def test_packed_chunk_boundaries(self, count):
+        # 31 residues fill one int64 key.  Fillers come from the span of e0
+        # and 2e1, and the unit vectors e1..e4 sit at the first and last place
+        # of each chunk, so a vector dropped from any of those changes the dual
+        rng = random.Random(count)
+        basis = [(rng.randrange(4), 2 * rng.randrange(2), 0, 0, 0) for _ in range(count)]
+        units = iter([(0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
+        for place in sorted({0, 30, min(31, count - 1), count - 1}):
+            basis[place] = next(units)
+        mask = np.zeros((4**3, 4**2), dtype=bool)
+        dual = dual_bruteforce(CodeSet(5, mask, tuple(basis)))
+        assert set(dual.vectors()) == literal_dual(basis, 5)
+
     def test_order_reversing_on_chain(self):
         # C=(0) within C=(2f) within C=(f), with f the lift pair at length 7
         table = build_factor_table(7)
@@ -193,6 +228,22 @@ class TestDigests:
                     "code": words_digest(code.words),
                     "dual": words_digest(dual.words),
                 }
+        assert got == expected
+
+    def test_masks_at_length_eleven_match_digests(self):
+        # sha256 of np.packbits of the code and dual masks of every partition
+        # at N = 11, captured from the mask-translation expansion and the
+        # one-vector-at-a-time dual scan
+        path = Path(__file__).parent / "data" / "oracle_mask_digests_11.json"
+        expected = json.loads(path.read_text())
+        got = {}
+        for spec in all_partitions(build_factor_table(11)):
+            code = expand_code(spec, 11)
+            dual = dual_bruteforce(code, 11)
+            got[partition_key(spec)] = {
+                "code": hashlib.sha256(np.packbits(code.mask).tobytes()).hexdigest(),
+                "dual": hashlib.sha256(np.packbits(dual.mask).tobytes()).hexdigest(),
+            }
         assert got == expected
 
 
@@ -240,6 +291,10 @@ class TestSweepVerify:
         report = sweep_verify(7)
         assert (report.partitions, len(report.mismatches), report.lcd_count) == (27, 0, 4)
         assert report.ok
+
+    def test_length_eleven(self):
+        report = sweep_verify(11, 11)
+        assert (report.partitions, report.mismatches, report.lcd_count) == (9, (), 4)
 
     def test_bound_error(self):
         with pytest.raises(BruteForceBoundError):
