@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .z4poly import (
     _LOW_2_BITS,
+    _NEG_LOW_2_BITS,
     Z4Poly,
     _bits_is_irreducible,
     _bits_min_poly,
@@ -246,9 +247,6 @@ def factor_mod2(length: int) -> list[int]:
     return [raw[coset_of[t * coset[0] % length]] for coset in cosets]
 
 
-_NEG_LOW_2_BITS = bytes(-i & 3 for i in range(256))  # byte -> its negative mod 4
-
-
 def graeffe_lift(bits: int) -> Z4Poly:
     """One Graeffe step from a mod-2 factor to its unique Z4 lift.
 
@@ -273,7 +271,7 @@ def graeffe_lift(bits: int) -> Z4Poly:
     lifted = slots[::width].translate(sign)
     if lifted[-1] != 1:
         raise AssertionError("Graeffe lift is monic by the sign choice")
-    return Z4Poly._of(tuple(lifted))
+    return Z4Poly._of(lifted)
 
 
 @functools.lru_cache(maxsize=FACTOR_TABLE_CACHE_SIZE)

@@ -20,7 +20,7 @@ encoding, L = N // 2 and H = N - L, so that its flat index is the encoding:
 On a 2-vCPU VM a `verify` sweep takes about 10 ms at N = 7 (27 partitions)
 and 25 ms at N = 9, under the default bound of 9; N = 11 and N = 13 (9
 partitions each) need a higher bound and take about 0.1 s and 2.5 s, at a
-peak RSS of 50 MB and 355 MB.
+peak RSS of 50 MB and 355 MB.  No bound admits a length above 16.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .lcdenum import all_partitions
 from .z4poly import Z4Poly
 
 DEFAULT_BOUND = 9
+MAX_LENGTH = 16  # a word's encoding fits in uint32; N = 17 would need a 17 GB mask
 
 
 class BruteForceBoundError(ValueError):
@@ -43,6 +44,8 @@ class BruteForceBoundError(ValueError):
 
 
 def _check_bound(length: int, bound: int) -> None:
+    if length > MAX_LENGTH:
+        raise BruteForceBoundError(f"length {length} exceeds the brute-force limit {MAX_LENGTH}")
     if length > bound:
         raise BruteForceBoundError(f"length {length} exceeds brute-force bound {bound}")
 
@@ -148,16 +151,15 @@ def expand_code(spec: CodeSpec, bound: int = DEFAULT_BOUND) -> CodeSet:
     members = np.zeros((4 ** (length - low), 4**low), dtype=bool)
     flat = members.reshape(-1)
     flat[0] = True
-    word_type = np.uint32 if length <= 16 else np.uint64
     # room for all of Z4^N from the zero word on; only pages the span fills are touched
-    words = np.zeros(4**length, dtype=word_type)
+    words = np.zeros(4**length, dtype=np.uint32)
     size = 1
     ones = (4**length - 1) // 3  # digit 1 in every place
     for gen in map(encode_word, gens):
         for word in (gen, (gen & ones) << 1):  # g, then 2g: low bits moved up
             if flat[word]:
                 continue  # already in the span, adds nothing
-            image = _add_words(words[:size], word_type(word), out=words[size : 2 * size])
+            image = _add_words(words[:size], np.uint32(word), out=words[size : 2 * size])
             flat[image] = True
             size *= 2
     return CodeSet(length, members, tuple(gens))

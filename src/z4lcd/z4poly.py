@@ -1,10 +1,12 @@
 """Exact polynomial arithmetic over Z4 and over F2.
 
-Z4 polynomials are held as tuples of canonical residues in ascending degree
-order: ``coeffs[k]`` is the coefficient of X^k.  The last entry is always
-nonzero; the zero polynomial is the empty tuple.
+Z4 polynomials are held as ``bytes`` of canonical residues in ascending
+degree order: ``coeffs[k]`` is the coefficient of X^k.  The last byte is
+always nonzero; the zero polynomial is ``b""``.  The kernels below read and
+write that form as it is, one byte per coefficient.
 Constructors reduce arbitrary integer coefficients into canonical form, so
-inputs may use the signed convention (-1 for 3, -2 for 2, and so on).
+inputs may use the signed convention (-1 for 3, -2 for 2, and so on); a
+non-integer coefficient raises ``TypeError``.
 
 F2 polynomials have one encoding, an int whose bit k is the coefficient of
 X^k (0 is the zero polynomial).  ``Z4Poly.reduce_mod2``,
@@ -48,14 +50,15 @@ polynomial.
 from __future__ import annotations
 
 _LOW_2_BITS = bytes(i & 3 for i in range(256))  # byte -> byte mod 4
+_NEG_LOW_2_BITS = bytes(-i & 3 for i in range(256))  # byte -> its negative mod 4
 _ASCII_DIGIT = bytes(48 + (i & 3) for i in range(256))  # residue byte -> its ASCII digit
 _PARITY_DIGIT = bytes(48 + (i & 1) for i in range(256))  # residue byte -> ASCII digit mod 2
 
 
-def _pack(coeffs: tuple[int, ...], width: int) -> int:
+def _pack(coeffs: bytes, width: int) -> int:
     """The int with coeffs[k] in the low byte of its k-th slot of `width` bytes."""
     slots = bytearray(len(coeffs) * width)
-    slots[::width] = bytes(coeffs)
+    slots[::width] = coeffs
     return int.from_bytes(slots, "little")
 
 
@@ -65,13 +68,10 @@ class Z4Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        out = [c % 4 for c in coeffs]
-        while out and out[-1] == 0:
-            out.pop()
-        self.coeffs: tuple[int, ...] = tuple(out)
+        self.coeffs: bytes = bytes(c % 4 for c in coeffs).rstrip(b"\0")
 
     @classmethod
-    def _of(cls, coeffs: tuple[int, ...]) -> "Z4Poly":
+    def _of(cls, coeffs: bytes) -> "Z4Poly":
         """Wrap coefficients that are already canonical residues, top one nonzero."""
         poly = cls.__new__(cls)
         poly.coeffs = coeffs
@@ -79,18 +79,18 @@ class Z4Poly:
 
     @classmethod
     def zero(cls) -> "Z4Poly":
-        return cls(())
+        return cls._of(b"")
 
     @classmethod
     def one(cls) -> "Z4Poly":
-        return cls((1,))
+        return cls._of(b"\1")
 
     @classmethod
     def x_pow_minus_one(cls, n: int) -> "Z4Poly":
         """X^n - 1 for n >= 1."""
         if n < 1:
             raise ValueError("exponent must be positive")
-        return cls((3,) + (0,) * (n - 1) + (1,))
+        return cls._of(b"\3" + bytes(n - 1) + b"\1")
 
     @classmethod
     def from_string(cls, text: str) -> "Z4Poly":
@@ -102,7 +102,7 @@ class Z4Poly:
 
     def to_string(self) -> str:
         """Canonical comma-separated ascending coefficient form."""
-        return ",".join(bytes(self.coeffs).translate(_ASCII_DIGIT).decode())
+        return ",".join(self.coeffs.translate(_ASCII_DIGIT).decode())
 
     @property
     def is_monic(self) -> bool:
@@ -128,7 +128,7 @@ class Z4Poly:
         slots = len(a) + len(b) - 1
         product = _pack(a, w) * _pack(b, w)
         low = product.to_bytes(slots * w, "little")[::w].translate(_LOW_2_BITS)
-        return Z4Poly._of(tuple(low.rstrip(b"\0")))
+        return Z4Poly._of(low.rstrip(b"\0"))
 
     def scale(self, unit: int) -> "Z4Poly":
         """Multiply every coefficient by an integer (reduced mod 4)."""
@@ -145,9 +145,7 @@ class Z4Poly:
         rem = list(self.coeffs)
         d = divisor.coeffs
         dd = len(d) - 1
-        if len(rem) - 1 < dd:
-            return Z4Poly.zero(), Z4Poly(rem)
-        quot = [0] * (len(rem) - dd)
+        quot = [0] * (len(rem) - dd)  # empty when deg(self) < deg(divisor)
         for top in range(len(rem) - 1, dd - 1, -1):
             lead = rem[top]
             if lead:
@@ -167,14 +165,15 @@ class Z4Poly:
         a0 = self.coeffs[0]
         if a0 not in (1, 3):  # the units of Z4, each its own inverse
             raise ValueError("reciprocal requires a unit constant term")
-        return Z4Poly(a0 * c for c in reversed(self.coeffs))
+        reverse = self.coeffs[::-1]
+        return Z4Poly._of(reverse if a0 == 1 else reverse.translate(_NEG_LOW_2_BITS))
 
     def is_self_reciprocal(self) -> bool:
         return self == self.reciprocal()
 
     def reduce_mod2(self) -> int:
         """Coefficient-wise reduction mod 2, in the int encoding (degree may drop)."""
-        digits = bytes(self.coeffs)[::-1].translate(_PARITY_DIGIT)  # top coefficient first
+        digits = self.coeffs[::-1].translate(_PARITY_DIGIT)  # top coefficient first
         return int(digits, 2) if digits else 0
 
     def __eq__(self, other):

@@ -370,9 +370,9 @@ class TestFactorTable:
     def test_seven_matches_known_factorization(self):
         table = build_factor_table(7)
         assert [r.poly.coeffs for r in table.records] == [
-            (3, 1),
-            (3, 1, 2, 1),
-            (3, 2, 3, 1),
+            bytes([3, 1]),
+            bytes([3, 1, 2, 1]),
+            bytes([3, 2, 3, 1]),
         ]
         assert [factor_label(r) for r in table.records] == ["g[1,1]", "f[1,7]", "f*[1,7]"]
         assert [r.divisor for r in table.records] == [1, 7, 7]

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from z4lcd import cli, oracle
 from z4lcd.codes import CodeSpec, divisor_poly, hull_report
 from z4lcd.cyclotomic import build_factor_table
 from z4lcd.lcdenum import all_partitions
@@ -22,6 +23,7 @@ from z4lcd.oracle import (
     sweep_verify,
     sweep_to_wire,
     _add_words,
+    _check_bound,
     _vector_mod,
 )
 from z4lcd.z4poly import Z4Poly
@@ -314,3 +316,42 @@ class TestSpanningVectors:
             as_set = set(vectors)
             for v in vectors:
                 assert v[-1:] + v[:-1] in as_set or len(as_set) == 0
+
+
+class TestLengthLimit:
+    """Past N = 16 the brute force refuses whatever the bound, before numpy is used.
+
+    At N = 17 the ambient mask alone would be 4^17 bytes (17 GB), so each
+    refusal runs with the oracle's numpy replaced by a stub that fails on
+    any use.
+    """
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} used for a refused length")
+
+    @pytest.fixture(autouse=True)
+    def no_numpy(self, monkeypatch):
+        monkeypatch.setattr(oracle, "np", self.NoNumpy())
+
+    def test_limit_is_sixteen(self):
+        _check_bound(15, 15)
+        _check_bound(16, 100)
+        with pytest.raises(BruteForceBoundError, match="limit 16"):
+            _check_bound(17, 100)
+
+    def test_sweep_verify(self):
+        with pytest.raises(BruteForceBoundError, match="limit 16"):
+            sweep_verify(17, 17)
+
+    def test_expand_code(self):
+        table = build_factor_table(17)
+        ambient = CodeSpec.of(table, f=set(), g=set())
+        with pytest.raises(BruteForceBoundError, match="limit 16"):
+            expand_code(ambient, 17)
+
+    def test_cli(self, capsys):
+        assert cli.main(["verify", "17", "--max-bruteforce", "17"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: length 17 exceeds the brute-force limit 16\n"

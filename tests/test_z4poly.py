@@ -3,6 +3,7 @@ import random
 import pytest
 
 import z4lcd
+from z4lcd.cyclotomic import graeffe_lift
 from z4lcd.z4poly import (
     Z4Poly,
     _bits_gcd,
@@ -25,31 +26,78 @@ def z4(*coeffs):
 
 class TestNormalization:
     def test_reduces_residues(self):
-        assert Z4Poly([-1, 1]).coeffs == (3, 1)
-        assert Z4Poly([7, -2, 4]).coeffs == (3, 2)
+        assert Z4Poly([-1, 1]).coeffs == bytes([3, 1])
+        assert Z4Poly([7, -2, 4]).coeffs == bytes([3, 2])
 
     def test_strips_trailing_zeros(self):
-        assert Z4Poly([1, 2, 0, 0]).coeffs == (1, 2)
-        assert Z4Poly([0, 0]).coeffs == ()
+        assert Z4Poly([1, 2, 0, 0]).coeffs == bytes([1, 2])
+        assert Z4Poly([0, 0]).coeffs == bytes()
 
     def test_zero_degree_marker(self):
-        assert Z4Poly.zero().coeffs == ()
+        assert Z4Poly.zero().coeffs == bytes()
         assert not Z4Poly.zero()
-        assert z4(5).coeffs == (1,)
+        assert z4(5).coeffs == bytes([1])
 
     def test_string_round_trip(self):
-        assert Z4Poly.from_string("3,1,2,1").coeffs == (3, 1, 2, 1)
-        assert Z4Poly.from_string("-1,1").coeffs == (3, 1)
+        assert Z4Poly.from_string("3,1,2,1").coeffs == bytes([3, 1, 2, 1])
+        assert Z4Poly.from_string("-1,1").coeffs == bytes([3, 1])
         assert not Z4Poly.from_string("")
         assert Z4Poly.from_string("3,1,2,1").to_string() == "3,1,2,1"
         assert Z4Poly.zero().to_string() == ""
+
+
+class TestBytesForm:
+    # every way a Z4Poly is made, each with residues to reduce or zeros to strip
+    CONSTRUCTIONS = {
+        "signed input": lambda: Z4Poly([-1, 6, -3, 1, 4, -4]),
+        "signed input to zero": lambda: Z4Poly([-4, 8, 0]),
+        "from_string": lambda: Z4Poly.from_string("-1,5,2,7,0"),
+        "zero": Z4Poly.zero,
+        "one": Z4Poly.one,
+        "x_pow_minus_one(1)": lambda: Z4Poly.x_pow_minus_one(1),
+        "x_pow_minus_one(9)": lambda: Z4Poly.x_pow_minus_one(9),
+        "mul": lambda: z4(3, 1, 2, 1) * z4(3, 2, 3, 1),
+        "mul, top terms cancel": lambda: z4(1, 2) * z4(1, 2),
+        "scale by -1": lambda: z4(3, 1, 2, 1).scale(-1),
+        "scale by 2": lambda: z4(3, 1, 2, 1).scale(2),
+        "scale to zero": lambda: z4(2, 2).scale(2),
+        "reciprocal, a0 = 1": lambda: z4(1, 3, 2, 1).reciprocal(),
+        "reciprocal, a0 = 3": lambda: z4(3, 1, 2, 1).reciprocal(),
+        "divmod_monic quotient": lambda: Z4Poly.x_pow_minus_one(7).divmod_monic(z4(3, 1))[0],
+        "divmod_monic remainder": lambda: z4(1, 0, 0, 0, 1).divmod_monic(z4(3, 1, 2, 1))[1],
+        "divmod_monic zero remainder": lambda: Z4Poly.x_pow_minus_one(7).divmod_monic(z4(3, 1))[1],
+        "graeffe_lift": lambda: graeffe_lift(0b1011),
+        "graeffe_lift of 1": lambda: graeffe_lift(1),
+    }
+
+    @pytest.mark.parametrize("name", CONSTRUCTIONS)
+    def test_every_construction_is_canonical_bytes(self, name):
+        coeffs = self.CONSTRUCTIONS[name]().coeffs
+        assert type(coeffs) is bytes
+        assert all(c < 4 for c in coeffs)
+        assert not coeffs or coeffs[-1] != 0
+
+    @pytest.mark.parametrize("a0", [1, 3])
+    @pytest.mark.parametrize("length", [2, 3, 28, 29, 7281, 7282])
+    def test_reciprocal_is_reverse_and_scale(self, length, a0):
+        rng = random.Random(length * 4 + a0)
+        for _ in range(5):
+            coeffs = [a0] + [rng.randrange(4) for _ in range(length - 2)] + [1]
+            p = Z4Poly(coeffs)
+            assert p.reciprocal().coeffs == bytes(a0 * c % 4 for c in reversed(coeffs))
+            assert p.reciprocal().reciprocal() == p
+
+    @pytest.mark.parametrize("coeffs", [[1.5], [3, 2.0, 1]])
+    def test_non_integer_coefficient_rejected(self, coeffs):
+        with pytest.raises(TypeError):
+            Z4Poly(coeffs)
 
 
 class TestMul:
     def test_golden_product_is_x7_minus_1(self):
         product = z4(3, 1) * z4(3, 1, 2, 1) * z4(3, 2, 3, 1)
         assert product == Z4Poly.x_pow_minus_one(7)
-        assert product.coeffs == (3, 0, 0, 0, 0, 0, 0, 1)
+        assert product.coeffs == bytes([3, 0, 0, 0, 0, 0, 0, 1])
 
     def test_unit(self):
         p = z4(2, 0, 3, 1)
@@ -80,7 +128,7 @@ class TestMul:
         # 9 * 28 fits a byte and 9 * 29 does not, 9 * 7281 fits two and 9 * 7282 does not
         p = Z4Poly([3] * length)
         expected = [9 * min(k + 1, 2 * length - 1 - k) % 4 for k in range(2 * length - 1)]
-        assert (p * p).coeffs == tuple(expected)
+        assert (p * p).coeffs == bytes(expected)
 
 
 class TestDivmodMonic:
