@@ -6,7 +6,10 @@ order, integers only); the default is a human-readable rendering that
 displays polynomials in signed form (3 printed as -1).
 
 Exit codes: 0 on success, 1 when `verify` finds a mismatch, 2 for usage
-and validation errors.
+and validation errors.  `main` checks N once, before any command runs:
+N <= 0 prints "error: N must be a positive integer" and an even N
+"error: N must be odd".  The parser is built on the first call and serves
+every later call of the process.
 
 Polynomial arguments are comma-separated ascending coefficient strings
 ("3,1" is X-1, "1" is the constant 1); signed input must be attached to its
@@ -18,6 +21,7 @@ given with an ids: prefix ("ids:0,2").  A JSON config file
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -54,22 +58,13 @@ def _parse_divisor_arg(text: str, table: cyclotomic.FactorTable) -> codes.Diviso
     return codes.factor_divisor(poly, table)
 
 
-def _odd_length(value: int) -> int:
-    if value < 1:
-        raise UsageError("N must be positive")
-    if value % 2 == 0:
-        raise UsageError("N must be odd")
-    return value
-
-
 def cmd_factor(args) -> int:
-    length = _odd_length(args.N)
-    table = cyclotomic.build_factor_table(length)
+    table = cyclotomic.build_factor_table(args.N)
     if args.json:
         _emit_json(cyclotomic.table_to_wire(table))
         return EXIT_OK
     product = "".join(f"({format_terms(r.poly)})" for r in table.records)
-    print(f"X^{length}-1 = {product}")
+    print(f"X^{args.N}-1 = {product}")
     for r in table.records:
         label = cyclotomic.factor_label(r)
         coset = "{" + ",".join(str(s) for s in r.coset) + "}"
@@ -81,8 +76,7 @@ def cmd_factor(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    length = _odd_length(args.N)
-    classes = [cyclotomic.classify_pair(n) for n in cyclotomic.divisors(length)]
+    classes = [cyclotomic.classify_pair(n) for n in cyclotomic.divisors(args.N)]
     if args.json:
         rows = []
         for pc in classes:
@@ -92,7 +86,7 @@ def cmd_classify(args) -> int:
             if pc.beta is not None:
                 row["beta"] = pc.beta
             rows.append(row)
-        _emit_json({"N": length, "divisors": rows})
+        _emit_json({"N": args.N, "divisors": rows})
         return EXIT_OK
     for pc in classes:
         count = f"gamma={pc.gamma}" if pc.kind == cyclotomic.GOOD else f"beta={pc.beta}"
@@ -101,8 +95,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_hull(args) -> int:
-    length = _odd_length(args.N)
-    table = cyclotomic.build_factor_table(length)
+    table = cyclotomic.build_factor_table(args.N)
     spec = codes.CodeSpec(_parse_divisor_arg(args.f, table), _parse_divisor_arg(args.g, table))
     report = codes.hull_report(spec)
     if args.json:
@@ -123,42 +116,39 @@ def cmd_hull(args) -> int:
 
 
 def cmd_enumerate_lcd(args) -> int:
-    length = _odd_length(args.N)
-    catalog = lcdenum.enumerate_lcd(length)
+    catalog = lcdenum.enumerate_lcd(args.N)
     if args.json:
         lcdenum.write_catalog_json(catalog, sys.stdout)
         return EXIT_OK
-    print(f"N={length} nsrf={catalog.nsrf} count={len(catalog.entries)}")
+    print(f"N={args.N} nsrf={catalog.nsrf} count={len(catalog.entries)}")
     for _, generator, label in lcdenum.catalog_rows(catalog):
         print(f"  {label:<24} generator={generator}")
     return EXIT_OK
 
 
 def cmd_count_lcd(args) -> int:
-    length = _odd_length(args.N)
-    nsrf = lcdenum.count_nsrf(length)
+    nsrf = lcdenum.count_nsrf(args.N)
     if args.json:
-        _emit_json({"N": length, "nsrf": nsrf, "count": 2**nsrf})
+        _emit_json({"N": args.N, "nsrf": nsrf, "count": 2**nsrf})
         return EXIT_OK
-    print(f"N={length} nsrf={nsrf} count={2 ** nsrf}")
+    print(f"N={args.N} nsrf={nsrf} count={2 ** nsrf}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     from . import oracle  # numpy import deferred to the one command that needs it
 
-    length = _odd_length(args.N)
     bound = args.max_bruteforce
     if bound is None:
         bound = _config_bound(args.config)
     if bound is None:
         bound = oracle.DEFAULT_BOUND
-    report = oracle.sweep_verify(length, bound)
+    report = oracle.sweep_verify(args.N, bound)
     if args.json:
         _emit_json(oracle.sweep_to_wire(report))
     else:
         print(
-            f"N={length}: {report.partitions} partitions, "
+            f"N={args.N}: {report.partitions} partitions, "
             f"{len(report.mismatches)} mismatches, {report.lcd_count} LCD"
         )
         for m in report.mismatches:
@@ -183,6 +173,17 @@ def _config_bound(path: str | None) -> int | None:
     return bound
 
 
+COMMANDS = (
+    ("factor", cmd_factor, "factor X^N-1 over Z4"),
+    ("classify", cmd_classify, "good/bad pairs per divisor"),
+    ("hull", cmd_hull, "hull size of the code (fg, 2f)"),
+    ("enumerate-lcd", cmd_enumerate_lcd, "list all LCD codes"),
+    ("count-lcd", cmd_count_lcd, "count LCD codes"),
+    ("verify", cmd_verify, "brute-force sweep check"),
+)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # subcommand copies default to SUPPRESS so they do not clobber the
     # global flags when the subparser merges its namespace back
@@ -201,42 +202,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit JSON")
     parser.add_argument("--config", metavar="PATH", default=None, help="JSON config file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("factor", parents=[common], help="factor X^N-1 over Z4")
-    p.add_argument("N", type=int)
-    p.set_defaults(run=cmd_factor)
-
-    p = sub.add_parser("classify", parents=[common], help="good/bad pairs per divisor")
-    p.add_argument("N", type=int)
-    p.set_defaults(run=cmd_classify)
-
-    p = sub.add_parser("hull", parents=[common], help="hull size of the code (fg, 2f)")
-    p.add_argument("N", type=int)
-    p.add_argument("--f", default="1", help="divisor f: coefficients or ids:...")
-    p.add_argument("--g", default="1", help="divisor g: coefficients or ids:...")
-    p.set_defaults(run=cmd_hull)
-
-    p = sub.add_parser("enumerate-lcd", parents=[common], help="list all LCD codes")
-    p.add_argument("N", type=int)
-    p.set_defaults(run=cmd_enumerate_lcd)
-
-    p = sub.add_parser("count-lcd", parents=[common], help="count LCD codes")
-    p.add_argument("N", type=int)
-    p.set_defaults(run=cmd_count_lcd)
-
-    p = sub.add_parser("verify", parents=[common], help="brute-force sweep check")
-    p.add_argument("N", type=int)
-    p.add_argument("--max-bruteforce", type=int, metavar="M",
-                   help="raise the brute-force length bound")
-    p.set_defaults(run=cmd_verify)
-
+    for name, run, text in COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument("N", type=int)
+        p.set_defaults(run=run)
+    hull = sub.choices["hull"]
+    hull.add_argument("--f", default="1", help="divisor f: coefficients or ids:...")
+    hull.add_argument("--g", default="1", help="divisor g: coefficients or ids:...")
+    sub.choices["verify"].add_argument(
+        "--max-bruteforce", type=int, metavar="M", help="raise the brute-force length bound"
+    )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        cyclotomic._require_odd(args.N)
         return args.run(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

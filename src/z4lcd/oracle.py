@@ -25,6 +25,7 @@ peak RSS of 50 MB and 355 MB.  No bound admits a length above 16.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -111,10 +112,17 @@ def spanning_vectors(spec: CodeSpec) -> list[tuple[int, ...]]:
     return vectors
 
 
+@functools.cache
 def _digit_table(count: int) -> np.ndarray:
-    """Row x holds the count base-4 digits of x, for x < 4^count."""
+    """Row x holds the count base-4 digits of x, for x < 4^count; read-only.
+
+    Built once per count; a count is at most MAX_LENGTH / 2 = 8, so all the
+    tables held come to under 6 MB.
+    """
     index = np.arange(4**count, dtype=np.int64)
-    return (index[:, None] >> (2 * np.arange(count, dtype=np.int64))) & 3
+    table = (index[:, None] >> (2 * np.arange(count, dtype=np.int64))) & 3
+    table.flags.writeable = False
+    return table
 
 
 def _add_words(a: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarray:

@@ -313,6 +313,40 @@ class TestUsage:
         assert run_cli("factor").returncode == 2
 
 
+class TestInProcess:
+    # one parser serves every call of a process, so no call may leave a
+    # flag or a config behind for the next
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_json_flag_does_not_persist(self, capsys):
+        assert cli.main(["--json", "count-lcd", "15"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"N": 15, "count": 16, "nsrf": 4}
+        assert cli.main(["count-lcd", "15"]) == 0
+        assert capsys.readouterr().out == "N=15 nsrf=4 count=16\n"
+
+    def test_config_does_not_persist(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_bruteforce": 3}))
+        assert cli.main(["--config", str(config), "verify", "5"]) == 2
+        assert capsys.readouterr().err == "error: length 5 exceeds brute-force bound 3\n"
+        assert cli.main(["verify", "5"]) == 0
+        assert capsys.readouterr().out == "N=5: 9 partitions, 0 mismatches, 4 LCD\n"
+
+    @pytest.mark.parametrize(
+        "command", ["factor", "classify", "hull", "enumerate-lcd", "count-lcd", "verify"]
+    )
+    @pytest.mark.parametrize(
+        "length, message",
+        [("0", "N must be a positive integer"), ("-3", "N must be a positive integer"),
+         ("4", "N must be odd")],
+    )
+    def test_length_rejected(self, command, length, message, capsys):
+        assert cli.main([command, length]) == cli.EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestWithoutNumpy:
     # only `verify` imports the oracle, and with it numpy; every other
     # command and the package itself must run where numpy is absent

@@ -163,6 +163,14 @@ class TestDualBruteforce:
         assert dual.words == code.words
         assert len(code) * len(dual) == 4**3
 
+    def test_digit_table_is_shared_and_read_only(self):
+        # every dual scan of a length reads the same tables, so none may write them
+        digits = oracle._digit_table(3)
+        assert oracle._digit_table(3) is digits
+        assert digits.tolist() == [[x // 4**i % 4 for i in range(3)] for x in range(64)]
+        with pytest.raises(ValueError):
+            digits[0, 0] = 1
+
     def test_spanning_fallback_agrees(self):
         table = build_factor_table(3)
         for spec in all_partitions(table):

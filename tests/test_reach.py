@@ -18,7 +18,6 @@ from pathlib import Path
 
 import z4lcd
 from z4lcd import cli
-from z4lcd.cyclotomic import build_factor_table
 
 from test_readme import SESSION, _block
 
@@ -57,6 +56,15 @@ def defined_functions():
     return found
 
 
+def clear_package_caches():
+    """Empty every cache of the package: a value an earlier test cached hides its build."""
+    for name, module in list(sys.modules.items()):
+        if name == "z4lcd" or name.startswith("z4lcd."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
 def run_callers():
     """Run every caller with output captured; return (path, first line) of each code entered."""
     entered = set()
@@ -66,7 +74,7 @@ def run_callers():
             entered.add(frame.f_code)
 
     previous = sys.getprofile()
-    build_factor_table.cache_clear()  # a table built by an earlier test hides the build
+    clear_package_caches()
     sys.setprofile(profile)
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
