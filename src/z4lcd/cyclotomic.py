@@ -6,11 +6,11 @@ polynomial of alpha^s in the splitting field F_{2^m}, m = ord_N(2)), and a
 single Graeffe step lifts each factor to the unique monic basic irreducible
 divisor of X^N - 1 over Z4 with that mod-2 reduction.  alpha is a root of
 the least irreducible factor of Phi_N mod 2 in the int encoding, so the
-labels depend on no choice of modulus.  One chain of N field
-multiplications lists the powers of an element of order N, which needs the
-primes of N but never those of 2^m - 1, and a minimal polynomial is the
-first F2-linear relation among the powers read from it as m-bit vectors,
-so a coset of size d costs at most d*m XORs.
+labels depend on no choice of modulus.  The field is F2[X]/(P) for an
+irreducible factor P of Phi_N mod 2, split off Phi_N by gcds with the
+coset periods, so X has order N there and no modulus is searched for.  One
+chain of N shifts lists bit 0 of the powers of X, and Berlekamp-Massey on
+2d terms of it gives the minimal polynomial of a coset of size d.
 
 Each divisor n of N contributes a block of factors: gamma(n) self-reciprocal
 ones when (n, 2) is a good pair, beta(n) reciprocal pairs when bad, where
@@ -27,11 +27,9 @@ from .z4poly import (
     _LOW_2_BITS,
     _NEG_LOW_2_BITS,
     Z4Poly,
-    _bits_is_irreducible,
-    _bits_min_poly,
-    _bits_mod,
-    _bits_mul,
-    _bits_powmod,
+    _bits_berlekamp_massey,
+    _bits_gcd,
+    _bits_rem,
     _pack,
 )
 
@@ -188,61 +186,97 @@ def cyclotomic_cosets(length: int) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Splitting field F_{2^m} = F2[X]/(modulus), elements int-encoded as in z4poly
+# Splitting field F_{2^m} = F2[X]/(P), P a factor of Phi_N mod 2
 
-def _least_irreducible(degree: int) -> int:
-    if degree == 1:
-        return 0b10  # X, which the filter below would skip for its zero constant term
-    # a candidate with a zero constant term has the root 0, and one with an
-    # even number of terms the root 1: skip both before Ben-Or
-    for low in range(1, 1 << degree, 2):
-        candidate = (1 << degree) | low
-        if candidate.bit_count() % 2 and _bits_is_irreducible(candidate):
-            return candidate
-    raise AssertionError(f"no irreducible of degree {degree}")  # unreachable
+def _cyclotomic_mod2(length: int) -> int:
+    """Phi_N mod 2, the product over d | N of (X^d + 1)^mu(N/d), int-encoded."""
+    primes = list(_factorize(length))
+    up, down = [], []
+    for subset in range(1 << len(primes)):
+        chosen = [p for k, p in enumerate(primes) if subset >> k & 1]
+        (down if len(chosen) % 2 else up).append(length // math.prod(chosen))
+    phi = 1
+    for d in up:
+        phi ^= phi << d  # times X^d + 1
+    for d in down:
+        # an exact quotient by X^d + 1 is phi (1 + X^d + X^2d + ...) cut at
+        # its degree: a prefix XOR in doubling strides, then a mask
+        width, stride = phi.bit_length(), d
+        while stride < width:
+            phi ^= phi << stride
+            stride <<= 1
+        phi &= (1 << width - d) - 1
+    return phi
 
 
-def _element_of_order(length: int, degree: int, modulus: int) -> int:
-    """The first c^((2^degree - 1)/N), c = 1, 2, ..., of multiplicative order N.
+def _field_modulus(cosets: list[tuple[int, ...]]) -> int:
+    """An irreducible factor P of Phi_N mod 2, of degree m = ord_N(2).
 
-    The order is checked against the primes of N only, so 2^degree - 1 is
-    never factored.
+    A period T = sum of X^s over a coset is fixed by Frobenius, so it is 0
+    or 1 at every root of Phi_N, and P = gcd(P, T) gcd(P, T + 1) with each
+    piece a union of factors.  Starting from P = Phi_N, each coset in turn
+    splits P, and the smaller non-constant piece is kept until deg P = m.
+    The periods span the Frobenius-fixed elements of F2[X]/(Phi_N), so they
+    tell any two factors apart and the walk ends there.
     """
-    cofactor = ((1 << degree) - 1) // length
-    primes = _factorize(length)
-    for candidate in range(1, 1 << degree):
-        gamma = _bits_powmod(candidate, cofactor, modulus)
-        if all(_bits_powmod(gamma, length // q, modulus) != 1 for q in primes):
-            return gamma
-    raise AssertionError(f"F_(2^{degree})* has an element of order {length}")  # unreachable
+    length = sum(map(len, cosets))
+    degree = max(map(len, cosets))  # the coset of 1 has ord_N(2) members
+    modulus = _cyclotomic_mod2(length)
+    for coset in cosets[1:]:
+        if modulus.bit_length() - 1 == degree:
+            break
+        period = _bits_rem(sum(1 << s for s in coset), modulus)
+        piece = _bits_gcd(modulus, period)
+        if 2 * (piece.bit_length() - 1) > modulus.bit_length() - 1:
+            piece = _bits_gcd(modulus, period ^ 1)  # the other piece is the smaller
+        if piece != 1:
+            modulus = piece
+    if modulus.bit_length() - 1 != degree:
+        raise AssertionError(f"the coset periods split Phi_{length} into factors of degree {degree}")
+    return modulus
 
 
-def factor_mod2(length: int) -> list[int]:
+def factor_mod2(cosets: list[tuple[int, ...]]) -> list[int]:
     """Monic irreducible factors of X^N + 1 over F2, one per cyclotomic coset.
 
-    Each factor is in the int encoding, bit k the coefficient of X^k.
+    `cosets` is cyclotomic_cosets(N), and N the sum of their sizes.  Each
+    factor is in the int encoding, bit k the coefficient of X^k, and the
+    list is ordered as the cosets.
 
     Factor j is the minimal polynomial of alpha^s, s the least member of
     coset j, for alpha a root of the least irreducible factor of Phi_N mod 2
-    in the int encoding; the list is ordered to match cyclotomic_cosets(N).
-    One chain of field multiplications lists gamma^j for j < N, gamma any
-    element of order N, and it must close.  The minimal polynomial of
-    gamma^s is the first F2-linear relation among 1, gamma^s, gamma^2s, ...
-    read from that list as m-bit vectors, at most d*m XORs for a coset of
-    size d.  The unit coset with the least of these has least member t, so
-    alpha = gamma^t up to Frobenius, and factor j is the one of coset t*s.
+    in the int encoding.  The field is F2[X]/(P), P from _field_modulus, in
+    which X has order N.  One chain lists bit 0 of X^k for k < N and must
+    close at X^N = 1.  Bit 0 of (X^s)^k follows the recurrence of the
+    minimal polynomial of X^s, which is irreducible, and is 1 at k = 0, so
+    Berlekamp-Massey on its first 2d terms gives that minimal polynomial,
+    d the coset size.  The unit coset with the least of these has
+    least member t, so alpha = X^t up to Frobenius, and factor j is the one
+    of coset t*s.
     """
-    cosets = cyclotomic_cosets(length)
-    m = max(map(len, cosets))  # the coset of 1 has ord_N(2) members
-    modulus = _least_irreducible(m)
-    gamma = _element_of_order(length, m, modulus)
-    powers = [1]
-    for _ in range(length):
-        powers.append(_bits_mod(_bits_mul(powers[-1], gamma), modulus))
-    if powers.pop() != 1:
-        raise AssertionError(f"gamma has multiplicative order {length}")
-    raw = [_bits_min_poly(powers, coset[0], len(coset)) for coset in cosets]
-    coset_of = {s: idx for idx, coset in enumerate(cosets) for s in coset}
+    length = sum(map(len, cosets))
+    modulus = _field_modulus(cosets)
+    degree = modulus.bit_length() - 1
+    bit0 = bytearray(length)
+    power = 1
+    for k in range(length):
+        bit0[k] = power & 1
+        power <<= 1
+        if power >> degree:
+            power ^= modulus
+    if power != 1:
+        raise AssertionError(f"X has multiplicative order {length}")
+    raw = []
+    for coset in cosets:
+        s, d = coset[0], len(coset)
+        min_poly = _bits_berlekamp_massey([bit0[s * k % length] for k in range(2 * d)])
+        if min_poly.bit_length() - 1 != d:
+            raise AssertionError(f"minimal polynomial has degree {d}")
+        raw.append(min_poly)
+    coset_of = [0] * length
+    for idx, coset in enumerate(cosets):
+        for s in coset:
+            coset_of[s] = idx
     _, t = min((raw[idx], c[0]) for idx, c in enumerate(cosets) if math.gcd(c[0], length) == 1)
     return [raw[coset_of[t * coset[0] % length]] for coset in cosets]
 
@@ -288,7 +322,7 @@ def build_factor_table(length: int) -> FactorTable:
     """
     _require_odd(length)
     cosets = cyclotomic_cosets(length)
-    mod2 = factor_mod2(length)
+    mod2 = factor_mod2(cosets)
     lifted = [graeffe_lift(bits) for bits in mod2]
     coset_of = {s: idx for idx, coset in enumerate(cosets) for s in coset}
 

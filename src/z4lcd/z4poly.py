@@ -11,25 +11,18 @@ non-integer coefficient raises ``TypeError``.
 F2 polynomials have one encoding, an int whose bit k is the coefficient of
 X^k (0 is the zero polynomial).  ``Z4Poly.reduce_mod2``,
 ``cyclotomic.factor_mod2`` and ``cyclotomic.graeffe_lift`` take and return
-it as a plain int, and the ``_bits_*`` routines are the only F2[X]
-arithmetic in the package.
+it as a plain int.  The ``_bits_*`` routines are the F2[X] kernels; the
+rest is a shift and an XOR, written in place where cyclotomic builds
+Phi_N and the chain of powers of X.
 
-- ``_bits_mul``, ``_bits_rem`` and ``_bits_gcd``: carry-less multiply,
-  the remainder of long division, and Euclid, one Python loop iteration
-  per bit.
+- ``_bits_rem`` and ``_bits_gcd``: the remainder of long division, and
+  Euclid, one Python loop iteration per bit.
 - ``_bits_rems``: the remainders of one polynomial modulo many, in one
   bit-sliced Horner pass over its coefficients, a few big-int steps per
   coefficient whatever the number of moduli.
-- ``_bits_sqr``: the square, as the binary digits read as base-4 digits,
-  in the interpreter's int/str conversion code.
-- ``_bits_mod``: the remainder mod X^m + tail, by folding the bits at and
-  above degree m back through the tail, a few big-int steps per fold when
-  the tail is short.
-- ``_bits_powmod``: left-to-right square and multiply on those two kernels.
-- ``_bits_min_poly``: the first F2-linear relation among the powers of an
-  element, read from a list of the powers of a generator.
-- ``_bits_is_irreducible``: Ben-Or's test, with Frobenius steps on the two
-  kernels and one gcd per step.
+- ``_bits_berlekamp_massey``: the minimal polynomial of a linear recurrence
+  over F2 from its terms, one parity of the connection polynomial against
+  a window of the terms per step.
 
 Z4 multiplication is Kronecker substitution: both operands are packed into
 Python ints, one fixed-width byte slot per coefficient, wide enough that no
@@ -39,8 +32,9 @@ loop; each slot of the product is then read back mod 4.
 
 Z4 polynomials have products, reciprocals and reduction mod 2, but no sum.
 Z4[X] is not a Euclidean domain, so only division by a *monic* divisor is
-offered (quotient and remainder are then unique).  In F2[X] nothing needs a
-quotient, so long division returns only the remainder.
+offered (quotient and remainder are then unique).  In F2[X] the only
+quotients are those of Phi_N by binomials X^d + 1, which cyclotomic takes
+as a prefix XOR, so long division returns only the remainder.
 
 The text form of a polynomial is its comma-separated ascending coefficient
 list, e.g. ``"3,1,2,1"`` for X^3+2X^2+X-1; the empty string is the zero
@@ -195,16 +189,6 @@ class Z4Poly:
 # ---------------------------------------------------------------------------
 # F2[X] arithmetic on the int encoding
 
-def _bits_mul(a: int, b: int) -> int:
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
-
-
 def _bits_rem(a: int, b: int) -> int:
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -255,79 +239,26 @@ def _bits_gcd(a: int, b: int) -> int:
     return a
 
 
-def _bits_sqr(a: int) -> int:
-    # squaring is linear over F2: bit k moves to bit 2k, so the binary
-    # digits of a, read as base-4 digits, are a^2
-    return int(format(a, "b"), 4)
+def _bits_berlekamp_massey(terms: list[int]) -> int:
+    """Minimal polynomial of the shortest F2 linear recurrence that generates `terms`.
 
-
-def _bits_mod(a: int, mod: int) -> int:
-    # X^m = tail (mod `mod`): fold the bits at and above degree m back
-    # through the tail; each fold costs one pass per tail bit, so a short
-    # tail (degree <= 9 in the least irreducible of each degree m <= 210)
-    # costs a few big-int steps, not one loop iteration per bit as
-    # _bits_rem does
-    if not mod:
-        raise ZeroDivisionError("division by the zero polynomial")
-    m = mod.bit_length() - 1
-    tail = mod ^ 1 << m
-    mask = (1 << m) - 1
-    while a >> m:
-        a = a & mask ^ _bits_mul(a >> m, tail)
-    return a
-
-
-def _bits_powmod(base: int, exp: int, mod: int) -> int:
-    base = _bits_mod(base, mod)
-    result = 1
-    for digit in format(exp, "b"):  # left to right: square, then multiply
-        result = _bits_mod(_bits_sqr(result), mod)
-        if digit == "1":
-            result = _bits_mod(_bits_mul(result, base), mod)
-    return result
-
-
-def _bits_min_poly(powers: list[int], step: int, degree: int) -> int:
-    """Minimal polynomial over F2 of beta = alpha^step, of known degree.
-
-    `powers` lists alpha^j for j below the order n of alpha, so beta^k is
-    powers[step * k % n] and costs no field multiplication.  Reduces
-    1, beta, beta^2, ... as bit vectors against a basis keyed by leading
-    bit, tracking the powers each basis vector combines; the first power
-    that reduces to zero gives the first linear relation, which is the
-    minimal polynomial.  Costs at most degree * m XORs in F_{2^m}.
+    Berlekamp-Massey on a list of 0/1 terms: the connection polynomial C
+    (C(0) = 1) and the linear complexity L are updated once per term, and
+    the discrepancy is one parity of C against a window that holds the
+    terms read so far in reverse, bit i the term i steps back.  Returns
+    X^L C(1/X), of degree L; for 2L terms or more it is unique.
     """
-    basis: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, powers used)
-    n = len(powers)
-    for k in range(degree + 1):
-        vector, used = powers[step * k % n], 1 << k
-        while vector:
-            lead = vector.bit_length() - 1
-            if lead not in basis:
-                break
-            pivot, pivot_used = basis[lead]
-            vector ^= pivot
-            used ^= pivot_used
-        if not vector:
-            if k != degree:
-                raise AssertionError(f"minimal polynomial has degree {k}, not {degree}")
-            return used
-        basis[lead] = (vector, used)
-    raise AssertionError(f"minimal polynomial has degree above {degree}")
-
-
-def _bits_is_irreducible(a: int) -> bool:
-    # a has an irreducible factor of degree dividing k iff
-    # gcd(X^(2^k) - X, a) != 1; no factor of degree <= deg/2 means irreducible
-    deg = a.bit_length() - 1
-    if deg <= 0:
-        return False
-    frob = 2  # X
-    for _ in range(deg // 2):
-        frob = _bits_mod(_bits_sqr(frob), a)
-        if _bits_gcd(frob ^ 2, a) != 1:
-            return False
-    return True
+    conn, prev, complexity, gap = 1, 1, 0, 1
+    window = 0
+    for n, term in enumerate(terms):
+        window = window << 1 | term
+        if (conn & window).bit_count() & 1:
+            if 2 * complexity <= n:
+                conn, prev, complexity, gap = conn ^ prev << gap, conn, n + 1 - complexity, 1
+                continue
+            conn ^= prev << gap
+        gap += 1
+    return int(format(conn, "b").zfill(complexity + 1)[::-1], 2)
 
 
 def format_terms(p: Z4Poly) -> str:

@@ -53,16 +53,23 @@ def f2_mul(a, b):
     return out
 
 
-def f2_rem(a, b):
-    """Remainder of long division over F2 by b, whose top coefficient is 1."""
+def f2_divmod(a, b):
+    """(quotient, remainder) of long division over F2 by b, whose top coefficient is 1."""
     rem = list(a)
-    while len(rem) >= len(b):
-        if rem.pop():  # subtract b times X^(len(rem) - deg b), top term included
-            for k, c in enumerate(b[:-1]):
-                rem[len(rem) - len(b) + 1 + k] ^= c
+    quot = [0] * max(len(rem) - len(b) + 1, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        if rem[shift + len(b) - 1]:
+            quot[shift] = 1
+            for k, c in enumerate(b):
+                rem[shift + k] ^= c
     while rem and not rem[-1]:
         rem.pop()
-    return rem
+    return quot, rem
+
+
+def f2_rem(a, b):
+    """Remainder of long division over F2 by b, whose top coefficient is 1."""
+    return f2_divmod(a, b)[1]
 
 
 def f2_gcd(a, b):

@@ -26,6 +26,7 @@ from z4lcd.cyclotomic import (
     SELF_RECIPROCAL,
     build_factor_table,
     classify_pair,
+    cyclotomic_cosets,
     factor_mod2,
 )
 from z4lcd.lcdenum import all_partitions, count_nsrf, enumerate_lcd, lcd_census
@@ -183,7 +184,7 @@ def test_criterion_6_factorization_structure():
             else:
                 assert sum(r.kind == PAIR_FIRST for r in block) == pc.beta
                 assert sum(r.kind == PAIR_SECOND for r in block) == pc.beta
-        mod2 = factor_mod2(n)
+        mod2 = factor_mod2(cyclotomic_cosets(n))
         for r in table.records:
             assert r.poly.is_monic
             assert r.poly.reduce_mod2() == mod2[r.index]

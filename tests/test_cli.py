@@ -71,6 +71,18 @@ class TestFactor:
             got[n] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert [n for n in expected if got[n] != expected[n]] == []
 
+    def test_json_matches_deep_digests(self, capsys):
+        # sha256 of `factor N --json` stdout for the 42 odd N < 400 missing
+        # above (m = ord_N(2) from 82 to 388) and for 841, 1019, 1123, 1531,
+        # 2003, 2011 and 3001, captured while the field modulus was the least
+        # irreducible of degree m: the labels do not depend on the modulus
+        expected = json.loads((Path(__file__).parent / "data" / "factor_digests_deep.json").read_text())
+        got = {}
+        for n in expected:
+            assert cli.main(["factor", n, "--json"]) == 0
+            got[n] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert [n for n in expected if got[n] != expected[n]] == []
+
 
 class TestClassify:
     def test_text(self):

@@ -16,7 +16,8 @@ from z4lcd.cyclotomic import (
     PAIR_FIRST,
     PAIR_SECOND,
     SELF_RECIPROCAL,
-    _least_irreducible,
+    _cyclotomic_mod2,
+    _field_modulus,
     build_factor_table,
     classify_pair,
     cyclotomic_cosets,
@@ -34,9 +35,11 @@ from z4lcd.z4poly import Z4Poly
 from schoolbook import (
     f2_bits,
     f2_coeffs,
+    f2_divmod,
     f2_gcd,
     f2_is_irreducible_by_trial_division,
     f2_mul,
+    f2_rem,
     z4_add,
     z4_divmod_monic,
 )
@@ -82,6 +85,35 @@ def field_eval(bits, x, modulus):
     for c in reversed(f2_coeffs(bits)):
         acc = field_mul(acc, x, modulus) ^ c
     return acc
+
+
+def mod2_factors(n):
+    return factor_mod2(cyclotomic_cosets(n))
+
+
+def is_irreducible_by_rabin(modulus):
+    # Rabin's test on the field arithmetic above: X^(2^m) = X mod the
+    # modulus, and X^(2^(m/q)) - X is coprime to it for each prime q | m
+    m = modulus.bit_length() - 1
+    x = f2_bits(f2_rem([0, 1], f2_coeffs(modulus)))
+    frobenius = [x]
+    for _ in range(m):
+        frobenius.append(field_mul(frobenius[-1], frobenius[-1], modulus))
+    primes = [q for q in range(2, m + 1) if m % q == 0 and all(q % p for p in range(2, q))]
+    return frobenius[m] == x and all(
+        f2_gcd(f2_coeffs(frobenius[m // q] ^ x), f2_coeffs(modulus)) == [1] for q in primes
+    )
+
+
+@functools.cache
+def least_irreducible(m):
+    # the least irreducible of degree m by Rabin's test, skipping the
+    # candidates with root 0 (even constant term) or root 1 (even weight)
+    return next(
+        bits
+        for bits in range(1 << m, 2 << m)
+        if (m == 1 or bits & 1 and bits.bit_count() % 2) and is_irreducible_by_rabin(bits)
+    )
 
 
 class TestEulerPhi:
@@ -200,26 +232,69 @@ class TestCyclotomicCosets:
             cyclotomic_cosets(n)
 
 
+def order_of_2(n):
+    # the literal walk 2, 4, 8, ... mod n back to 1
+    k, power = 1, 2 % n
+    while power != 1 % n:
+        k, power = k + 1, 2 * power % n
+    return k
+
+
+@functools.cache
+def cyclotomic_by_division(n):
+    # Phi_n mod 2 as the schoolbook quotient of X^n + 1 by Phi_d over the
+    # proper divisors d of n, each found the same way
+    quotient = [1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            quotient, rem = f2_divmod(quotient, cyclotomic_by_division(d))
+            assert rem == []
+    return quotient
+
+
+class TestFieldSetup:
+    def test_cyclotomic_polynomial_is_the_schoolbook_quotient(self):
+        for n in range(1, 300, 2):
+            assert _cyclotomic_mod2(n) == f2_bits(cyclotomic_by_division(n))
+
+    @pytest.mark.parametrize("n", range(1, 64, 2))
+    def test_modulus_is_an_irreducible_factor_of_degree_m(self, n):
+        # trial division is exhaustive, so it runs where m <= 20; Rabin's
+        # test on the test-local field arithmetic runs at every m
+        modulus = _field_modulus(cyclotomic_cosets(n))
+        m = order_of_2(n)
+        assert modulus.bit_length() - 1 == m
+        assert f2_rem(cyclotomic_by_division(n), f2_coeffs(modulus)) == []
+        assert is_irreducible_by_rabin(modulus)
+        if m <= 20:
+            assert f2_is_irreducible_by_trial_division(f2_coeffs(modulus))
+
+    def test_rabin_matches_trial_division(self):
+        for bits in range(2, 1 << 11):
+            coeffs = f2_coeffs(bits)
+            assert is_irreducible_by_rabin(bits) == f2_is_irreducible_by_trial_division(coeffs)
+
+
 class TestFactorMod2:
     def test_seven(self):
-        assert factor_mod2(7) == [
+        assert mod2_factors(7) == [
             f2_bits([1, 1]),
             f2_bits([1, 1, 0, 1]),
             f2_bits([1, 0, 1, 1]),
         ]
 
     def test_one(self):
-        assert factor_mod2(1) == [f2_bits([1, 1])]
+        assert mod2_factors(1) == [f2_bits([1, 1])]
 
     def test_three(self):
-        factors = factor_mod2(3)
+        factors = mod2_factors(3)
         assert factors == [f2_bits([1, 1]), f2_bits([1, 1, 1])]
         product = functools.reduce(f2_mul, map(f2_coeffs, factors))
         assert product == [1, 0, 0, 1]
 
     def test_product_degree_and_irreducibility(self):
         for n in ODD_LENGTHS:
-            factors = factor_mod2(n)
+            factors = mod2_factors(n)
             cosets = cyclotomic_cosets(n)
             assert [len(f2_coeffs(f)) - 1 for f in factors] == [len(c) for c in cosets]
             product = functools.reduce(f2_mul, map(f2_coeffs, factors), [1])
@@ -232,10 +307,13 @@ class TestFactorMod2:
         # the definition: factor j has degree |coset j| and vanishes at
         # beta^s, s = min coset j, where beta is a root of the factor of the
         # coset of 1; with irreducibility (checked above) that makes it the
-        # minimal polynomial.  beta is found here from the first power
-        # c^((2^m - 1)/N) whose literal order walk takes N steps
-        m = mult_order_of_2(n)
-        modulus = _least_irreducible(m)
+        # minimal polynomial.  The field is F2[X] modulo the least
+        # irreducible of degree m found here, and beta comes from the first
+        # power c^((2^m - 1)/N) whose literal order walk takes N steps
+        m = order_of_2(n)
+        modulus = least_irreducible(m)
+        if m <= 16:
+            assert f2_is_irreducible_by_trial_division(f2_coeffs(modulus))
         for c in range(1, 1 << m):
             gamma = field_pow(c, ((1 << m) - 1) // n, modulus)
             power, order = gamma, 1
@@ -244,7 +322,7 @@ class TestFactorMod2:
             if order == n:
                 break
         assert order == n
-        factors = factor_mod2(n)
+        factors = mod2_factors(n)
         cosets = cyclotomic_cosets(n)
         assert len(factors) == len(cosets)
         first = next(j for j, coset in enumerate(cosets) if 1 % n in coset)
@@ -269,16 +347,17 @@ class TestFactorMod2:
 
     def test_large_degree_factor_irreducible(self):
         # the degree-28 factor at N=29 via the same exhaustive oracle
-        factors = factor_mod2(29)
+        factors = mod2_factors(29)
         assert [len(f2_coeffs(f)) - 1 for f in factors] == [1, 28]
         assert f2_is_irreducible_by_trial_division(f2_coeffs(factors[1]))
 
 
 class TestDeepLengths:
-    @pytest.mark.parametrize("n", [83, 107, 131, 167, 179])
+    @pytest.mark.parametrize("n", [83, 107, 131, 167, 179, 1019, 3001, 4093])
     def test_builds_without_factoring_the_group_order(self, n, monkeypatch):
-        # m = ord_N(2) is 82 to 178 here: the field set-up factors N, never
-        # 2^m - 1, which trial division could not finish for N = 167 or 179
+        # m = ord_N(2) is 82 to 4092 here: the field set-up factors N for
+        # Phi_N and never 2^m - 1, which trial division could not finish
+        # for N = 167 or 179
         calls = []
         factorize = cyclotomic._factorize
 
@@ -295,21 +374,6 @@ class TestDeepLengths:
         assert calls and max(calls) <= n
 
 
-class TestLeastIrreducible:
-    @pytest.mark.parametrize("m", range(1, 13))
-    def test_is_the_least_irreducible_of_its_degree(self, m):
-        # the modulus convention the factor labels rest on, pinned without
-        # the candidate filter: for m = 1 the least is X, not X + 1
-        least = next(
-            bits
-            for bits in range(1 << m, 2 << m)
-            if f2_is_irreducible_by_trial_division([bits >> k & 1 for k in range(m + 1)])
-        )
-        assert _least_irreducible(m) == least
-        if m == 1:
-            assert least == 0b10
-
-
 class TestGraeffeLift:
     @pytest.mark.parametrize(
         "mod2,lifted",
@@ -324,7 +388,7 @@ class TestGraeffeLift:
 
     def test_reduces_back_and_divides(self):
         for n in ODD_LENGTHS:
-            for f2 in factor_mod2(n):
+            for f2 in mod2_factors(n):
                 lift = graeffe_lift(f2)
                 assert lift.is_monic
                 assert lift.reduce_mod2() == f2
@@ -410,7 +474,7 @@ class TestFactorTable:
     def test_records_mirror_mod2_factors_and_divide(self):
         for n in ODD_LENGTHS:
             table = build_factor_table(n)
-            mod2 = factor_mod2(n)
+            mod2 = mod2_factors(n)
             for r in table.records:
                 assert r.bits == mod2[r.index] == r.poly.reduce_mod2()
                 assert graeffe_lift(r.bits) == r.poly

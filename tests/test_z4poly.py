@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import pytest
@@ -6,18 +8,22 @@ import z4lcd
 from z4lcd.cyclotomic import graeffe_lift
 from z4lcd.z4poly import (
     Z4Poly,
+    _bits_berlekamp_massey,
     _bits_gcd,
-    _bits_min_poly,
-    _bits_mod,
-    _bits_mul,
-    _bits_powmod,
     _bits_rem,
     _bits_rems,
-    _bits_sqr,
     format_terms,
 )
 
-from schoolbook import f2_bits, f2_coeffs, f2_gcd, f2_mul, f2_rem, z4_add
+from schoolbook import (
+    f2_bits,
+    f2_coeffs,
+    f2_gcd,
+    f2_is_irreducible_by_trial_division,
+    f2_mul,
+    f2_rem,
+    z4_add,
+)
 
 
 def z4(*coeffs):
@@ -202,24 +208,14 @@ class TestReduceMod2:
             assert Z4Poly(coeffs).reduce_mod2() == f2_bits(coeffs)
 
 
+def bits_mul(a, b):
+    # carry-less product: a shifted copy of a for each set bit of b
+    return functools.reduce(operator.xor, (a << k for k in range(b.bit_length()) if b >> k & 1), 0)
+
+
 class TestF2Poly:
     # the int kernels of F2[X] arithmetic against the schoolbook loops on
     # coefficient lists
-
-    def test_add_is_xor(self):
-        # the sum in F2[X] is XOR of the encodings, and products distribute over it
-        rng = random.Random(20261023)
-        for _ in range(100):
-            a, b, c = (rng.getrandbits(rng.randrange(0, 200)) for _ in range(3))
-            assert _bits_mul(a, b ^ c) == _bits_mul(a, b) ^ _bits_mul(a, c)
-        assert _bits_mul(0b11, 0b11) == 0b101  # (X + 1)^2 = X^2 + 1: 2X vanishes
-
-    def test_mul(self):
-        assert _bits_mul(0b11, 0b111) == 0b1001  # (X + 1)(X^2 + X + 1) = X^3 + 1
-        rng = random.Random(20261024)
-        for _ in range(100):
-            a, b = (rng.getrandbits(rng.randrange(0, 120)) for _ in range(2))
-            assert _bits_mul(a, b) == f2_bits(f2_mul(f2_coeffs(a), f2_coeffs(b)))
 
     def test_divmod_round_trip(self):
         # the remainder matches long division, has degree below the divisor,
@@ -232,7 +228,7 @@ class TestF2Poly:
             rem = _bits_rem(a, b)
             assert rem == f2_bits(f2_rem(f2_coeffs(a), f2_coeffs(b)))
             assert rem.bit_length() < b.bit_length()
-            assert _bits_rem(a ^ _bits_mul(rng.getrandbits(300), b), b) == rem
+            assert _bits_rem(a ^ bits_mul(rng.getrandbits(300), b), b) == rem
 
     def test_divmod_rejects_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -271,91 +267,121 @@ class TestF2Poly:
             _bits_rems(0, [0])
 
     def test_gcd(self):
-        a = _bits_mul(0b11, 0b111)  # (X + 1)(X^2 + X + 1)
-        b = _bits_mul(0b11, 0b1011)  # (X + 1)(X^3 + X + 1)
+        a = bits_mul(0b11, 0b111)  # (X + 1)(X^2 + X + 1)
+        b = bits_mul(0b11, 0b1011)  # (X + 1)(X^3 + X + 1)
         assert _bits_gcd(a, b) == 0b11
         assert _bits_gcd(0b11, 0) == _bits_gcd(0, 0b11) == 0b11
         rng = random.Random(20261026)
         for _ in range(100):
             common = rng.getrandbits(rng.randrange(1, 30)) | 1
-            a, b = (_bits_mul(common, rng.getrandbits(rng.randrange(1, 60)) | 1) for _ in range(2))
+            a, b = (bits_mul(common, rng.getrandbits(rng.randrange(1, 60)) | 1) for _ in range(2))
             expected = f2_bits(f2_gcd(f2_coeffs(a), f2_coeffs(b)))
             assert _bits_gcd(a, b) == expected
             assert _bits_rem(expected, common) == 0
 
 
-class TestFieldKernels:
-    # X^8 + X^4 + X^3 + X + 1 (short tail), a dense degree-8 modulus, and the
-    # degree-1 moduli X and X + 1, whose folds clear one bit at a time
-    MODULI = [0b100011011, 0b111111111, 0b110110101, 0b10, 0b11]
+def lfsr(poly, state, count):
+    """`count` terms of the recurrence with characteristic polynomial `poly`.
 
-    def random_moduli(self, rng):
-        moduli = list(self.MODULI)
-        for degree in (13, 64, 200):
-            tail = rng.getrandbits(degree)
-            moduli += [1 << degree | tail, 1 << degree | tail & 0b10111]  # dense, sparse
-        return moduli
+    poly is monic of degree d; terms 0..d-1 are the bits of `state`, and
+    each later term is sum over i < d of poly_i times the term d - i back.
+    """
+    d = poly.bit_length() - 1
+    terms = [state >> k & 1 for k in range(d)]
+    while len(terms) < count:
+        terms.append(sum(poly >> i & 1 and terms[len(terms) - d + i] for i in range(d)) % 2)
+    return terms[:count]
 
-    def test_square_is_self_product(self):
-        rng = random.Random(20261018)
-        operands = [0, 1, 0b10] + [rng.getrandbits(rng.randrange(1, 500)) for _ in range(200)]
-        for a in operands:
-            assert _bits_sqr(a) == _bits_mul(a, a)
 
-    def test_fold_matches_long_division(self):
-        rng = random.Random(20261019)
-        for mod in self.random_moduli(rng):
-            bits = 3 * mod.bit_length()
-            operands = [0, 1, mod, mod ^ 1] + [rng.getrandbits(rng.randrange(1, bits)) for _ in range(40)]
-            for a in operands:
-                assert _bits_mod(a, mod) == _bits_rem(a, mod)
+def annihilates(poly, terms):
+    # sum over i <= deg of poly_i terms[k + i] is 0 at every k in range
+    d = poly.bit_length() - 1
+    return all(
+        sum(poly >> i & 1 and terms[k + i] for i in range(d + 1)) % 2 == 0
+        for k in range(len(terms) - d)
+    )
 
-    def test_fold_rejects_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            _bits_mod(0b11, 0)
 
-    def test_operands_past_the_int_string_digit_limit(self):
-        # int <-> str in bases 2 and 4 is exempt from CPython's 4300-digit
-        # limit on conversions, so squaring works at any size
-        rng = random.Random(20261020)
-        a = rng.getrandbits(15_500) | 1 << 15_499
-        square = _bits_sqr(a)
-        assert square == _bits_mul(a, a)
-        assert square.bit_length() == 30_999
-        mod = 1 << 15_001 | 0b1000000001  # X^15001 + X^9 + 1
-        assert _bits_mod(square, mod) == _bits_rem(square, mod)
-
-    def test_powmod_is_repeated_multiplication(self):
-        rng = random.Random(20261021)
-        for mod in self.random_moduli(rng):
-            base = rng.getrandbits(mod.bit_length() + 5)
-            expected = 1
-            for exp in range(40):
-                assert _bits_powmod(base, exp, mod) == expected
-                expected = _bits_rem(_bits_mul(expected, base), mod)
+def least_annihilator(terms):
+    # the first monic polynomial, in the int order (degree first), whose
+    # recurrence the terms satisfy
+    return next(poly for poly in range(1, 2 << len(terms)) if annihilates(poly, terms))
 
 
 class TestMinPoly:
+    # Berlekamp-Massey against a brute-force search for the least recurrence
+
     # alpha = X in F2[X]/(X^3 + X + 1) has order 7; POWERS[j] = X^j
     POWERS = [0b001, 0b010, 0b100, 0b011, 0b110, 0b111, 0b101]
 
-    def min_poly(self, beta, degree):
-        return _bits_min_poly(self.POWERS, self.POWERS.index(beta), degree)
+    def min_poly(self, step, degree):
+        # bit 0 of beta^k, beta = alpha^step, over 2 * degree terms
+        return _bits_berlekamp_massey([self.POWERS[step * k % 7] & 1 for k in range(2 * degree)])
 
     def test_power_list(self):
-        for j, power in enumerate(self.POWERS):
-            assert power == _bits_powmod(0b10, j, 0b1011)
+        power = 1
+        for expected in self.POWERS:
+            assert power == expected
+            power = power << 1 ^ (0b1011 if power & 0b100 else 0)
+        assert power == 1
 
     def test_known_minimal_polynomials(self):
-        assert self.min_poly(1, 1) == 0b11  # X + 1
-        assert self.min_poly(0b10, 3) == 0b1011  # X itself: the modulus
+        assert self.min_poly(0, 1) == 0b11  # X + 1
+        assert self.min_poly(1, 3) == 0b1011  # X itself: the modulus
         # X^3 = X + 1 has conjugates X^3, X^6, X^12 = X^5: X^3 + X^2 + 1
-        assert self.min_poly(0b011, 3) == 0b1101
+        assert self.min_poly(3, 3) == 0b1101
 
-    @pytest.mark.parametrize("beta,degree", [(1, 2), (1, 0), (0b10, 2), (0b10, 4)])
-    def test_rejects_a_wrong_degree(self, beta, degree):
-        with pytest.raises(AssertionError):
-            self.min_poly(beta, degree)
+    def test_edge_sequences(self):
+        assert _bits_berlekamp_massey([]) == 1
+        assert _bits_berlekamp_massey([0, 0, 0, 0]) == 1
+        assert _bits_berlekamp_massey([1, 1, 1, 1]) == 0b11  # X + 1
+        assert _bits_berlekamp_massey([1, 0, 0, 0]) == 0b10  # X: one nonzero term
+        assert _bits_berlekamp_massey([0, 0, 1, 0, 0, 0]) == 0b1000  # X^3
+
+    def test_irreducible_recurrences(self):
+        # a nonzero state of an irreducible recurrence has it as minimal polynomial
+        rng = random.Random(20261101)
+        irreducibles = [
+            p for p in range(2, 1 << 9) if f2_is_irreducible_by_trial_division(f2_coeffs(p))
+        ]
+        for _ in range(150):
+            poly = rng.choice(irreducibles)
+            d = poly.bit_length() - 1
+            terms = lfsr(poly, rng.randrange(1, 1 << d), 2 * d)
+            assert _bits_berlekamp_massey(terms) == poly == least_annihilator(terms)
+
+    def test_products_of_irreducibles(self):
+        # a product, repeats allowed, with a random state: the minimal
+        # polynomial divides the product and is the least annihilator
+        rng = random.Random(20261102)
+        irreducibles = [
+            p for p in range(2, 1 << 5) if f2_is_irreducible_by_trial_division(f2_coeffs(p))
+        ]
+        for _ in range(150):
+            product = 1
+            for p in rng.choices(irreducibles, k=rng.randrange(1, 4)):
+                product = f2_bits(f2_mul(f2_coeffs(product), f2_coeffs(p)))
+            d = product.bit_length() - 1
+            terms = lfsr(product, rng.getrandbits(d), 2 * d)
+            found = _bits_berlekamp_massey(terms)
+            assert found == least_annihilator(terms)
+            assert not f2_rem(f2_coeffs(product), f2_coeffs(found))
+
+    def test_operands_past_the_int_string_digit_limit(self):
+        # int <-> str in base 2 is exempt from CPython's 4300-digit limit on
+        # conversions, so the reversal of a long connection polynomial works
+        # at any size: a 1 every 5000 terms has minimal polynomial X^5000 + 1
+        terms = ([1] + [0] * 4999) * 2
+        assert _bits_berlekamp_massey(terms) == 1 << 5000 | 1
+
+    def test_arbitrary_sequences(self):
+        # any sequence: the result generates it, with the least degree
+        rng = random.Random(20261103)
+        for _ in range(200):
+            terms = [rng.getrandbits(1) for _ in range(rng.randrange(0, 13))]
+            found = _bits_berlekamp_massey(terms)
+            assert annihilates(found, terms)
+            assert found.bit_length() == least_annihilator(terms).bit_length()
 
 
 def random_monic_unit(rng, max_degree=10):
@@ -433,7 +459,7 @@ class TestPublicSurface:
 
     def test_f2_values_are_plain_ints(self):
         # F2[X] has one encoding, the int itself, with no wrapper around it
-        assert all(type(bits) is int for bits in z4lcd.factor_mod2(7))
+        assert all(type(bits) is int for bits in z4lcd.factor_mod2(z4lcd.cyclotomic_cosets(7)))
         assert type(z4(3, 1, 2, 1).reduce_mod2()) is int
         assert type(Z4Poly.zero().reduce_mod2()) is int
 
