@@ -217,6 +217,29 @@ class TestF2Poly:
     # the int kernels of F2[X] arithmetic against the schoolbook loops on
     # coefficient lists
 
+    def test_add_is_xor(self):
+        # reduction mod 2 takes a Z4 sum to the XOR of the encodings, and
+        # Z4 products reduced mod 2 distribute over it
+        rng = random.Random(20261023)
+        for _ in range(100):
+            a, b, c = ([rng.randrange(4) for _ in range(rng.randrange(0, 200))] for _ in range(3))
+            total = Z4Poly(z4_add(b, c))
+            assert total.reduce_mod2() == Z4Poly(b).reduce_mod2() ^ Z4Poly(c).reduce_mod2()
+            assert (Z4Poly(a) * total).reduce_mod2() == (
+                (Z4Poly(a) * Z4Poly(b)).reduce_mod2() ^ (Z4Poly(a) * Z4Poly(c)).reduce_mod2()
+            )
+        assert (z4(1, 1) * z4(1, 1)).reduce_mod2() == 0b101  # (X + 1)^2 = X^2 + 1: 2X vanishes
+
+    def test_mul(self):
+        # a Z4 product reduced mod 2 is the F2 product of the reductions
+        assert (z4(1, 1) * z4(1, 1, 1)).reduce_mod2() == 0b1001  # (X + 1)(X^2 + X + 1) = X^3 + 1
+        rng = random.Random(20261024)
+        for _ in range(100):
+            a, b = (Z4Poly([rng.randrange(4) for _ in range(rng.randrange(0, 120))]) for _ in range(2))
+            bits_a, bits_b = a.reduce_mod2(), b.reduce_mod2()
+            expected = f2_bits(f2_mul(f2_coeffs(bits_a), f2_coeffs(bits_b)))
+            assert (a * b).reduce_mod2() == bits_mul(bits_a, bits_b) == expected
+
     def test_divmod_round_trip(self):
         # the remainder matches long division, has degree below the divisor,
         # and does not move when a multiple of the divisor is added
@@ -278,6 +301,59 @@ class TestF2Poly:
             expected = f2_bits(f2_gcd(f2_coeffs(a), f2_coeffs(b)))
             assert _bits_gcd(a, b) == expected
             assert _bits_rem(expected, common) == 0
+
+
+class TestFieldKernels:
+    # X^8 + X^4 + X^3 + X + 1 (short tail), a dense degree-8 modulus, and the
+    # degree-1 moduli X and X + 1, whose folds clear one bit at a time
+    MODULI = [0b100011011, 0b111111111, 0b110110101, 0b10, 0b11]
+
+    def random_moduli(self, rng):
+        moduli = list(self.MODULI)
+        for degree in (13, 64, 200):
+            tail = rng.getrandbits(degree)
+            moduli += [1 << degree | tail, 1 << degree | tail & 0b10111]  # dense, sparse
+        return moduli
+
+    def test_square_is_self_product(self):
+        # a(X)^2 = a(X^2) in F2[X]: a Z4 square reduced mod 2 spreads the
+        # bits of the reduction, bit k to bit 2k
+        rng = random.Random(20261018)
+        for length in [0, 1, 2] + [rng.randrange(1, 500) for _ in range(200)]:
+            p = Z4Poly([rng.randrange(4) for _ in range(length)])
+            a = p.reduce_mod2()
+            square = (p * p).reduce_mod2()
+            assert square == bits_mul(a, a) == int("0".join(format(a, "b")), 2)
+
+    def test_fold_matches_long_division(self):
+        # the Horner fold of _bits_rems against long division, one modulus
+        # at a time and all moduli in one pass
+        rng = random.Random(20261019)
+        moduli = self.random_moduli(rng)
+        for mod in moduli:
+            bits = 3 * mod.bit_length()
+            operands = [0, 1, mod, mod ^ 1] + [rng.getrandbits(rng.randrange(1, bits)) for _ in range(40)]
+            for a in operands:
+                assert _bits_rems(a, [mod]) == [_bits_rem(a, mod)]
+        for a in [rng.getrandbits(rng.randrange(1, 600)) for _ in range(40)]:
+            assert _bits_rems(a, moduli) == [_bits_rem(a, m) for m in moduli]
+
+    def test_operands_past_the_int_string_digit_limit(self):
+        # int <-> str in base 2 is exempt from CPython's 4300-digit limit on
+        # conversions, so the kernels that read or write bit strings work at
+        # any size: reduce_mod2, the fold of _bits_rems, and the reversal of
+        # a connection polynomial in Berlekamp-Massey
+        rng = random.Random(20261020)
+        p = Z4Poly([rng.randrange(4) for _ in range(15_499)] + [1])
+        a = p.reduce_mod2()
+        square = (p * p).reduce_mod2()
+        assert square == bits_mul(a, a)
+        assert square.bit_length() == 30_999
+        mod = 1 << 15_001 | 0b1000000001  # X^15001 + X^9 + 1
+        assert _bits_rems(square, [mod, 0b11]) == [_bits_rem(square, mod), square.bit_count() % 2]
+        # a 1 every 5000 terms has minimal polynomial X^5000 + 1
+        terms = ([1] + [0] * 4999) * 2
+        assert _bits_berlekamp_massey(terms) == 1 << 5000 | 1
 
 
 def lfsr(poly, state, count):
@@ -366,13 +442,6 @@ class TestMinPoly:
             found = _bits_berlekamp_massey(terms)
             assert found == least_annihilator(terms)
             assert not f2_rem(f2_coeffs(product), f2_coeffs(found))
-
-    def test_operands_past_the_int_string_digit_limit(self):
-        # int <-> str in base 2 is exempt from CPython's 4300-digit limit on
-        # conversions, so the reversal of a long connection polynomial works
-        # at any size: a 1 every 5000 terms has minimal polynomial X^5000 + 1
-        terms = ([1] + [0] * 4999) * 2
-        assert _bits_berlekamp_massey(terms) == 1 << 5000 | 1
 
     def test_arbitrary_sequences(self):
         # any sequence: the result generates it, with the least degree
