@@ -76,7 +76,7 @@ def cmd_factor(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    classes = [cyclotomic.classify_pair(n) for n in cyclotomic.divisors(args.N)]
+    classes = cyclotomic.pair_classes(args.N)
     if args.json:
         rows = []
         for pc in classes:

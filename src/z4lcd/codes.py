@@ -142,7 +142,7 @@ def factor_divisor(poly: Z4Poly, table: FactorTable) -> DivisorSet:
     if not poly.is_monic:
         raise ValueError("not a monic polynomial")
     bits = poly.reduce_mod2()
-    rems = _bits_rems(bits, [r.bits for r in table.records])
+    rems = _bits_rems(bits, table.bits)
     found = [r for r, rem in zip(table.records, rems) if not rem]
     if sum(r.degree for r in found) != len(poly.coeffs) - 1 or graeffe_lift(bits) != poly:
         raise ValueError(f"{poly.to_string()!r} does not divide X^{table.length}-1")

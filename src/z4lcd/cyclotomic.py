@@ -14,7 +14,8 @@ chain of N shifts lists bit 0 of the powers of X, and Berlekamp-Massey on
 
 Each divisor n of N contributes a block of factors: gamma(n) self-reciprocal
 ones when (n, 2) is a good pair, beta(n) reciprocal pairs when bad, where
-gamma(n) = phi(n)/ord_n(2) and beta(n) = phi(n)/(2 ord_n(2)).
+gamma(n) = phi(n)/ord_n(2) and beta(n) = phi(n)/(2 ord_n(2)).  pair_classes
+sizes every block from one factorization of N and one of each p - 1, p | N.
 """
 
 from __future__ import annotations
@@ -83,7 +84,15 @@ class FactorTable:
     records: tuple[FactorRecord, ...]
 
     def ids(self) -> frozenset[int]:
+        return self._ids
+
+    @functools.cached_property  # built once; the frozen dataclass has a __dict__
+    def _ids(self) -> frozenset[int]:
         return frozenset(r.index for r in self.records)
+
+    @functools.cached_property
+    def bits(self) -> tuple[int, ...]:  # each record's reduction mod 2, by id
+        return tuple(r.bits for r in self.records)
 
     def __getitem__(self, index: int) -> FactorRecord:
         return self.records[index]
@@ -115,56 +124,49 @@ def _factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def divisors(n: int) -> list[int]:
-    """Every positive divisor of n >= 1, ascending."""
-    result = [1]
-    for p, e in _factorize(n).items():
-        result = [d * p**k for d in result for k in range(e + 1)]
-    return sorted(result)
+def pair_classes(length: int) -> list[PairClass]:
+    """The PairClass of every divisor n of odd N, ascending by n.
 
-
-def _order_and_phi(n: int) -> tuple[int, int]:
-    """(ord_n(2), phi(n)) for odd n from one factorization of n.
-
-    The order divides phi(n), so start there and strip each prime q of
-    phi(n) (q | p - 1, or q = p when p^2 | n) while 2^(order/q) is still 1.
+    Factors N once, and p - 1 once for each prime p | N.  ord_p(2) is p - 1
+    stripped of each prime q while 2^(order/q) is still 1 mod p, and
+    ord_{p^k}(2) is ord_{p^(k-1)}(2), times p when 2 to that power is not
+    1 mod p^k.  phi(n) is the product over the prime powers of n, and
+    ord_n(2) their lcm.  Good means 2^k = -1 mod n for some k; -1 is the one
+    element of order 2 in the cyclic group <2> mod n, so that holds exactly
+    when ord_n(2) is even and 2^(ord/2) = -1.  n = 1 is good by convention.
     """
-    _require_odd(n)
-    factors = _factorize(n)
-    phi = math.prod((p - 1) * p ** (e - 1) for p, e in factors.items())
-    order = phi
-    primes = set()
-    for p, e in factors.items():
-        primes.update(_factorize(p - 1))
-        if e > 1:
-            primes.add(p)
-    for q in primes:
-        while order % q == 0 and pow(2, order // q, n) == 1 % n:
-            order //= q
-    return order, phi
+    _require_odd(length)
+    rows = [(1, 1, 1)]  # (n, phi(n), ord_n(2)) over the primes taken so far
+    for p, e in _factorize(length).items():
+        order_p = p - 1
+        for q in _factorize(p - 1):
+            while order_p % q == 0 and pow(2, order_p // q, p) == 1:
+                order_p //= q
+        powers = [(1, 1, 1), (p, p - 1, order_p)]
+        for pk in (p**k for k in range(2, e + 1)):
+            order_p *= 1 if pow(2, order_p, pk) == 1 else p
+            powers.append((pk, pk - pk // p, order_p))
+        rows = [(n * pk, phi * phi_pk, math.lcm(order, order_pk))
+                for n, phi, order in rows for pk, phi_pk, order_pk in powers]
+    classes = []
+    for n, phi, order in sorted(rows):
+        good = n == 1 or (order % 2 == 0 and pow(2, order // 2, n) == n - 1)
+        block, rest = divmod(phi, order if good else 2 * order)
+        if rest:
+            raise AssertionError(f"phi({n}) not divisible by the block size of ord_{n}(2)")
+        classes.append(PairClass(n, order, phi, GOOD, block, None) if good
+                       else PairClass(n, order, phi, BAD, None, block))
+    return classes
+
+
+def classify_pair(n: int) -> PairClass:
+    """Decide whether (n, 2) is a good or bad pair and size its block."""
+    return pair_classes(n)[-1]
 
 
 def mult_order_of_2(n: int) -> int:
     """Least k >= 1 with 2^k = 1 mod n; by convention 1 when n = 1."""
-    return _order_and_phi(n)[0]
-
-
-def classify_pair(n: int) -> PairClass:
-    """Decide whether (n, 2) is a good or bad pair and size its block.
-
-    Good means 2^k = -1 mod n for some k.  -1 is the only element of order
-    2 in the cyclic group <2> mod n, so that holds exactly when ord_n(2) is
-    even and 2^(ord/2) = -1.  n = 1 is good by convention.
-    """
-    order2, phi = _order_and_phi(n)
-    good = n == 1 or (order2 % 2 == 0 and pow(2, order2 // 2, n) == n - 1)
-    if good:
-        if phi % order2:
-            raise AssertionError(f"phi({n}) not divisible by ord_{n}(2)")
-        return PairClass(n, order2, phi, GOOD, gamma=phi // order2, beta=None)
-    if phi % (2 * order2):
-        raise AssertionError(f"phi({n}) not divisible by 2 ord_{n}(2)")
-    return PairClass(n, order2, phi, BAD, gamma=None, beta=phi // (2 * order2))
+    return classify_pair(n).order2
 
 
 def cyclotomic_cosets(length: int) -> list[tuple[int, ...]]:

@@ -61,12 +61,7 @@ def count_nsrf(length: int) -> int:
     Per divisor n of N this is gamma(n) self-reciprocal factors for a good
     pair (n, 2) and beta(n) reciprocal pairs for a bad one.
     """
-    cyclotomic._require_odd(length)
-    total = 0
-    for n in cyclotomic.divisors(length):
-        pc = cyclotomic.classify_pair(n)
-        total += pc.gamma if pc.kind == GOOD else pc.beta
-    return total
+    return sum(pc.gamma if pc.kind == GOOD else pc.beta for pc in cyclotomic.pair_classes(length))
 
 
 def _atoms(table: cyclotomic.FactorTable) -> list[tuple[int, ...]]:

@@ -43,6 +43,8 @@ polynomial.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 _LOW_2_BITS = bytes(i & 3 for i in range(256))  # byte -> byte mod 4
 _NEG_LOW_2_BITS = bytes(-i & 3 for i in range(256))  # byte -> its negative mod 4
 _ASCII_DIGIT = bytes(48 + (i & 3) for i in range(256))  # residue byte -> its ASCII digit
@@ -200,7 +202,7 @@ def _bits_rem(a: int, b: int) -> int:
     return a
 
 
-def _bits_rems(a: int, mods: list[int]) -> list[int]:
+def _bits_rems(a: int, mods: Sequence[int]) -> list[int]:
     """[_bits_rem(a, m) for m in mods], in one Horner pass over the bits of a.
 
     One int holds a slot of D + 1 bits per modulus, D the largest degree;

@@ -21,11 +21,11 @@ from z4lcd.cyclotomic import (
     build_factor_table,
     classify_pair,
     cyclotomic_cosets,
-    divisors,
     factor_label,
     factor_mod2,
     graeffe_lift,
     mult_order_of_2,
+    pair_classes,
     table_to_wire,
 )
 from z4lcd.codes import hull_report
@@ -135,13 +135,42 @@ class TestEulerPhi:
 
 
 class TestDivisors:
+    # the divisors pair_classes lists, one class each, ascending
     def test_against_direct_scan(self):
-        for n in range(1, 3000):
-            assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+        for n in WIDE_ODD_LENGTHS:
+            assert [pc.divisor for pc in pair_classes(n)] == [
+                d for d in range(1, n + 1) if n % d == 0
+            ]
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            divisors(0)
+            pair_classes(0)
+
+
+class TestPairClasses:
+    # 3 * 1093^2 and 3511^2: Wieferich squares, where ord_{p^2}(2) = ord_p(2)
+    @pytest.mark.parametrize("n", [45045, 3**7 * 5**2, 3 * 1093**2, 3511**2])
+    def test_each_divisor_against_direct_computation(self, n):
+        root = math.isqrt(n)
+        expected = sorted({d for k in range(1, root + 1) if n % k == 0 for d in (k, n // k)})
+        classes = pair_classes(n)
+        assert [pc.divisor for pc in classes] == expected
+        for pc in classes:
+            d = pc.divisor
+            # the literal power walk 2, 4, 8, ... until it first returns to
+            # 1, noting on the way whether it passes -1
+            k, acc, hits_minus_one = 1, 2 % d, 2 % d == d - 1
+            while acc != 1 % d:
+                k, acc = k + 1, acc * 2 % d
+                hits_minus_one = hits_minus_one or acc == d - 1
+            assert pc.order2 == k
+            if d < 10**5:
+                assert pc.phi == phi_by_count(d)
+            assert pc.kind == (GOOD if hits_minus_one else BAD)
+            if pc.kind == GOOD:
+                assert (pc.gamma * k, pc.beta) == (pc.phi, None)
+            else:
+                assert (2 * pc.beta * k, pc.gamma) == (pc.phi, None)
 
 
 class TestMultOrder:
@@ -446,6 +475,17 @@ class TestFactorTable:
             PAIR_SECOND,
         ]
         assert (table[1].partner, table[2].partner) == (2, 1)
+
+    def test_derived_views_are_built_once(self):
+        for n in ODD_LENGTHS:
+            table = build_factor_table.__wrapped__(n)  # a fresh table
+            assert table.ids() == frozenset(range(len(table)))
+            assert table.ids() is table.ids()
+            assert table.bits == tuple(r.poly.reduce_mod2() for r in table.records)
+            assert table.bits is table.bits
+            # the held views are not fields: equality and hash see the records
+            assert table == build_factor_table.__wrapped__(n)
+            assert hash(table) == hash(build_factor_table.__wrapped__(n))
 
     def test_length_one(self):
         table = build_factor_table(1)

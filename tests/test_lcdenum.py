@@ -54,9 +54,8 @@ class TestCountNsrf:
                             stack.append(t)
             assert count_nsrf(n) == orbits
 
-    def test_factors_a_prime_length_twice(self, monkeypatch):
-        # once to list the divisors, once for the pair class of N itself
-        n = 10**12 + 39
+    @staticmethod
+    def count_factorizations(monkeypatch):
         calls = []
         factorize = cyclotomic._factorize
 
@@ -65,8 +64,21 @@ class TestCountNsrf:
             return factorize(k)
 
         monkeypatch.setattr(cyclotomic, "_factorize", counting)
+        return calls
+
+    def test_factors_a_prime_length_once(self, monkeypatch):
+        n = 10**12 + 39
+        calls = self.count_factorizations(monkeypatch)
         assert count_nsrf(n) == 2
-        assert calls.count(n) == 2
+        assert calls.count(n) == 1
+
+    @pytest.mark.parametrize("n,primes", [(45045, [3, 5, 7, 11, 13]), (3**7 * 5**2 * 7, [3, 5, 7])])
+    def test_factors_n_once_and_each_p_minus_one_once(self, n, primes, monkeypatch):
+        # no divisor of N is factored on its own: N once, then p - 1 for
+        # each prime p | N
+        calls = self.count_factorizations(monkeypatch)
+        count_nsrf(n)
+        assert sorted(calls) == sorted([n] + [p - 1 for p in primes])
 
     def test_rejects_even(self):
         # the same messages as build_factor_table and classify_pair
