@@ -37,8 +37,8 @@ for record in table.records:
 print()
 for n in (1, 3, 5, 7, 9, 15):
     pc = classify_pair(n)
-    count = f"gamma={pc.gamma}" if pc.kind == "good" else f"beta={pc.beta}"
-    print(f"(n={n:>2}, 2) is {pc.kind:<4}  phi={pc.phi:>2} ord2={pc.order2:>2}  {count}")
+    name = "gamma" if pc.kind == "good" else "beta"
+    print(f"(n={n:>2}, 2) is {pc.kind:<4}  phi={pc.phi:>2} ord2={pc.order2:>2}  {name}={pc.block}")
 
 # N = 15 mixes both kinds: divisors 1, 3, 5 are good (one self-reciprocal
 # factor each) while 15 itself is bad (one reciprocal pair).

@@ -6,10 +6,13 @@ order, integers only); the default is a human-readable rendering that
 displays polynomials in signed form (3 printed as -1).
 
 Exit codes: 0 on success, 1 when `verify` finds a mismatch, 2 for usage
-and validation errors.  `main` checks N once, before any command runs:
-N <= 0 prints "error: N must be a positive integer" and an even N
-"error: N must be odd".  The parser is built on the first call and serves
-every later call of the process.
+and validation errors.  Every validation error is a ValueError, which
+`main` prints as "error: <message>" on stderr.  `main` checks N once,
+before any command runs: N <= 0 prints "error: N must be a positive
+integer" and an even N "error: N must be odd".  `count-lcd` refuses a
+count 2^nsrf with more decimal digits than the interpreter converts to a
+string, before it builds the power.  The parser is built on the first
+call and serves every later call of the process.
 
 Polynomial arguments are comma-separated ascending coefficient strings
 ("3,1" is X-1, "1" is the constant 1); signed input must be attached to its
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import codes, cyclotomic, lcdenum
@@ -31,10 +35,6 @@ from .z4poly import Z4Poly, format_terms
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
-
-
-class UsageError(Exception):
-    """Validation failure that should exit with the usage code."""
 
 
 def _emit_json(payload: dict) -> None:
@@ -49,12 +49,12 @@ def _parse_divisor_arg(text: str, table: cyclotomic.FactorTable) -> codes.Diviso
         try:
             ids = [int(part) for part in body.split(",")] if body else []
         except ValueError as exc:
-            raise UsageError(f"bad id list {text!r}") from exc
+            raise ValueError(f"bad id list {text!r}") from exc
         return codes.DivisorSet.of(table, ids)
     try:
         poly = Z4Poly.from_string(text)
     except ValueError as exc:
-        raise UsageError(f"bad coefficient string {text!r}") from exc
+        raise ValueError(f"bad coefficient string {text!r}") from exc
     return codes.factor_divisor(poly, table)
 
 
@@ -77,20 +77,18 @@ def cmd_factor(args) -> int:
 
 def cmd_classify(args) -> int:
     classes = cyclotomic.pair_classes(args.N)
+    block_name = {cyclotomic.GOOD: "gamma", cyclotomic.BAD: "beta"}
     if args.json:
-        rows = []
-        for pc in classes:
-            row = {"n": pc.divisor, "phi": pc.phi, "ord2": pc.order2, "kind": pc.kind}
-            if pc.gamma is not None:
-                row["gamma"] = pc.gamma
-            if pc.beta is not None:
-                row["beta"] = pc.beta
-            rows.append(row)
+        rows = [
+            {"n": pc.divisor, "phi": pc.phi, "ord2": pc.order2, "kind": pc.kind,
+             block_name[pc.kind]: pc.block}
+            for pc in classes
+        ]
         _emit_json({"N": args.N, "divisors": rows})
         return EXIT_OK
     for pc in classes:
-        count = f"gamma={pc.gamma}" if pc.kind == cyclotomic.GOOD else f"beta={pc.beta}"
-        print(f"n={pc.divisor}: {pc.kind}  phi={pc.phi} ord2={pc.order2} {count}")
+        print(f"n={pc.divisor}: {pc.kind}  phi={pc.phi} ord2={pc.order2} "
+              f"{block_name[pc.kind]}={pc.block}")
     return EXIT_OK
 
 
@@ -128,6 +126,12 @@ def cmd_enumerate_lcd(args) -> int:
 
 def cmd_count_lcd(args) -> int:
     nsrf = lcdenum.count_nsrf(args.N)
+    # refused before 2^nsrf is built: at N = 2^60 - 1 it would take petabytes
+    digits = math.floor(nsrf * math.log10(2)) + 1
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if digits > limit:
+        raise ValueError(f"nsrf={nsrf}: the count 2^nsrf has {digits} decimal digits, "
+                         f"over the interpreter's limit of {limit}")
     if args.json:
         _emit_json({"N": args.N, "nsrf": nsrf, "count": 2**nsrf})
         return EXIT_OK
@@ -164,12 +168,12 @@ def _config_bound(path: str | None) -> int | None:
         with open(path) as handle:
             config = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(config, dict):
-        raise UsageError(f"config {path!r} must be a JSON object")
+        raise ValueError(f"config {path!r} must be a JSON object")
     bound = config.get("max_bruteforce")
     if bound is not None and (isinstance(bound, bool) or not isinstance(bound, int)):
-        raise UsageError(f"config {path!r}: max_bruteforce must be an integer")
+        raise ValueError(f"config {path!r}: max_bruteforce must be an integer")
     return bound
 
 
@@ -220,7 +224,7 @@ def main(argv=None) -> int:
     try:
         cyclotomic._require_odd(args.N)
         return args.run(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -54,8 +54,7 @@ class PairClass:
     order2: int
     phi: int
     kind: str
-    gamma: int | None  # self-reciprocal factor count, good pairs only
-    beta: int | None  # reciprocal-pair count, bad pairs only
+    block: int  # gamma(n), self-reciprocal factors, when good; beta(n), reciprocal pairs, when bad
 
 
 @dataclass(frozen=True)
@@ -154,8 +153,7 @@ def pair_classes(length: int) -> list[PairClass]:
         block, rest = divmod(phi, order if good else 2 * order)
         if rest:
             raise AssertionError(f"phi({n}) not divisible by the block size of ord_{n}(2)")
-        classes.append(PairClass(n, order, phi, GOOD, block, None) if good
-                       else PairClass(n, order, phi, BAD, None, block))
+        classes.append(PairClass(n, order, phi, GOOD if good else BAD, block))
     return classes
 
 

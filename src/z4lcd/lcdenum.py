@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple, TextIO
 
 from . import codes, cyclotomic
 from .codes import CodeSpec, DivisorSet, hull_report
-from .cyclotomic import GOOD, SELF_RECIPROCAL, build_factor_table, factor_label
+from .cyclotomic import SELF_RECIPROCAL, build_factor_table, factor_label
 from .z4poly import Z4Poly
 
 DEFAULT_SWEEP_BUDGET = 200_000  # partitions; 3^11 is just under
@@ -61,7 +61,7 @@ def count_nsrf(length: int) -> int:
     Per divisor n of N this is gamma(n) self-reciprocal factors for a good
     pair (n, 2) and beta(n) reciprocal pairs for a bad one.
     """
-    return sum(pc.gamma if pc.kind == GOOD else pc.beta for pc in cyclotomic.pair_classes(length))
+    return sum(pc.block for pc in cyclotomic.pair_classes(length))
 
 
 def _atoms(table: cyclotomic.FactorTable) -> list[tuple[int, ...]]:

@@ -1,9 +1,10 @@
 """Ground-truth brute force for small lengths.
 
 Codes are expanded as the additive span of the cyclic shifts of their two
-generators, duals are found by scanning Z4^N for vectors orthogonal to a
-spanning set, and hulls are literal intersections.  Nothing here touches
-the hull formula, so these results are an independent check of it.
+generators, duals are found by scanning Z4^N for vectors orthogonal to the
+spanning set that the expansion keeps, and hulls are literal
+intersections.  Nothing here touches the hull formula, so these results
+are an independent check of it.
 
 A word is identified with its base-4 integer encoding (digit i is the entry
 at position i), and a `CodeSet` holds one boolean membership mask over the
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -40,15 +40,11 @@ DEFAULT_BOUND = 9
 MAX_LENGTH = 16  # a word's encoding fits in uint32; N = 17 would need a 17 GB mask
 
 
-class BruteForceBoundError(ValueError):
-    """Length exceeds the configured brute-force bound."""
-
-
 def _check_bound(length: int, bound: int) -> None:
     if length > MAX_LENGTH:
-        raise BruteForceBoundError(f"length {length} exceeds the brute-force limit {MAX_LENGTH}")
+        raise ValueError(f"length {length} exceeds the brute-force limit {MAX_LENGTH}")
     if length > bound:
-        raise BruteForceBoundError(f"length {length} exceeds brute-force bound {bound}")
+        raise ValueError(f"length {length} exceeds brute-force bound {bound}")
 
 
 def encode_word(vector) -> int:
@@ -59,17 +55,13 @@ def encode_word(vector) -> int:
     return value
 
 
-def decode_word(value: int, length: int) -> tuple[int, ...]:
-    return tuple((value >> (2 * k)) & 3 for k in range(length))
-
-
 @dataclass(frozen=True, eq=False)
 class CodeSet:
     """A code as its membership mask, with a spanning set when one is known.
 
     mask is the (4^H, 4^L) boolean array whose flat index is the word's
-    encoding.  spanning=None means no small spanning set is
-    available and orthogonality must be checked against every word.
+    encoding.  spanning holds the generator vectors that expand_code
+    spanned the code from; a dual has none, and dual_bruteforce refuses it.
     """
 
     length: int
@@ -82,10 +74,6 @@ class CodeSet:
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.mask))
-
-    def vectors(self) -> Iterator[tuple[int, ...]]:
-        for value in np.flatnonzero(self.mask).tolist():
-            yield decode_word(value, self.length)
 
 
 def _vector_mod(poly: Z4Poly, length: int) -> tuple[int, ...]:
@@ -176,8 +164,9 @@ def expand_code(spec: CodeSpec, bound: int = DEFAULT_BOUND) -> CodeSet:
 def dual_bruteforce(code: CodeSet, bound: int = DEFAULT_BOUND) -> CodeSet:
     """Every ambient vector orthogonal (dot product mod 4) to the code.
 
-    Checks orthogonality against the code's spanning set, which suffices
-    because every codeword is a Z4-combination of it.  Every one of the 4^N
+    Checks orthogonality against the spanning set that expand_code stored,
+    which suffices because every codeword is a Z4-combination of it; a code
+    without one, such as a dual, raises ValueError.  Every one of the 4^N
     ambient vectors x = hi·4^L + lo is tested against every spanning vector
     s: x·s ≡ 0 (mod 4) exactly when lo·s_lo ≡ -hi·s_hi.  The 2-bit residues
     of up to 31 vectors are packed into one int64 key per half-table row,
@@ -186,7 +175,9 @@ def dual_bruteforce(code: CodeSet, bound: int = DEFAULT_BOUND) -> CodeSet:
     """
     length = code.length
     _check_bound(length, bound)
-    basis = code.spanning if code.spanning is not None else tuple(code.vectors())
+    basis = code.spanning
+    if basis is None:
+        raise ValueError("dual scan needs the code's spanning set, and this code has none")
     low = length // 2
     lo_digits, hi_digits = _digit_table(low), _digit_table(length - low)
     orthogonal = np.ones((len(hi_digits), len(lo_digits)), dtype=bool)

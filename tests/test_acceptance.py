@@ -179,11 +179,11 @@ def test_criterion_6_factorization_structure():
             block = [r for r in table.records if r.divisor == divisor]
             pc = classify_pair(divisor)
             if pc.kind == GOOD:
-                assert len(block) == pc.gamma
+                assert len(block) == pc.block
                 assert all(r.kind == SELF_RECIPROCAL for r in block)
             else:
-                assert sum(r.kind == PAIR_FIRST for r in block) == pc.beta
-                assert sum(r.kind == PAIR_SECOND for r in block) == pc.beta
+                assert sum(r.kind == PAIR_FIRST for r in block) == pc.block
+                assert sum(r.kind == PAIR_SECOND for r in block) == pc.block
         mod2 = factor_mod2(cyclotomic_cosets(n))
         for r in table.records:
             assert r.poly.is_monic

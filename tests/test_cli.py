@@ -2,8 +2,10 @@ import hashlib
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from z4lcd.cyclotomic import build_factor_table, table_to_wire
 SRC = str(Path(z4lcd.__file__).resolve().parent.parent)
 
 
-def run_cli(*args):
+def run_cli(*args, **kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -23,6 +25,7 @@ def run_cli(*args):
         capture_output=True,
         text=True,
         env=env,
+        **kwargs,
     )
 
 
@@ -252,6 +255,36 @@ class TestCount:
     def test_prime_length_near_a_trillion(self):
         parsed = json.loads(run_cli("count-lcd", "1000000000039", "--json").stdout)
         assert parsed == {"N": 1000000000039, "count": 4, "nsrf": 2}
+
+    def test_prints_a_count_under_the_digit_limit(self, capsys):
+        # 2^14248 has 4290 decimal digits, under the 4300 that CPython prints by default
+        assert cli.main(["count-lcd", "791845"]) == 0
+        assert capsys.readouterr().out == f"N=791845 nsrf=14248 count={2**14248}\n"
+        assert cli.main(["count-lcd", "791845", "--json"]) == 0
+        parsed = json.loads(capsys.readouterr().out)
+        assert parsed == {"N": 791845, "nsrf": 14248, "count": 2**14248}
+
+    @pytest.mark.parametrize(
+        "n, nsrf, digits",
+        [(996151, 14566, 4385), (2**60 - 1, 9607679222971504, 2892199634832035)],
+        ids=["996151", "2^60-1"],
+    )
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+    def test_refuses_a_count_over_the_digit_limit(self, n, nsrf, digits, form):
+        # refused before 2^nsrf is built, which at N = 2^60 - 1 would take
+        # petabytes; the child runs with a 1 GB address space and a timeout,
+        # so a build that starts fails here and does not exhaust the machine
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        started = time.perf_counter()
+        result = run_cli("count-lcd", str(n), *form, timeout=10, preexec_fn=limit_memory)
+        assert time.perf_counter() - started < 1
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == (
+            f"error: nsrf={nsrf}: the count 2^nsrf has {digits} decimal digits, "
+            "over the interpreter's limit of 4300\n"
+        )
 
 
 class TestVerify:

@@ -167,10 +167,7 @@ class TestPairClasses:
             if d < 10**5:
                 assert pc.phi == phi_by_count(d)
             assert pc.kind == (GOOD if hits_minus_one else BAD)
-            if pc.kind == GOOD:
-                assert (pc.gamma * k, pc.beta) == (pc.phi, None)
-            else:
-                assert (2 * pc.beta * k, pc.gamma) == (pc.phi, None)
+            assert pc.block * (1 if hits_minus_one else 2) * k == pc.phi
 
 
 class TestMultOrder:
@@ -198,17 +195,17 @@ class TestMultOrder:
 class TestClassifyPair:
     def test_one_is_good(self):
         pc = classify_pair(1)
-        assert (pc.kind, pc.gamma) == (GOOD, 1)
+        assert (pc.kind, pc.block) == (GOOD, 1)
 
     def test_seven_is_bad(self):
         pc = classify_pair(7)
-        assert (pc.kind, pc.beta) == (BAD, 1)
+        assert (pc.kind, pc.block) == (BAD, 1)
 
     def test_five_is_good(self):
         # 2^2 + 1 = 5, found by direct search
         assert any((2**k + 1) % 5 == 0 for k in range(1, 5))
         pc = classify_pair(5)
-        assert (pc.kind, pc.gamma) == (GOOD, 1)
+        assert (pc.kind, pc.block) == (GOOD, 1)
 
     def test_against_direct_search(self):
         # good iff 2^k = -1 mod n for some k; the window k <= phi(n) suffices
@@ -221,9 +218,9 @@ class TestClassifyPair:
         for n in ODD_LENGTHS:
             pc = classify_pair(n)
             if pc.kind == GOOD:
-                assert pc.gamma * pc.order2 == pc.phi and pc.beta is None
+                assert pc.block * pc.order2 == pc.phi
             else:
-                assert pc.beta * 2 * pc.order2 == pc.phi and pc.gamma is None
+                assert pc.block * 2 * pc.order2 == pc.phi
 
     def test_rejects_even(self):
         with pytest.raises(ValueError):
@@ -537,11 +534,11 @@ class TestFactorTable:
                 pc = classify_pair(divisor)
                 if pc.kind == GOOD:
                     assert all(r.kind == SELF_RECIPROCAL for r in block)
-                    assert len(block) == pc.gamma
+                    assert len(block) == pc.block
                 else:
                     assert all(r.kind != SELF_RECIPROCAL for r in block)
-                    assert sum(r.kind == PAIR_FIRST for r in block) == pc.beta
-                    assert len(block) == 2 * pc.beta
+                    assert sum(r.kind == PAIR_FIRST for r in block) == pc.block
+                    assert len(block) == 2 * pc.block
 
     def test_partner_structure(self):
         for n in ODD_LENGTHS:

@@ -13,9 +13,7 @@ from z4lcd.codes import CodeSpec, divisor_poly, hull_report
 from z4lcd.cyclotomic import build_factor_table
 from z4lcd.lcdenum import all_partitions
 from z4lcd.oracle import (
-    BruteForceBoundError,
     CodeSet,
-    decode_word,
     dual_bruteforce,
     encode_word,
     expand_code,
@@ -27,6 +25,16 @@ from z4lcd.oracle import (
     _vector_mod,
 )
 from z4lcd.z4poly import Z4Poly
+
+
+def decode_word(value, length):
+    """Residue vector of a base-4 word encoding, digit i at position i."""
+    return tuple((value >> (2 * k)) & 3 for k in range(length))
+
+
+def vectors(code):
+    """Every codeword of a CodeSet as a residue vector, from its mask."""
+    return (decode_word(value, code.length) for value in np.flatnonzero(code.mask).tolist())
 
 
 def hull_bruteforce(spec):
@@ -114,18 +122,18 @@ class TestExpandCode:
     def test_ambient_at_length_one(self):
         table = build_factor_table(1)
         code = expand_code(CodeSpec.of(table, f=set(), g=set()))
-        assert set(code.vectors()) == {(0,), (1,), (2,), (3,)}
+        assert set(vectors(code)) == {(0,), (1,), (2,), (3,)}
 
     def test_all_twos_at_length_three(self):
         table = build_factor_table(3)
         code = expand_code(CodeSpec.of(table, f=set(), g=table.ids()))
         expected = {v for v in itertools.product((0, 2), repeat=3)}
-        assert set(code.vectors()) == expected
+        assert set(vectors(code)) == expected
 
     def test_zero_code(self):
         table = build_factor_table(7)
         code = expand_code(CodeSpec.of(table, f=table.ids(), g=set()))
-        assert set(code.vectors()) == {(0,) * 7}
+        assert set(vectors(code)) == {(0,) * 7}
 
     @pytest.mark.parametrize("length", [1, 3, 5])
     def test_matches_worklist_closure(self, length):
@@ -137,11 +145,11 @@ class TestExpandCode:
             expected_other = worklist_closure([two_f, fg], length, lifo=False)
             assert expected == expected_other  # strategy independence
             assert {w[-1:] + w[:-1] for w in expected} == expected  # closed under shift
-            assert set(expand_code(spec).vectors()) == expected
+            assert set(vectors(expand_code(spec))) == expected
 
     def test_bound_enforced(self):
         table = build_factor_table(11)
-        with pytest.raises(BruteForceBoundError):
+        with pytest.raises(ValueError, match="exceeds brute-force bound 9"):
             expand_code(CodeSpec.of(table, f=table.ids(), g=set()))
 
 
@@ -149,7 +157,7 @@ class TestDualBruteforce:
     def test_dual_of_ambient_at_length_one(self):
         table = build_factor_table(1)
         dual = dual_bruteforce(expand_code(CodeSpec.of(table, f=set(), g=set())))
-        assert set(dual.vectors()) == {(0,)}
+        assert set(vectors(dual)) == {(0,)}
 
     def test_dual_of_zero_code(self):
         table = build_factor_table(3)
@@ -172,11 +180,17 @@ class TestDualBruteforce:
             digits[0, 0] = 1
 
     def test_spanning_fallback_agrees(self):
+        # the scan over every codeword equals the scan over the spanning set
         table = build_factor_table(3)
         for spec in all_partitions(table):
             code = expand_code(spec)
-            full = CodeSet(code.length, code.mask, None)
+            full = CodeSet(code.length, code.mask, tuple(vectors(code)))
             assert dual_bruteforce(code).words == dual_bruteforce(full).words
+
+    def test_refuses_a_code_without_spanning_set(self):
+        code = expand_code(CodeSpec.of(build_factor_table(3), f={0}, g=set()))
+        with pytest.raises(ValueError, match="spanning set"):
+            dual_bruteforce(dual_bruteforce(code))
 
     def test_duality_cardinality(self):
         for length in (1, 3, 5):
@@ -193,10 +207,10 @@ class TestDualBruteforce:
         for spec in all_partitions(table):
             code = expand_code(spec)
             expected = literal_dual(code.spanning, length)
-            assert set(dual_bruteforce(code).vectors()) == expected
+            assert set(vectors(dual_bruteforce(code))) == expected
             if length <= 3:
-                full = CodeSet(length, code.mask, None)
-                assert set(dual_bruteforce(full).vectors()) == expected
+                full = CodeSet(length, code.mask, tuple(vectors(code)))
+                assert set(vectors(dual_bruteforce(full))) == expected
 
     @pytest.mark.parametrize("count", [31, 32, 62])
     def test_packed_chunk_boundaries(self, count):
@@ -210,7 +224,7 @@ class TestDualBruteforce:
             basis[place] = next(units)
         mask = np.zeros((4**3, 4**2), dtype=bool)
         dual = dual_bruteforce(CodeSet(5, mask, tuple(basis)))
-        assert set(dual.vectors()) == literal_dual(basis, 5)
+        assert set(vectors(dual)) == literal_dual(basis, 5)
 
     def test_order_reversing_on_chain(self):
         # C=(0) within C=(2f) within C=(f), with f the lift pair at length 7
@@ -307,7 +321,7 @@ class TestSweepVerify:
         assert (report.partitions, report.mismatches, report.lcd_count) == (9, (), 4)
 
     def test_bound_error(self):
-        with pytest.raises(BruteForceBoundError):
+        with pytest.raises(ValueError, match="length 11 exceeds brute-force bound 9"):
             sweep_verify(11)
 
     def test_wire_form(self):
@@ -319,10 +333,10 @@ class TestSpanningVectors:
     def test_shift_closed_and_nonzero(self):
         table = build_factor_table(5)
         for spec in all_partitions(table):
-            vectors = spanning_vectors(spec)
-            assert all(any(v) for v in vectors)
-            as_set = set(vectors)
-            for v in vectors:
+            gens = spanning_vectors(spec)
+            assert all(any(v) for v in gens)
+            as_set = set(gens)
+            for v in gens:
                 assert v[-1:] + v[:-1] in as_set or len(as_set) == 0
 
 
@@ -345,17 +359,17 @@ class TestLengthLimit:
     def test_limit_is_sixteen(self):
         _check_bound(15, 15)
         _check_bound(16, 100)
-        with pytest.raises(BruteForceBoundError, match="limit 16"):
+        with pytest.raises(ValueError, match="limit 16"):
             _check_bound(17, 100)
 
     def test_sweep_verify(self):
-        with pytest.raises(BruteForceBoundError, match="limit 16"):
+        with pytest.raises(ValueError, match="limit 16"):
             sweep_verify(17, 17)
 
     def test_expand_code(self):
         table = build_factor_table(17)
         ambient = CodeSpec.of(table, f=set(), g=set())
-        with pytest.raises(BruteForceBoundError, match="limit 16"):
+        with pytest.raises(ValueError, match="limit 16"):
             expand_code(ambient, 17)
 
     def test_cli(self, capsys):

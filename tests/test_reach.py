@@ -28,8 +28,6 @@ ALLOWED_UNREACHED = {
     "codes.spec_to_wire": "printed only for a verify mismatch, which correct code never has",
     "cyclotomic.mult_order_of_2": "patched by name in the benchmark tracer",
     "z4poly.Z4Poly.divmod_monic": "patched by name in the benchmark tracer",
-    "oracle.CodeSet.vectors": "reference dual scan for a code with no spanning set",
-    "oracle.decode_word": "reference dual scan for a code with no spanning set",
 }
 
 
