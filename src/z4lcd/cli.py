@@ -118,7 +118,7 @@ def cmd_enumerate_lcd(args) -> int:
     if args.json:
         lcdenum.write_catalog_json(catalog, sys.stdout)
         return EXIT_OK
-    print(f"N={args.N} nsrf={catalog.nsrf} count={len(catalog.entries)}")
+    print(f"N={args.N} nsrf={catalog.nsrf} count={len(catalog.rows)}")
     for _, generator, label in lcdenum.catalog_rows(catalog):
         print(f"  {label:<24} generator={generator}")
     return EXIT_OK

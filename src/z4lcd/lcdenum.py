@@ -8,25 +8,31 @@ there are 2^nsrf LCD codes, counted divisor-wise as
 
     nsrf = sum over n | N of gamma(n) if (n,2) good else beta(n).
 
-An entry is a row: the sorted ids of the factors it takes and their
-product, the generator; the catalog holds its factor table once.
-catalog_rows gives each entry's ids, generator string and label, with the
-factor labels made once per table.  write_catalog_json streams the --json
-form entry by entry from fixed templates, byte for byte what
-json.dumps(..., indent=2, sort_keys=True) gives, without the encoder that
-indent forces into pure Python.
+A catalog row is the sorted ids of the factors an entry takes, their
+product (the generator) packed as an int, and its coefficient count; each
+row is one big-int product of an earlier row and one atom, with nothing
+unpacked between products (see enumerate_lcd).  The catalog holds its
+factor table once, and builds Z4Poly entries only when they are asked for.
+catalog_rows gives each entry's ids, generator string and label, the
+string read straight from the packed int and each factor label made once
+per table.
+write_catalog_json streams the --json form entry by entry from fixed
+templates, byte for byte what json.dumps(..., indent=2, sort_keys=True)
+gives, without the encoder that indent forces into pure Python.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, NamedTuple, TextIO
 
 from . import codes, cyclotomic
 from .codes import CodeSpec, DivisorSet, hull_report
 from .cyclotomic import SELF_RECIPROCAL, build_factor_table, factor_label
-from .z4poly import Z4Poly
+from .z4poly import Z4Poly, _coeff_text, _pack, _unpack
 
 DEFAULT_SWEEP_BUDGET = 200_000  # partitions; 3^11 is just under
 
@@ -40,11 +46,22 @@ class LcdEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class LcdCatalog:
-    """All cyclic LCD codes of one odd length; N is table.length."""
+    """All cyclic LCD codes of one odd length; N is table.length.
+
+    Each row is (sorted ids, packed generator, coefficient count), the
+    generator packed with one coefficient in the low byte of each slot of
+    `width` bytes.
+    """
 
     table: cyclotomic.FactorTable
     nsrf: int
-    entries: tuple[LcdEntry, ...]
+    rows: tuple[tuple[tuple[int, ...], int, int], ...]
+    width: int
+
+    @functools.cached_property  # built once; the frozen dataclass has a __dict__
+    def entries(self) -> tuple[LcdEntry, ...]:
+        w = self.width
+        return tuple(LcdEntry(ids, Z4Poly._of(_unpack(packed, count, w))) for ids, packed, count in self.rows)
 
 
 class LcdCensus(NamedTuple):
@@ -80,22 +97,29 @@ def enumerate_lcd(length: int) -> LcdCatalog:
 
     One entry per subset of the reciprocal-closed atoms; the empty subset is
     the whole ambient code (1) and the full subset is the zero code (0).
-    Each entry costs one product: starting from the empty subset, every atom
-    in turn doubles the list by multiplying each entry so far by that atom's
-    polynomial.  Entries are sorted by factor-set size, then by their sorted
-    ids.
+    Starting from the empty subset, every atom in turn doubles the rows by
+    multiplying each generator so far by that atom's polynomial.  A
+    generator stays packed: the slot width w is the byte length of
+    9 * (N + 1), so no slot of a product of two divisors of X^N - 1
+    carries into the next (as in Z4Poly.__mul__), and one AND with the low
+    2 bits of every slot reduces the product mod 4.  Entries are sorted by
+    factor-set size, then by their sorted ids.
     """
     table = build_factor_table(length)
     atoms = _atoms(table)
-    entries = [LcdEntry((), Z4Poly.one())]
+    w = ((9 * (length + 1)).bit_length() + 7) // 8
+    mod4 = _pack(b"\3" * (length + 1), w)
+    rows = [((), 1, 1)]
     for atom in atoms:
         atom_poly = table[atom[0]].poly
         if len(atom) == 2:
             atom_poly = atom_poly * table[atom[1]].poly
+        factor, degree = _pack(atom_poly.coeffs, w), len(atom_poly.coeffs) - 1
         # a pair's partner can exceed a later atom's id, so sort again
-        entries += [LcdEntry(tuple(sorted(ids + atom)), poly * atom_poly) for ids, poly in entries]
-    entries.sort(key=lambda e: (len(e.ids), e.ids))
-    return LcdCatalog(table, len(atoms), tuple(entries))
+        rows += [(tuple(sorted(ids + atom)), packed * factor & mod4, count + degree) for ids, packed, count in rows]
+    rows.sort(key=itemgetter(0))
+    rows.sort(key=lambda row: len(row[0]))
+    return LcdCatalog(table, len(atoms), tuple(rows), w)
 
 
 def all_partitions(table: cyclotomic.FactorTable):
@@ -114,7 +138,7 @@ def lcd_census(length: int) -> LcdCensus:
     (swept=None) when that count exceeds DEFAULT_SWEEP_BUDGET.
     """
     formula = 2 ** count_nsrf(length)
-    enumerated = len(enumerate_lcd(length).entries)
+    enumerated = len(enumerate_lcd(length).rows)
     table = build_factor_table(length)
     if 3 ** len(table.records) > DEFAULT_SWEEP_BUDGET:
         return LcdCensus(formula, enumerated, None)
@@ -131,14 +155,15 @@ def catalog_rows(catalog: LcdCatalog) -> Iterator[tuple[tuple[int, ...], str, st
     """
     labels = [factor_label(r) for r in catalog.table.records]
     everything = len(catalog.table)
-    for ids, generator in catalog.entries:
+    w = catalog.width
+    for ids, packed, count in catalog.rows:
         if not ids:
             label = "(1)"
         elif len(ids) == everything:
             label = "(0)"
         else:
             label = "(" + "".join([labels[i] for i in ids]) + ")"
-        yield ids, generator.to_string(), label
+        yield ids, _coeff_text(_unpack(packed, count, w)), label
 
 
 _JSON_HEAD = '{\n  "N": %d,\n  "count": %d,\n  "entries": [\n'
@@ -152,12 +177,14 @@ def write_catalog_json(catalog: LcdCatalog, out: TextIO) -> None:
 
     Fixed templates stand in for the encoder, which runs in pure Python
     whenever indent is set; ids, generators and labels hold nothing that
-    JSON escapes.  Entries are written one at a time.
+    JSON escapes.  Entries are written one at a time; each id's text is
+    made once per table, like the labels.
     """
-    out.write(_JSON_HEAD % (catalog.table.length, len(catalog.entries)))
+    out.write(_JSON_HEAD % (catalog.table.length, len(catalog.rows)))
+    id_texts = [str(i) for i in range(len(catalog.table))]
     sep = ""
     for ids, generator, label in catalog_rows(catalog):
-        f = "[\n        " + _JSON_ID_SEP.join(map(str, ids)) + "\n      ]" if ids else "[]"
+        f = "[\n        " + _JSON_ID_SEP.join([id_texts[i] for i in ids]) + "\n      ]" if ids else "[]"
         out.write(sep + _JSON_ENTRY % (f, generator, label))
         sep = ",\n"
     out.write(_JSON_TAIL % catalog.nsrf)

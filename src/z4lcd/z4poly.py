@@ -28,7 +28,9 @@ Z4 multiplication is Kronecker substitution: both operands are packed into
 Python ints, one fixed-width byte slot per coefficient, wide enough that no
 slot overflows (``9 * min(len(a), len(b))`` fits in it), and multiplied
 once, so the work runs in the interpreter's big-int code, not in a Python
-loop; each slot of the product is then read back mod 4.
+loop; each slot of the product is then read back mod 4.  ``_pack`` and
+``_unpack`` are that slot layout, which ``cyclotomic.graeffe_lift`` and the
+LCD catalog of ``lcdenum`` use as well.
 
 Z4 polynomials have products, reciprocals and reduction mod 2, but no sum.
 Z4[X] is not a Euclidean domain, so only division by a *monic* divisor is
@@ -56,6 +58,22 @@ def _pack(coeffs: bytes, width: int) -> int:
     slots = bytearray(len(coeffs) * width)
     slots[::width] = coeffs
     return int.from_bytes(slots, "little")
+
+
+def _unpack(packed: int, count: int, width: int) -> bytes:
+    """The low bytes of the first `count` slots of `width` bytes of a packed int."""
+    return packed.to_bytes(count * width, "little")[::width]
+
+
+def _coeff_text(coeffs: bytes) -> str:
+    """The text form "c0,c1,..." of coefficient bytes, each read mod 4.
+
+    The digits go into every other byte of a run of commas; no coefficients
+    make a count of -1, so the zero polynomial's empty text.
+    """
+    text = bytearray(b",") * (2 * len(coeffs) - 1)
+    text[::2] = coeffs.translate(_ASCII_DIGIT)
+    return text.decode()
 
 
 class Z4Poly:
@@ -98,7 +116,7 @@ class Z4Poly:
 
     def to_string(self) -> str:
         """Canonical comma-separated ascending coefficient form."""
-        return ",".join(self.coeffs.translate(_ASCII_DIGIT).decode())
+        return _coeff_text(self.coeffs)
 
     @property
     def is_monic(self) -> bool:
@@ -123,7 +141,7 @@ class Z4Poly:
         w = ((9 * min(len(a), len(b))).bit_length() + 7) // 8
         slots = len(a) + len(b) - 1
         product = _pack(a, w) * _pack(b, w)
-        low = product.to_bytes(slots * w, "little")[::w].translate(_LOW_2_BITS)
+        low = _unpack(product, slots, w).translate(_LOW_2_BITS)
         return Z4Poly._of(low.rstrip(b"\0"))
 
     def scale(self, unit: int) -> "Z4Poly":

@@ -33,6 +33,15 @@ def z4_add(a, b):
     return [c % 4 for c in out]
 
 
+def z4_mul(a, b):
+    """Product mod 4 by the double loop over coefficient pairs."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % 4
+    return out
+
+
 def z4_divmod_monic(a, d):
     """(quotient, remainder) of long division over Z4 by d, whose top coefficient is 1."""
     rem = [c % 4 for c in a]

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from z4lcd import cli, cyclotomic
+from z4lcd import cli, cyclotomic, lcdenum
 from z4lcd.codes import DivisorSet, divisor_poly, hull_report, reciprocal_set
 from z4lcd.cyclotomic import PAIR_FIRST, build_factor_table
 from z4lcd.lcdenum import (
@@ -18,6 +18,8 @@ from z4lcd.lcdenum import (
     write_catalog_json,
 )
 from z4lcd.z4poly import Z4Poly
+
+from schoolbook import z4_mul
 
 ODD_LENGTHS = list(range(1, 32, 2))
 
@@ -139,15 +141,26 @@ class TestEnumerate:
             assert enumerated == swept
 
     def test_generators_are_products_of_members(self):
-        for n in range(1, 64, 2):
+        # against the schoolbook product; the slot width is 1 byte up to
+        # N = 27 and 2 from N = 29, and 63 and 127 have many reciprocal
+        # pairs.  Products of id prefixes are kept, so each entry costs one
+        # schoolbook product by a factor
+        for n in [*range(1, 64, 2), 127]:
             table = build_factor_table(n)
-            for entry in enumerate_lcd(n).entries:
-                product = Z4Poly.one()
-                for i in entry.ids:
-                    product = product * table[i].poly
-                assert entry.generator == product, (n, entry.ids)
+            products = {(): [1]}
+
+            def product(ids):
+                if ids not in products:
+                    products[ids] = z4_mul(product(ids[:-1]), table[ids[-1]].poly.coeffs)
+                return products[ids]
+
+            catalog = enumerate_lcd(n)
+            assert catalog.width == (1 if n <= 27 else 2)
+            for entry in catalog.entries:
+                assert entry.generator == Z4Poly(product(entry.ids)), (n, entry.ids)
 
     def test_one_product_per_entry(self, monkeypatch):
+        # entries are made from packed ints; Z4Poly products form the pair atoms only
         table = build_factor_table(127)
         pairs = sum(1 for r in table.records if r.kind == PAIR_FIRST)
         nsrf = count_nsrf(127)
@@ -155,7 +168,26 @@ class TestEnumerate:
         mul = Z4Poly.__mul__
         monkeypatch.setattr(Z4Poly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
         assert len(enumerate_lcd(127).entries) == 2 ** nsrf
-        assert len(calls) <= 2 ** nsrf - 1 + pairs
+        assert len(calls) <= pairs
+
+    def test_entries_built_once_from_rows(self):
+        catalog = enumerate_lcd(63)
+        assert "entries" not in vars(catalog)
+        entries = catalog.entries
+        assert entries is catalog.entries
+        assert type(entries) is tuple and len(entries) == len(catalog.rows)
+        for entry, (ids, _, count) in zip(entries, catalog.rows):
+            assert type(entry) is LcdEntry and type(entry.generator) is Z4Poly
+            assert entry.ids is ids and len(entry.generator.coeffs) == count
+
+    def test_rendering_builds_no_entries(self, monkeypatch, capsys):
+        # the text and --json forms read the packed rows, not Z4Poly entries
+        catalog = enumerate_lcd(63)
+        monkeypatch.setattr(lcdenum, "enumerate_lcd", lambda n: catalog)
+        for argv in (["enumerate-lcd", "63"], ["enumerate-lcd", "63", "--json"]):
+            assert cli.main(argv) == 0
+        assert capsys.readouterr().out
+        assert "entries" not in vars(catalog)
 
     def test_entries_sorted(self):
         for n in (7, 15, 21):

@@ -23,6 +23,7 @@ from schoolbook import (
     f2_mul,
     f2_rem,
     z4_add,
+    z4_mul,
 )
 
 
@@ -50,6 +51,13 @@ class TestNormalization:
         assert not Z4Poly.from_string("")
         assert Z4Poly.from_string("3,1,2,1").to_string() == "3,1,2,1"
         assert Z4Poly.zero().to_string() == ""
+
+    def test_text_is_the_joined_digits(self):
+        # the comma-filled text against the plain join, at lengths 0 to 300
+        rng = random.Random(2026)
+        for length in range(301):
+            coeffs = [rng.randrange(4) for _ in range(length - 1)] + [rng.randrange(1, 4)] * (length > 0)
+            assert z4(*coeffs).to_string() == ",".join(map(str, coeffs))
 
 
 class TestBytesForm:
@@ -113,20 +121,12 @@ class TestMul:
         assert Z4Poly.zero() * z4(2, 0, 3, 1) == Z4Poly.zero()
 
     def test_matches_schoolbook(self):
-        # the reference is the literal double loop over coefficient pairs
-        def schoolbook(a, b):
-            out = [0] * max(len(a) + len(b) - 1, 0)
-            for i, ca in enumerate(a):
-                for j, cb in enumerate(b):
-                    out[i + j] = (out[i + j] + ca * cb) % 4
-            return Z4Poly(out)
-
         rng = random.Random(20261018)
         for _ in range(400):
             a, b = ([rng.randrange(4) for _ in range(rng.randrange(0, 91))] for _ in range(2))
             if rng.random() < 0.5:  # top coefficient 2 on both: the top product cancels
                 a, b = a + [2], b + [2]
-            assert z4(*a) * z4(*b) == schoolbook(z4(*a).coeffs, z4(*b).coeffs)
+            assert z4(*a) * z4(*b) == Z4Poly(z4_mul(a, b))
 
     @pytest.mark.parametrize("length", [28, 29, 7281, 7282])
     def test_all_three_square_across_slot_widths(self, length):
