@@ -302,7 +302,7 @@ def graeffe_lift(bits: int) -> Z4Poly:
     even, odd = _pack(digits[0::2], width), _pack(digits[1::2], width)
     packed = even * even + (3 * odd * odd << 8 * width)  # e^2 + 3 X o^2, X one slot
     sign = _LOW_2_BITS if len(digits) % 2 else _NEG_LOW_2_BITS  # (-1)^deg
-    lifted = _unpack(packed, len(digits), width).translate(sign)
+    lifted = _unpack(packed, width).translate(sign)
     if lifted[-1] != 1:
         raise AssertionError("Graeffe lift is monic by the sign choice")
     return Z4Poly._of(lifted)

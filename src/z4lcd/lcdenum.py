@@ -8,9 +8,9 @@ there are 2^nsrf LCD codes, counted divisor-wise as
 
     nsrf = sum over n | N of gamma(n) if (n,2) good else beta(n).
 
-A catalog row is the sorted ids of the factors an entry takes, their
-product (the generator) packed as an int, and its coefficient count; each
-row is one big-int product of an earlier row and one atom, with nothing
+A catalog row is the sorted ids of the factors an entry takes and their
+product (the generator) packed as an int, made in catalog order, one
+big-int product of an earlier row and one atom, with no sort and nothing
 unpacked between products (see enumerate_lcd).  The catalog holds its
 factor table once, and builds Z4Poly entries only when they are asked for.
 catalog_rows gives each entry's ids, generator string and label, the
@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterator, NamedTuple, TextIO
 
 from . import codes, cyclotomic
@@ -48,20 +47,20 @@ class LcdEntry(NamedTuple):
 class LcdCatalog:
     """All cyclic LCD codes of one odd length; N is table.length.
 
-    Each row is (sorted ids, packed generator, coefficient count), the
-    generator packed with one coefficient in the low byte of each slot of
-    `width` bytes.
+    Each row is (sorted ids, packed generator), the generator packed with
+    one coefficient in the low byte of each slot of `width` bytes; it is
+    monic, so its top slot tells its coefficient count.
     """
 
     table: cyclotomic.FactorTable
     nsrf: int
-    rows: tuple[tuple[tuple[int, ...], int, int], ...]
+    rows: tuple[tuple[tuple[int, ...], int], ...]
     width: int
 
     @functools.cached_property  # built once; the frozen dataclass has a __dict__
     def entries(self) -> tuple[LcdEntry, ...]:
         w = self.width
-        return tuple(LcdEntry(ids, Z4Poly._of(_unpack(packed, count, w))) for ids, packed, count in self.rows)
+        return tuple(LcdEntry(ids, Z4Poly._of(_unpack(packed, w))) for ids, packed in self.rows)
 
 
 class LcdCensus(NamedTuple):
@@ -93,33 +92,34 @@ def _atoms(table: cyclotomic.FactorTable) -> list[tuple[int, ...]]:
 
 
 def enumerate_lcd(length: int) -> LcdCatalog:
-    """Catalog of every cyclic LCD code of the given odd length.
+    """Catalog of every cyclic LCD code of the given odd length, in catalog order.
 
-    One entry per subset of the reciprocal-closed atoms; the empty subset is
-    the whole ambient code (1) and the full subset is the zero code (0).
-    Starting from the empty subset, every atom in turn doubles the rows by
-    multiplying each generator so far by that atom's polynomial.  A
-    generator stays packed: the slot width w is the byte length of
-    9 * (N + 1), so no slot of a product of two divisors of X^N - 1
-    carries into the next (as in Z4Poly.__mul__), and one AND with the low
-    2 bits of every slot reduces the product mod 4.  Entries are sorted by
-    factor-set size, then by their sorted ids.
+    One entry per subset of the reciprocal-closed atoms, by factor-set size
+    and then sorted ids; the empty subset is the whole ambient code (1), the
+    full subset the zero code (0).  Each size keeps its rows in reverse
+    order; atoms come largest least id first, each extending the sizes top
+    down from the rows one atom smaller (a 0/1 knapsack), so nothing is sorted:
+    among sets of one size, those holding the atom's least id come first, and
+    adding fixed ids to sorted tuples of equal size keeps their lex order.
+    A generator stays packed in slots of w bytes, w the byte length of
+    9 * (N + 1), so no slot of a product of two divisors of X^N - 1 carries
+    (as in Z4Poly.__mul__); one AND with the low 2 bits of each slot is mod 4.
     """
     table = build_factor_table(length)
     atoms = _atoms(table)
     w = ((9 * (length + 1)).bit_length() + 7) // 8
     mod4 = _pack(b"\3" * (length + 1), w)
-    rows = [((), 1, 1)]
-    for atom in atoms:
+    by_size = [[((), 1)]] + [[] for _ in table.records]
+    for atom in reversed(atoms):
         atom_poly = table[atom[0]].poly
         if len(atom) == 2:
             atom_poly = atom_poly * table[atom[1]].poly
-        factor, degree = _pack(atom_poly.coeffs, w), len(atom_poly.coeffs) - 1
-        # a pair's partner can exceed a later atom's id, so sort again
-        rows += [(tuple(sorted(ids + atom)), packed * factor & mod4, count + degree) for ids, packed, count in rows]
-    rows.sort(key=itemgetter(0))
-    rows.sort(key=lambda row: len(row[0]))
-    return LcdCatalog(table, len(atoms), tuple(rows), w)
+        factor = _pack(atom_poly.coeffs, w)
+        for size in range(len(by_size) - 1, len(atom) - 1, -1):
+            by_size[size] += [(tuple(sorted(atom + ids)), packed * factor & mod4)
+                              for ids, packed in by_size[size - len(atom)]]
+    rows = tuple(row for size_rows in by_size for row in reversed(size_rows))
+    return LcdCatalog(table, len(atoms), rows, w)
 
 
 def all_partitions(table: cyclotomic.FactorTable):
@@ -138,12 +138,11 @@ def lcd_census(length: int) -> LcdCensus:
     (swept=None) when that count exceeds DEFAULT_SWEEP_BUDGET.
     """
     formula = 2 ** count_nsrf(length)
-    enumerated = len(enumerate_lcd(length).rows)
-    table = build_factor_table(length)
-    if 3 ** len(table.records) > DEFAULT_SWEEP_BUDGET:
-        return LcdCensus(formula, enumerated, None)
-    swept = sum(1 for spec in all_partitions(table) if hull_report(spec).lcd)
-    return LcdCensus(formula, enumerated, swept)
+    catalog = enumerate_lcd(length)
+    if 3 ** len(catalog.table.records) > DEFAULT_SWEEP_BUDGET:
+        return LcdCensus(formula, len(catalog.rows), None)
+    swept = sum(1 for spec in all_partitions(catalog.table) if hull_report(spec).lcd)
+    return LcdCensus(formula, len(catalog.rows), swept)
 
 
 def catalog_rows(catalog: LcdCatalog) -> Iterator[tuple[tuple[int, ...], str, str]]:
@@ -156,14 +155,14 @@ def catalog_rows(catalog: LcdCatalog) -> Iterator[tuple[tuple[int, ...], str, st
     labels = [factor_label(r) for r in catalog.table.records]
     everything = len(catalog.table)
     w = catalog.width
-    for ids, packed, count in catalog.rows:
+    for ids, packed in catalog.rows:
         if not ids:
             label = "(1)"
         elif len(ids) == everything:
             label = "(0)"
         else:
             label = "(" + "".join([labels[i] for i in ids]) + ")"
-        yield ids, _coeff_text(_unpack(packed, count, w)), label
+        yield ids, _coeff_text(_unpack(packed, w)), label
 
 
 _JSON_HEAD = '{\n  "N": %d,\n  "count": %d,\n  "entries": [\n'

@@ -60,9 +60,12 @@ def _pack(coeffs: bytes, width: int) -> int:
     return int.from_bytes(slots, "little")
 
 
-def _unpack(packed: int, count: int, width: int) -> bytes:
-    """The low bytes of the first `count` slots of `width` bytes of a packed int."""
-    return packed.to_bytes(count * width, "little")[::width]
+def _unpack(packed: int, width: int) -> bytes:
+    """The low byte of each slot of `width` bytes of a packed int, 0 giving b"".
+
+    The slot count is read off the bit length, so the top slot must not be 0.
+    """
+    return packed.to_bytes((packed.bit_length() + 7) // 8, "little")[::width]
 
 
 def _coeff_text(coeffs: bytes) -> str:
@@ -139,9 +142,7 @@ class Z4Poly:
         if not a or not b:
             return Z4Poly.zero()
         w = ((9 * min(len(a), len(b))).bit_length() + 7) // 8
-        slots = len(a) + len(b) - 1
-        product = _pack(a, w) * _pack(b, w)
-        low = _unpack(product, slots, w).translate(_LOW_2_BITS)
+        low = _unpack(_pack(a, w) * _pack(b, w), w).translate(_LOW_2_BITS)
         return Z4Poly._of(low.rstrip(b"\0"))
 
     def scale(self, unit: int) -> "Z4Poly":

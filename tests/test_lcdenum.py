@@ -176,9 +176,11 @@ class TestEnumerate:
         entries = catalog.entries
         assert entries is catalog.entries
         assert type(entries) is tuple and len(entries) == len(catalog.rows)
-        for entry, (ids, _, count) in zip(entries, catalog.rows):
+        for entry, (ids, packed) in zip(entries, catalog.rows):
             assert type(entry) is LcdEntry and type(entry.generator) is Z4Poly
-            assert entry.ids is ids and len(entry.generator.coeffs) == count
+            # the generator is monic, so the top slot of its packed int is its last coefficient
+            slots = -(-packed.bit_length() // (8 * catalog.width))
+            assert entry.ids is ids and len(entry.generator.coeffs) == slots
 
     def test_rendering_builds_no_entries(self, monkeypatch, capsys):
         # the text and --json forms read the packed rows, not Z4Poly entries
@@ -189,11 +191,14 @@ class TestEnumerate:
         assert capsys.readouterr().out
         assert "entries" not in vars(catalog)
 
-    def test_entries_sorted(self):
-        for n in (7, 15, 21):
-            entries = enumerate_lcd(n).entries
-            keys = [(len(e.ids), sorted(e.ids)) for e in entries]
-            assert keys == sorted(keys)
+    @pytest.mark.parametrize("n", [*range(1, 130, 2), 195])
+    def test_entries_sorted(self, n):
+        # rows are built in catalog order, not sorted; from N = 15 on a pair's
+        # partner id can lie beyond a later atom's least id (40 such at N = 195)
+        rows = enumerate_lcd(n).rows
+        assert all(len(row) == 2 and list(row[0]) == sorted(set(row[0])) for row in rows)
+        keys = [(len(ids), ids) for ids, _ in rows]
+        assert keys == sorted(set(keys))
 
     def test_entries_are_rows(self):
         # an entry is its sorted ids and its generator; the table is held once

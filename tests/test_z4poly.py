@@ -12,6 +12,8 @@ from z4lcd.z4poly import (
     _bits_gcd,
     _bits_rem,
     _bits_rems,
+    _pack,
+    _unpack,
     format_terms,
 )
 
@@ -127,6 +129,21 @@ class TestMul:
             if rng.random() < 0.5:  # top coefficient 2 on both: the top product cancels
                 a, b = a + [2], b + [2]
             assert z4(*a) * z4(*b) == Z4Poly(z4_mul(a, b))
+
+    def test_unpack_reads_every_slot(self):
+        # the slot count comes from the bit length: the raw product's top slot is
+        # a[-1] * b[-1] > 0, even when it is 2 * 2 = 0 mod 4
+        rng = random.Random(20261019)
+        assert _unpack(0, 1) == _unpack(0, 2) == b""
+        for _ in range(300):
+            a, b = (bytes(rng.randrange(4) for _ in range(rng.randrange(0, 40))) + bytes([rng.randrange(1, 4)])
+                    for _ in range(2))
+            if rng.random() < 0.3:
+                a, b = a[:-1] + b"\2", b[:-1] + b"\2"
+            width = ((9 * min(len(a), len(b))).bit_length() + 7) // 8 + rng.randrange(2)  # no carries
+            packed = _pack(a, width) * _pack(b, width)
+            slots = [packed >> 8 * width * k & (1 << 8 * width) - 1 for k in range(len(a) + len(b) - 1)]
+            assert _unpack(packed, width) == bytes(slot & 255 for slot in slots)
 
     @pytest.mark.parametrize("length", [28, 29, 7281, 7282])
     def test_all_three_square_across_slot_widths(self, length):
