@@ -6,13 +6,15 @@ order, integers only); the default is a human-readable rendering that
 displays polynomials in signed form (3 printed as -1).
 
 Exit codes: 0 on success, 1 when `verify` finds a mismatch, 2 for usage
-and validation errors.  Every validation error is a ValueError, which
-`main` prints as "error: <message>" on stderr.  `main` checks N once,
-before any command runs: N <= 0 prints "error: N must be a positive
-integer" and an even N "error: N must be odd".  `count-lcd` refuses a
-count 2^nsrf with more decimal digits than the interpreter converts to a
-string, before it builds the power.  The parser is built on the first
-call and serves every later call of the process.
+and validation errors, and 141 (128 + SIGPIPE) when the reader of stdout
+closes it early, as `| head` does, with nothing printed on stderr.  Every
+validation error is a ValueError, which `main` prints as "error:
+<message>" on stderr.  `main` checks N once, before any command runs:
+N <= 0 prints "error: N must be a positive integer" and an even N "error:
+N must be odd".  `count-lcd` refuses a count 2^nsrf with more decimal
+digits than the interpreter converts to a string, before it builds the
+power.  The parser is built on the first call and serves every later
+call of the process.
 
 Polynomial arguments are comma-separated ascending coefficient strings
 ("3,1" is X-1, "1" is the constant 1); signed input must be attached to its
@@ -27,6 +29,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from . import codes, cyclotomic, lcdenum
@@ -35,6 +38,7 @@ from .z4poly import Z4Poly, format_terms
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a tool that SIGPIPE ended
 
 
 def _emit_json(payload: dict) -> None:
@@ -61,7 +65,7 @@ def _parse_divisor_arg(text: str, table: cyclotomic.FactorTable) -> codes.Diviso
 def cmd_factor(args) -> int:
     table = cyclotomic.build_factor_table(args.N)
     if args.json:
-        _emit_json(cyclotomic.table_to_wire(table))
+        cyclotomic.write_table_json(table, sys.stdout)
         return EXIT_OK
     product = "".join(f"({format_terms(r.poly)})" for r in table.records)
     print(f"X^{args.N}-1 = {product}")
@@ -223,10 +227,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cyclotomic._require_odd(args.N)
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit; into the closed
+        # pipe that would raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

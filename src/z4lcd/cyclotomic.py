@@ -16,6 +16,10 @@ Each divisor n of N contributes a block of factors: gamma(n) self-reciprocal
 ones when (n, 2) is a good pair, beta(n) reciprocal pairs when bad, where
 gamma(n) = phi(n)/ord_n(2) and beta(n) = phi(n)/(2 ord_n(2)).  pair_classes
 sizes every block from one factorization of N and one of each p - 1, p | N.
+
+write_table_json writes the --json form of a table from fixed templates,
+byte for byte what json.dumps(..., indent=2, sort_keys=True) gives, without
+the encoder that indent forces into pure Python.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TextIO
 
 from .z4poly import (
     _LOW_2_BITS,
@@ -355,20 +360,27 @@ def factor_label(record: FactorRecord) -> str:
     return f"{stem}[{record.block_index},{record.divisor}]"
 
 
-def table_to_wire(table: FactorTable) -> dict:
-    """JSON-ready form of a factor table."""
-    return {
-        "N": table.length,
-        "records": [
-            {
-                "id": r.index,
-                "n": r.divisor,
-                "i": r.block_index,
-                "kind": r.kind,
-                "partner": r.partner,
-                "coset": list(r.coset),
-                "poly": r.poly.to_string(),
-            }
-            for r in table.records
-        ],
-    }
+_JSON_HEAD = '{\n  "N": %d,\n  "records": [\n'
+_JSON_RECORD = (
+    '    {\n      "coset": [\n        %s\n      ],\n      "i": %d,\n      "id": %d,\n'
+    '      "kind": "%s",\n      "n": %d,\n      "partner": %d,\n      "poly": "%s"\n    }'
+)
+_JSON_TAIL = "\n  ]\n}\n"
+_JSON_COSET_SEP = ",\n        "
+
+
+def write_table_json(table: FactorTable, out: TextIO) -> None:
+    """Write the table as json.dumps(..., indent=2, sort_keys=True) would.
+
+    Fixed templates stand in for the encoder, which runs in pure Python
+    whenever indent is set; keys are in sorted order, and kinds and
+    coefficient strings hold nothing that JSON escapes.  A table has at
+    least one record and a coset at least one member, so no list renders
+    as [].  The text is made whole and written once.
+    """
+    records = ",\n".join([
+        _JSON_RECORD % (_JSON_COSET_SEP.join(map(str, r.coset)), r.block_index, r.index,
+                        r.kind, r.divisor, r.partner, r.poly.to_string())
+        for r in table.records
+    ])
+    out.write(_JSON_HEAD % table.length + records + _JSON_TAIL)

@@ -20,8 +20,8 @@ encoding, L = N // 2 and H = N - L, so that its flat index is the encoding:
 
 On a 2-vCPU VM a `verify` sweep takes about 10 ms at N = 7 (27 partitions)
 and 25 ms at N = 9, under the default bound of 9; N = 11 and N = 13 (9
-partitions each) need a higher bound and take about 0.1 s and 2.5 s, at a
-peak RSS of 50 MB and 355 MB.  No bound admits a length above 16.
+partitions each) need a higher bound and take about 0.1 s and 1.9 s, at a
+peak RSS of 50 MB and 226 MB.  No bound admits a length above 16.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .z4poly import Z4Poly
 
 DEFAULT_BOUND = 9
 MAX_LENGTH = 16  # a word's encoding fits in uint32; N = 17 would need a 17 GB mask
+_SCATTER_CHUNK = 1 << 16  # words of the last expansion step made at a time, 256 KB
 
 
 def _check_bound(length: int, bound: int) -> None:
@@ -138,7 +139,10 @@ def expand_code(spec: CodeSpec, bound: int = DEFAULT_BOUND) -> CodeSet:
     A step in S adds nothing and is skipped (2g is in S + {0, g} only when
     it is in S); any other step t gives S + t disjoint from S.  So the span
     is listed as words beside its mask, and a step writes words[:k] ⊕ t,
-    ⊕ the digit-wise sum, into words[k:2k] and sets them in the mask.
+    ⊕ the digit-wise sum, into words[k:2k] and sets them in the mask.  The
+    list has room for half of Z4^N: a step that would overrun it is the
+    one that fills Z4^N, whose image is set in the mask chunk by chunk and
+    not listed, since no later step reads it.
     """
     length = spec.length
     _check_bound(length, bound)
@@ -147,16 +151,20 @@ def expand_code(spec: CodeSpec, bound: int = DEFAULT_BOUND) -> CodeSet:
     members = np.zeros((4 ** (length - low), 4**low), dtype=bool)
     flat = members.reshape(-1)
     flat[0] = True
-    # room for all of Z4^N from the zero word on; only pages the span fills are touched
-    words = np.zeros(4**length, dtype=np.uint32)
+    # room for half of Z4^N; only the pages the span fills are touched
+    half = 4**length // 2
+    words = np.zeros(half, dtype=np.uint32)
     size = 1
     ones = (4**length - 1) // 3  # digit 1 in every place
     for gen in map(encode_word, gens):
         for word in (gen, (gen & ones) << 1):  # g, then 2g: low bits moved up
             if flat[word]:
                 continue  # already in the span, adds nothing
-            image = _add_words(words[:size], np.uint32(word), out=words[size : 2 * size])
-            flat[image] = True
+            if size == half:
+                for start in range(0, size, _SCATTER_CHUNK):
+                    flat[_add_words(words[start : start + _SCATTER_CHUNK], np.uint32(word))] = True
+            else:
+                flat[_add_words(words[:size], np.uint32(word), out=words[size : 2 * size])] = True
             size *= 2
     return CodeSet(length, members, tuple(gens))
 

@@ -12,7 +12,9 @@ import pytest
 
 import z4lcd
 from z4lcd import DivisorSet, cli, divisor_poly
-from z4lcd.cyclotomic import build_factor_table, table_to_wire
+from z4lcd.cyclotomic import build_factor_table
+
+from test_cyclotomic import table_to_wire
 
 SRC = str(Path(z4lcd.__file__).resolve().parent.parent)
 
@@ -56,6 +58,24 @@ class TestFactor:
         assert parsed == table_to_wire(build_factor_table(7))
         rendered = json.dumps(parsed, indent=2, sort_keys=True)
         assert rendered == result.stdout.strip()
+
+    @pytest.mark.parametrize("n", [1, 1023, 1365, 2047, 3855, 4095, 4369, 4681, 5461, 8191])
+    def test_json_matches_the_indented_encoder_at_wide_lengths(self, n, capsys):
+        # the digest fixtures stop below 400; these N have 1 to 631 factors
+        assert cli.main(["factor", str(n), "--json"]) == 0
+        expected = json.dumps(table_to_wire(build_factor_table(n)), indent=2, sort_keys=True)
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_json_never_runs_the_pure_python_encoder(self, monkeypatch, capsys):
+        # json.dumps with indent set always goes through _make_iterencode
+        def refuse(*args, **kwargs):
+            raise AssertionError("pure-Python JSON encoder used")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        with pytest.raises(AssertionError):
+            json.dumps({"N": 1}, indent=2)
+        assert cli.main(["factor", "63", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["N"] == 63
 
     def test_json_flag_before_subcommand(self):
         assert json.loads(run_cli("--json", "factor", "7").stdout)["N"] == 7
@@ -356,6 +376,27 @@ class TestUsage:
 
     def test_missing_length(self):
         assert run_cli("factor").returncode == 2
+
+    @pytest.mark.parametrize("args", [("factor", "8191", "--json"), ("enumerate-lcd", "129", "--json")])
+    def test_reader_closing_the_pipe(self, args):
+        # as `| head -1` does: both outputs (228 KB and 632 KB) are larger
+        # than a pipe's buffer, so the writer is still writing when it closes.
+        # stdout is buffered, as by default: unbuffered, its text layer drops
+        # the rest of a write that the closed pipe cut short, without error
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen([sys.executable, "-m", "z4lcd", *args], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+            assert b"Traceback" not in proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
 
 
 class TestInProcess:

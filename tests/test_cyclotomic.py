@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import io
 import json
 import math
 import operator
@@ -26,7 +27,7 @@ from z4lcd.cyclotomic import (
     graeffe_lift,
     mult_order_of_2,
     pair_classes,
-    table_to_wire,
+    write_table_json,
 )
 from z4lcd.codes import hull_report
 from z4lcd.lcdenum import all_partitions
@@ -569,9 +570,31 @@ class TestFactorTable:
         assert maxsize is not None and maxsize >= 64
 
 
+def table_to_wire(table):
+    """The JSON-ready dict of a factor table: the reference for write_table_json."""
+    return {
+        "N": table.length,
+        "records": [
+            {
+                "id": r.index,
+                "n": r.divisor,
+                "i": r.block_index,
+                "kind": r.kind,
+                "partner": r.partner,
+                "coset": list(r.coset),
+                "poly": r.poly.to_string(),
+            }
+            for r in table.records
+        ],
+    }
+
+
 class TestWire:
     def test_schema(self):
-        wire = table_to_wire(build_factor_table(7))
+        out = io.StringIO()
+        write_table_json(build_factor_table(7), out)
+        wire = json.loads(out.getvalue())
+        assert wire == table_to_wire(build_factor_table(7))
         assert wire["N"] == 7
         assert [r["id"] for r in wire["records"]] == [0, 1, 2]
         first = wire["records"][0]
