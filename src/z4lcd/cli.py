@@ -7,8 +7,9 @@ displays polynomials in signed form (3 printed as -1).
 
 Exit codes: 0 on success, 1 when `verify` finds a mismatch, 2 for usage
 and validation errors, and 141 (128 + SIGPIPE) when the reader of stdout
-closes it early, as `| head` does, with nothing printed on stderr.  Every
-validation error is a ValueError, which `main` prints as "error:
+closes it early, as `| head` does, with nothing printed on stderr; for
+`factor --json` and `enumerate-lcd` that holds with stdout unbuffered too.
+Every validation error is a ValueError, which `main` prints as "error:
 <message>" on stderr.  `main` checks N once, before any command runs:
 N <= 0 prints "error: N must be a positive integer" and an even N "error:
 N must be odd".  `count-lcd` refuses a count 2^nsrf with more decimal
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import os
@@ -39,6 +41,33 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 141  # what a shell reports for a tool that SIGPIPE ended
+
+
+class _WholeWrites:
+    """Text sink over an unbuffered stdout whose cut-short writes finish or raise.
+
+    Unbuffered (python -u, PYTHONUNBUFFERED), stdout's text layer hands each
+    write to the raw file once and drops the count it returns, so a reader
+    that closes the pipe mid-write would truncate the output without error;
+    here the rest is written again, and the closed pipe raises
+    BrokenPipeError.
+    """
+
+    def __init__(self, stream):
+        self.raw, self.encoding, self.errors = stream.buffer, stream.encoding, stream.errors
+
+    def write(self, text: str) -> None:
+        view = memoryview(text.encode(self.encoding, self.errors))
+        while view:
+            view = view[self.raw.write(view):]
+
+
+def _stdout():
+    """sys.stdout, looked up at call time, or a _WholeWrites over it when it is unbuffered."""
+    out = sys.stdout
+    if isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        return _WholeWrites(out)
+    return out
 
 
 def _emit_json(payload: dict) -> None:
@@ -65,7 +94,7 @@ def _parse_divisor_arg(text: str, table: cyclotomic.FactorTable) -> codes.Diviso
 def cmd_factor(args) -> int:
     table = cyclotomic.build_factor_table(args.N)
     if args.json:
-        cyclotomic.write_table_json(table, sys.stdout)
+        cyclotomic.write_table_json(table, _stdout())
         return EXIT_OK
     product = "".join(f"({format_terms(r.poly)})" for r in table.records)
     print(f"X^{args.N}-1 = {product}")
@@ -118,13 +147,8 @@ def cmd_hull(args) -> int:
 
 
 def cmd_enumerate_lcd(args) -> int:
-    catalog = lcdenum.enumerate_lcd(args.N)
-    if args.json:
-        lcdenum.write_catalog_json(catalog, sys.stdout)
-        return EXIT_OK
-    print(f"N={args.N} nsrf={catalog.nsrf} count={len(catalog.rows)}")
-    for _, generator, label in lcdenum.catalog_rows(catalog):
-        print(f"  {label:<24} generator={generator}")
+    write = lcdenum.write_catalog_json if args.json else lcdenum.write_catalog_text
+    write(lcdenum.enumerate_lcd(args.N), _stdout())
     return EXIT_OK
 
 

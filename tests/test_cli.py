@@ -398,6 +398,27 @@ class TestUsage:
             proc.wait()
             proc.stderr.close()
 
+    @pytest.mark.parametrize("args", [("factor", "8191", "--json"),
+                                      ("enumerate-lcd", "129", "--json"), ("enumerate-lcd", "129")])
+    def test_reader_closing_an_unbuffered_pipe(self, args):
+        # unbuffered, stdout's text layer writes straight to the file and
+        # drops the count of a write that the closed pipe cut short; the
+        # output must not end truncated with exit 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "z4lcd", *args], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline() in (b"{\n", b"N=129 nsrf=11 count=2048\n")
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+            assert b"Traceback" not in proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+
 
 class TestInProcess:
     # one parser serves every call of a process, so no call may leave a

@@ -5,7 +5,7 @@ import pytest
 
 from z4lcd import cli, cyclotomic, lcdenum
 from z4lcd.codes import DivisorSet, divisor_poly, hull_report, reciprocal_set
-from z4lcd.cyclotomic import PAIR_FIRST, build_factor_table
+from z4lcd.cyclotomic import PAIR_FIRST, build_factor_table, factor_label
 from z4lcd.lcdenum import (
     DEFAULT_SWEEP_BUDGET,
     LcdCensus,
@@ -141,10 +141,11 @@ class TestEnumerate:
             assert enumerated == swept
 
     def test_generators_are_products_of_members(self):
-        # against the schoolbook product; the slot width is 1 byte up to
-        # N = 27 and 2 from N = 29, and 63 and 127 have many reciprocal
-        # pairs.  Products of id prefixes are kept, so each entry costs one
-        # schoolbook product by a factor
+        # against the schoolbook product; the slot width is 2 bytes at every
+        # N here (N <= 27 would fit in 1, but a rendered slot holds a digit
+        # and a comma), and 63 and 127 have many reciprocal pairs.  Products
+        # of id prefixes are kept, so each entry costs one schoolbook
+        # product by a factor
         for n in [*range(1, 64, 2), 127]:
             table = build_factor_table(n)
             products = {(): [1]}
@@ -155,7 +156,7 @@ class TestEnumerate:
                 return products[ids]
 
             catalog = enumerate_lcd(n)
-            assert catalog.width == (1 if n <= 27 else 2)
+            assert catalog.width == 2
             for entry in catalog.entries:
                 assert entry.generator == Z4Poly(product(entry.ids)), (n, entry.ids)
 
@@ -176,11 +177,11 @@ class TestEnumerate:
         entries = catalog.entries
         assert entries is catalog.entries
         assert type(entries) is tuple and len(entries) == len(catalog.rows)
-        for entry, (ids, packed) in zip(entries, catalog.rows):
+        for entry, (mask, packed) in zip(entries, catalog.rows):
             assert type(entry) is LcdEntry and type(entry.generator) is Z4Poly
             # the generator is monic, so the top slot of its packed int is its last coefficient
             slots = -(-packed.bit_length() // (8 * catalog.width))
-            assert entry.ids is ids and len(entry.generator.coeffs) == slots
+            assert entry.ids == catalog.ids(mask) and len(entry.generator.coeffs) == slots
 
     def test_rendering_builds_no_entries(self, monkeypatch, capsys):
         # the text and --json forms read the packed rows, not Z4Poly entries
@@ -194,11 +195,42 @@ class TestEnumerate:
     @pytest.mark.parametrize("n", [*range(1, 130, 2), 195])
     def test_entries_sorted(self, n):
         # rows are built in catalog order, not sorted; from N = 15 on a pair's
-        # partner id can lie beyond a later atom's least id (40 such at N = 195)
-        rows = enumerate_lcd(n).rows
-        assert all(len(row) == 2 and list(row[0]) == sorted(set(row[0])) for row in rows)
-        keys = [(len(ids), ids) for ids, _ in rows]
+        # partner id can lie beyond a later atom's least id (40 such at N = 195).
+        # A row is (atom mask, packed), and its ids come through the decoder
+        catalog = enumerate_lcd(n)
+        assert all(len(row) == 2 and 0 <= row[0] < 1 << catalog.nsrf for row in catalog.rows)
+        ids_of = [catalog.ids(mask) for mask, _ in catalog.rows]
+        assert all(list(ids) == sorted(set(ids)) for ids in ids_of)
+        keys = [(len(ids), ids) for ids in ids_of]
         assert keys == sorted(set(keys))
+
+    @pytest.mark.parametrize("n", [1, 7, 15, 21, 63, 127, 195])
+    def test_ids_decode_the_mask(self, n):
+        # atom k is bit k of a mask, atoms in order of least id; the decoder
+        # gives the sorted ids of the atoms a mask sets
+        catalog = enumerate_lcd(n)
+        assert catalog.atoms == sorted(catalog.atoms) and len(catalog.atoms) == catalog.nsrf
+        for mask, _ in catalog.rows:
+            assert catalog.ids(mask) == literal_ids(catalog, mask)
+
+    def test_text_tables_no_larger_than_the_catalog(self):
+        # each table holds one value per subset of its side's atoms, and a
+        # pair that straddles the cut is on both sides
+        straddled = 0
+        for n in range(1, 200, 2):
+            if count_nsrf(n) > 14:
+                continue
+            catalog = enumerate_lcd(n)
+            (low_mask, low), (high_mask, high) = lcdenum._text_tables(
+                catalog, [(i,) for i in range(len(catalog.table))], ())
+            assert len(low) <= len(catalog.rows) and len(high) <= len(catalog.rows), n
+            assert low_mask | high_mask == (1 << catalog.nsrf) - 1
+            straddled += bool(low_mask & high_mask)
+            for key, ids in [*low.items(), *high.items()]:
+                assert list(ids) == sorted(ids)
+            assert all(low_ids[-1] < high_ids[0] for low_ids in low.values() if low_ids
+                       for high_ids in high.values() if high_ids)
+        assert straddled > 0
 
     def test_entries_are_rows(self):
         # an entry is its sorted ids and its generator; the table is held once
@@ -233,6 +265,49 @@ class TestCensus:
         census = lcd_census(63)
         assert census.swept is None
         assert census.formula == census.enumerated == 2 ** count_nsrf(63)
+
+
+# every odd N < 64, where the slot width was 1 byte up to N = 27; 129 and
+# 195 fill 2 and 16 chunks of rows; at 7283 (nsrf = 2) the slots are 3 bytes
+WRITER_LENGTHS = [*range(1, 64, 2), 129, 195, 7283]
+
+
+def literal_ids(catalog, mask):
+    return tuple(sorted(i for k, atom in enumerate(catalog.atoms) if mask >> k & 1 for i in atom))
+
+
+def entry_label(catalog, ids):
+    if not ids:
+        return "(1)"
+    if len(ids) == len(catalog.table):
+        return "(0)"
+    return "(" + "".join(factor_label(catalog.table[i]) for i in ids) + ")"
+
+
+def reference_entries(catalog):
+    """(ids, generator string, label) of each entry: ids decoded bit by bit, the
+    generator from the Z4Poly view."""
+    return [(ids, entry.generator.to_string(), entry_label(catalog, ids))
+            for (mask, _), entry in zip(catalog.rows, catalog.entries)
+            for ids in [literal_ids(catalog, mask)]]
+
+
+def reference_json(catalog) -> str:
+    wire = {
+        "N": catalog.table.length,
+        "nsrf": catalog.nsrf,
+        "count": len(catalog.rows),
+        "entries": [{"f": list(ids), "generator": generator, "label": label}
+                    for ids, generator, label in reference_entries(catalog)],
+    }
+    return json.dumps(wire, indent=2, sort_keys=True) + "\n"
+
+
+def reference_text(catalog) -> str:
+    lines = [f"N={catalog.table.length} nsrf={catalog.nsrf} count={len(catalog.rows)}"]
+    lines += [f"  {label:<24} generator={generator}"
+              for _, generator, label in reference_entries(catalog)]
+    return "\n".join(lines) + "\n"
 
 
 def catalog_json(n: int) -> str:
@@ -325,6 +400,31 @@ class TestWire:
     def test_golden_json(self, n, text, capsys):
         assert cli.main(["enumerate-lcd", str(n), "--json"]) == 0
         assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("n", WRITER_LENGTHS)
+    def test_matches_the_encoder_on_the_entries(self, n):
+        # the wire form built entry by entry from the Z4Poly view
+        catalog = enumerate_lcd(n)
+        assert catalog.width == (3 if n == 7283 else 2)
+        assert catalog_json(n) == reference_json(catalog)
+
+    @pytest.mark.parametrize("n", WRITER_LENGTHS)
+    def test_text_form_matches_an_entry_loop(self, n, capsys):
+        assert cli.main(["enumerate-lcd", str(n)]) == 0
+        assert capsys.readouterr().out == reference_text(enumerate_lcd(n))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 255, 256])
+    def test_chunk_size_does_not_show(self, rows, monkeypatch):
+        # 256 entries at N = 63: the first and last rows land in chunks of
+        # every alignment
+        catalog = enumerate_lcd(63)
+        monkeypatch.setattr(lcdenum, "CHUNK_ROWS", rows)
+        json_out, text_out = io.StringIO(), io.StringIO()
+        write_catalog_json(catalog, json_out)
+        lcdenum.write_catalog_text(catalog, text_out)
+        assert json_out.getvalue() == reference_json(catalog)
+        assert text_out.getvalue() == reference_text(catalog)
+        assert list(catalog_rows(catalog)) == reference_entries(catalog)
 
     @pytest.mark.parametrize("n", [1, 7, 15, 63, 127])
     def test_matches_the_indented_encoder(self, n):
