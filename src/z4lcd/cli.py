@@ -32,6 +32,7 @@ import io
 import json
 import math
 import os
+import select
 import sys
 
 from . import codes, cyclotomic, lcdenum
@@ -50,7 +51,8 @@ class _WholeWrites:
     write to the raw file once and drops the count it returns, so a reader
     that closes the pipe mid-write would truncate the output without error;
     here the rest is written again, and the closed pipe raises
-    BrokenPipeError.
+    BrokenPipeError.  A non-blocking stdout whose pipe is full (the raw
+    write returns None) is waited on until it takes more.
     """
 
     def __init__(self, stream):
@@ -59,7 +61,11 @@ class _WholeWrites:
     def write(self, text: str) -> None:
         view = memoryview(text.encode(self.encoding, self.errors))
         while view:
-            view = view[self.raw.write(view):]
+            written = self.raw.write(view)
+            if written is None:
+                select.select([], [self.raw], [])
+            else:
+                view = view[written:]
 
 
 def _stdout():

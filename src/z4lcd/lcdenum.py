@@ -224,9 +224,9 @@ def _chunks(catalog: LcdCatalog) -> Iterator[tuple[list[int], list[str], list[st
     the front of each low value and ")" at the end of each high one.
     Adding the digit constant, '0' in the low byte of every slot and ','
     in the next, makes each slot of a packed generator the bytes of one
-    coefficient and its comma; the string is those bytes, zero bytes
-    dropped when w > 2, cut after the top coefficient, whose slot the bit
-    length tells.
+    coefficient and its comma; the string is those bytes less the zero
+    bytes (there are none when w = 2), cut after the top coefficient,
+    whose slot the bit length tells.
     """
     (low_mask, low), (high_mask, high) = _text_tables(
         catalog, [factor_label(r) for r in catalog.table.records], "")
@@ -240,13 +240,9 @@ def _chunks(catalog: LcdCatalog) -> Iterator[tuple[list[int], list[str], list[st
         chunk = rows[start:start + CHUNK_ROWS]
         masks = [mask for mask, _ in chunk]
         # a generator of degree d has bit length 8wd + 1 and text length 2d + 1
-        if w == 2:
-            generators = [(packed + digits).to_bytes(2 * slots, "little")
-                          [:(packed.bit_length() + 7) >> 3].decode() for _, packed in chunk]
-        else:
-            generators = [(packed + digits).to_bytes(w * slots, "little").replace(b"\0", b"")
-                          [:(packed.bit_length() - 1) // (4 * w) + 1].decode()
-                          for _, packed in chunk]
+        generators = [(packed + digits).to_bytes(w * slots, "little").replace(b"\0", b"")
+                      [:(packed.bit_length() - 1) // (4 * w) + 1].decode()
+                      for _, packed in chunk]
         labels = [low[mask & low_mask] + high[mask & high_mask] for mask in masks]
         if start == 0:
             labels[0] = "(1)"

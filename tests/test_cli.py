@@ -419,6 +419,35 @@ class TestUsage:
             proc.wait()
             proc.stderr.close()
 
+    @pytest.mark.parametrize("args", [("factor", "8191", "--json"), ("enumerate-lcd", "129", "--json")])
+    def test_slow_reader_of_a_non_blocking_unbuffered_pipe(self, args):
+        # a non-blocking stdout whose pipe is full takes nothing, and its raw
+        # write returns None: the writer must wait for the reader, neither
+        # dropping output nor spinning on the CPU meanwhile
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONUNBUFFERED"] = "1"
+        expected = subprocess.run([sys.executable, "-m", "z4lcd", *args], env=env,
+                                  capture_output=True, check=True).stdout
+
+        def cpu_seconds(pause):
+            read_end, write_end = os.pipe()
+            os.set_blocking(write_end, False)
+            proc = subprocess.Popen([sys.executable, "-m", "z4lcd", *args], env=env,
+                                    stdout=write_end, stderr=subprocess.DEVNULL)
+            os.close(write_end)
+            with open(read_end, "rb") as reader:
+                first = reader.read(1)
+                time.sleep(pause)
+                output = first + reader.read()
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            assert proc.returncode == 0
+            assert output == expected
+            return usage.ru_utime + usage.ru_stime
+
+        assert cpu_seconds(1.5) < cpu_seconds(0) + 0.75
+
 
 class TestInProcess:
     # one parser serves every call of a process, so no call may leave a
