@@ -1,10 +1,9 @@
 """Ground-truth brute force for small lengths.
 
 Codes are expanded as the additive span of the cyclic shifts of their two
-generators, duals are found by scanning Z4^N for vectors orthogonal to the
-spanning set that the expansion keeps, and hulls are literal
-intersections.  Nothing here touches the hull formula, so these results
-are an independent check of it.
+generators, duals are found by scanning Z4^N for vectors orthogonal to a
+spanning set, and hulls are literal intersections.  Nothing here touches
+the hull formula, so these results are an independent check of it.
 
 A word is identified with its base-4 integer encoding (digit i is the entry
 at position i), and a `CodeSet` holds one boolean membership mask over the
@@ -12,16 +11,27 @@ at position i), and a `CodeSet` holds one boolean membership mask over the
 encoding, L = N // 2 and H = N - L, so that its flat index is the encoding:
 
 - the expansion also lists the span's encodings, four bytes each, and adds
-  a generator step by their digit-wise sums with it, at O(|C|) a step;
+  a generator g by their digit-wise sums with g, 2g and 3g, at O(|C|) a
+  step;
 - the dual scan tests every ambient word against every spanning vector s,
   by x·s ≡ lo·s_lo + hi·s_hi (mod 4): a 4^L and a 4^H column of keys, each
-  packing the residues of up to 31 vectors, give the zero test for all of
+  packing the residues of up to 16 vectors, give the zero test for all of
   Z4^N in one broadcast comparison.
 
-On a 2-vCPU VM a `verify` sweep takes about 10 ms at N = 7 (27 partitions)
-and 25 ms at N = 9, under the default bound of 9; N = 11 and N = 13 (9
-partitions each) need a higher bound and take about 0.1 s and 1.9 s, at a
-peak RSS of 50 MB and 226 MB.  No bound admits a length above 16.
+A sweep shares this work among the 3^r partitions (f, g, h).  Their codes
+are spanned by the shifts of 2^r products f·g and 2^r products 2·f, and a
+code's dual is (f·g shifts)⊥ ∩ (2·f shifts)⊥, so Z4^N is scanned once per
+generator subset, 2^(r+1) times, and each dual is kept at one bit a word.
+The partitions that share h share the span of f·g: it is expanded once, and
+each partition extends it in place by its 2·f shifts, counts its size and
+hull, and clears the words it added.
+
+On a 2-vCPU VM the sweep takes about 3 ms at N = 7 (27 partitions) and
+10 ms at N = 9 in-process, under the default bound of 9.  N = 11 and N = 13
+(9 partitions each) need a higher bound: a whole `verify` process takes
+about 0.35 s wall at N = 11, 0.07 s of it the sweep, at a peak RSS of 45 MB,
+and about 1.5 s wall at N = 13, at 240 MB.  No bound admits a length above
+16.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CodeSpec, code_size, divisor_poly, hull_report, reciprocal_set, spec_to_wire
+from .codes import CodeSpec, DivisorSet, code_size, divisor_poly, hull_report, reciprocal_set, spec_to_wire
 from .cyclotomic import build_factor_table
 from .lcdenum import all_partitions
 from .z4poly import Z4Poly
@@ -39,6 +49,8 @@ from .z4poly import Z4Poly
 DEFAULT_BOUND = 9
 MAX_LENGTH = 16  # a word's encoding fits in uint32; N = 17 would need a 17 GB mask
 _SCATTER_CHUNK = 1 << 16  # words of the last expansion step made at a time, 256 KB
+_KEY_WIDTH = 16  # residues packed into one dual-scan key, two bits each: a uint32
+_COUNT_CHUNK = 1 << 20  # mask entries packed at a time when a hull is counted, 1 MB
 
 
 def _check_bound(length: int, bound: int) -> None:
@@ -61,12 +73,13 @@ class CodeSet:
     """A code as its membership mask, with a spanning set when one is known.
 
     mask is the (4^H, 4^L) boolean array whose flat index is the word's
-    encoding.  spanning holds the generator vectors that expand_code
-    spanned the code from; a dual has none, and dual_bruteforce refuses it.
+    encoding, or None for a code given by its spanning set alone, as the
+    sweep scans it.  spanning holds the generator vectors that the code was
+    spanned from; a dual has none, and dual_bruteforce refuses it.
     """
 
     length: int
-    mask: np.ndarray
+    mask: np.ndarray | None
     spanning: tuple[tuple[int, ...], ...] | None = None
 
     @property
@@ -85,20 +98,22 @@ def _vector_mod(poly: Z4Poly, length: int) -> tuple[int, ...]:
     return tuple(acc)
 
 
+def _shifts(poly: Z4Poly, length: int) -> list[tuple[int, ...]]:
+    """The distinct nonzero cyclic shifts of poly reduced mod X^N - 1."""
+    base = _vector_mod(poly, length)
+    vectors = []
+    for shift in range(length):
+        vec = base[-shift:] + base[:-shift] if shift else base
+        if any(vec) and vec not in vectors:
+            vectors.append(vec)
+    return vectors
+
+
 def spanning_vectors(spec: CodeSpec) -> list[tuple[int, ...]]:
     """All cyclic shifts of the two generators f·g and 2·f, deduped, nonzero."""
-    length = spec.length
-    fg = divisor_poly(spec.f_set | spec.g_set)
-    two_f = divisor_poly(spec.f_set).scale(2)
-    vectors = []
-    seen = set()
-    for base in (_vector_mod(fg, length), _vector_mod(two_f, length)):
-        for shift in range(length):
-            vec = base[-shift:] + base[:-shift] if shift else base
-            if any(vec) and vec not in seen:
-                seen.add(vec)
-                vectors.append(vec)
-    return vectors
+    fg = _shifts(divisor_poly(spec.f_set | spec.g_set), spec.length)
+    two_f = _shifts(divisor_poly(spec.f_set).scale(2), spec.length)
+    return fg + [vec for vec in two_f if vec not in fg]
 
 
 @functools.cache
@@ -119,54 +134,68 @@ def _add_words(a: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarray:
 
     Per digit: the XOR of the bits, with the carry of the low bits moved
     into the high bit and the carry of the high bit dropped.  With out
-    given, the sum is written there and no temporary is made.
+    given, the sum is written there, and the only temporary is the size of
+    b: the expansion's b is a column of a few steps.
     """
     carry_bits = a.dtype.type(((1 << 8 * a.dtype.itemsize) - 1) // 3)  # 0b0101…01
-    out = np.bitwise_and(a, b, out=out)
-    out &= carry_bits
+    out = np.bitwise_and(a, b & carry_bits, out=out)
     out <<= 1
     out ^= a
     out ^= b
     return out
 
 
-def expand_code(spec: CodeSpec, bound: int = DEFAULT_BOUND) -> CodeSet:
-    """Smallest codeword set closed under addition mod 4 and cyclic shift.
+def _zero_code(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of {0}, and a word list for _span with room for half of Z4^N.
 
-    Computed as the additive span of the shifts of the two generators; the
-    shift closure is automatic because the spanning set is shift-closed.
-    Adding a generator g maps the span S to S + {0, g}, then to S + {0, 2g}.
-    A step in S adds nothing and is skipped (2g is in S + {0, g} only when
-    it is in S); any other step t gives S + t disjoint from S.  So the span
-    is listed as words beside its mask, and a step writes words[:k] ⊕ t,
-    ⊕ the digit-wise sum, into words[k:2k] and sets them in the mask.  The
-    list has room for half of Z4^N: a step that would overrun it is the
+    The list is np.zeros, so only the pages a span fills are touched.
+    """
+    low = length // 2
+    members = np.zeros((4 ** (length - low), 4**low), dtype=bool)
+    members.flat[0] = True
+    return members, np.zeros(4**length // 2, dtype=np.uint32)
+
+
+def _span(flat: np.ndarray, words: np.ndarray, size: int, gens) -> int:
+    """Extend a span by the encoded generators gens; return its new size.
+
+    The span S is set in the flat mask and listed in words[:size].  Adding
+    a generator g maps it to S + {0, g, 2g, 3g}.  With g in S that adds
+    nothing; with only 2g in S it is S + {0, g}, two cosets; otherwise the
+    four cosets of 0, g, 2g and 3g are distinct.  So a step writes
+    words[:size] ⊕ t for each new t, ⊕ the digit-wise sum, after the list
+    and sets them in the mask.  A step that would overrun the list is the
     one that fills Z4^N, whose image is set in the mask chunk by chunk and
     not listed, since no later step reads it.
     """
-    length = spec.length
-    _check_bound(length, bound)
+    ones = (flat.size - 1) // 3  # digit 1 in every place
+    for gen in gens:
+        if flat[gen]:
+            continue  # already in the span, adds nothing
+        two = (gen & ones) << 1  # 2g: low bits moved up; g ⊕ 2g = g ^ 2g, no carry
+        steps = np.array([gen] if flat[two] else [gen, two, gen ^ two], dtype=words.dtype)[:, None]
+        grown = size * (1 + len(steps))
+        if grown > len(words):
+            for start in range(0, size, _SCATTER_CHUNK):
+                flat[_add_words(words[start : start + _SCATTER_CHUNK], steps)] = True
+        else:
+            flat[_add_words(words[:size], steps, out=words[size:grown].reshape(-1, size))] = True
+        size = grown
+    return size
+
+
+def expand_code(spec: CodeSpec, bound: int = DEFAULT_BOUND) -> CodeSet:
+    """Smallest codeword set closed under addition mod 4 and cyclic shift.
+
+    Computed as the additive span of the shifts of the two generators,
+    grown from {0} by _span; the shift closure is automatic because the
+    spanning set is shift-closed.
+    """
+    _check_bound(spec.length, bound)
     gens = spanning_vectors(spec)
-    low = length // 2
-    members = np.zeros((4 ** (length - low), 4**low), dtype=bool)
-    flat = members.reshape(-1)
-    flat[0] = True
-    # room for half of Z4^N; only the pages the span fills are touched
-    half = 4**length // 2
-    words = np.zeros(half, dtype=np.uint32)
-    size = 1
-    ones = (4**length - 1) // 3  # digit 1 in every place
-    for gen in map(encode_word, gens):
-        for word in (gen, (gen & ones) << 1):  # g, then 2g: low bits moved up
-            if flat[word]:
-                continue  # already in the span, adds nothing
-            if size == half:
-                for start in range(0, size, _SCATTER_CHUNK):
-                    flat[_add_words(words[start : start + _SCATTER_CHUNK], np.uint32(word))] = True
-            else:
-                flat[_add_words(words[:size], np.uint32(word), out=words[size : 2 * size])] = True
-            size *= 2
-    return CodeSet(length, members, tuple(gens))
+    members, words = _zero_code(spec.length)
+    _span(members.reshape(-1), words, 1, map(encode_word, gens))
+    return CodeSet(spec.length, members, tuple(gens))
 
 
 def dual_bruteforce(code: CodeSet, bound: int = DEFAULT_BOUND) -> CodeSet:
@@ -177,24 +206,29 @@ def dual_bruteforce(code: CodeSet, bound: int = DEFAULT_BOUND) -> CodeSet:
     without one, such as a dual, raises ValueError.  Every one of the 4^N
     ambient vectors x = hi·4^L + lo is tested against every spanning vector
     s: x·s ≡ 0 (mod 4) exactly when lo·s_lo ≡ -hi·s_hi.  The 2-bit residues
-    of up to 31 vectors are packed into one int64 key per half-table row,
+    of up to _KEY_WIDTH vectors are packed into one key per half-table row,
     so one broadcast comparison of a 4^H and a 4^L key column tests all of
-    Z4^N against all 31 at once.
+    Z4^N against all of them at once.  Keys are as narrow as the block
+    allows, since the comparison's time grows with their width.
     """
     length = code.length
     _check_bound(length, bound)
-    basis = code.spanning
-    if basis is None:
+    if code.spanning is None:
         raise ValueError("dual scan needs the code's spanning set, and this code has none")
+    basis = code.spanning or ((0,) * length,)  # every word is orthogonal to 0
     low = length // 2
     lo_digits, hi_digits = _digit_table(low), _digit_table(length - low)
-    orthogonal = np.ones((len(hi_digits), len(lo_digits)), dtype=bool)
-    for start in range(0, len(basis), 31):
-        block = np.array(basis[start : start + 31], dtype=np.int64).T
+    orthogonal = np.empty((len(hi_digits), len(lo_digits)), dtype=bool)
+    for start in range(0, len(basis), _KEY_WIDTH):
+        block = np.array(basis[start : start + _KEY_WIDTH], dtype=np.int64).T
         places = 4 ** np.arange(block.shape[1], dtype=np.int64)  # two bits a residue
-        lo_key = ((lo_digits @ block[:low]) & 3) @ places
-        hi_key = (-(hi_digits @ block[low:]) & 3) @ places
-        orthogonal &= hi_key[:, None] == lo_key
+        key = np.min_scalar_type(4 ** block.shape[1] - 1)
+        lo_key = (((lo_digits @ block[:low]) & 3) @ places).astype(key)
+        hi_key = ((-(hi_digits @ block[low:]) & 3) @ places).astype(key)
+        if start:
+            orthogonal &= hi_key[:, None] == lo_key
+        else:
+            np.equal(hi_key[:, None], lo_key, out=orthogonal)
     return CodeSet(length, orthogonal, None)
 
 
@@ -217,36 +251,103 @@ class SweepReport:
         return not self.mismatches
 
 
+def _perp_bits(length: int, vectors, bound: int) -> np.ndarray:
+    """The dual scan of a set of vectors, bit-packed in encoding order."""
+    return np.packbits(dual_bruteforce(CodeSet(length, None, tuple(vectors)), bound).mask)
+
+
+def _count_common(flat: np.ndarray, *packed: np.ndarray) -> int:
+    """Words set in the flat mask and in every bit-packed set, a chunk at a time."""
+    count = 0
+    for start in range(0, flat.size, _COUNT_CHUNK):
+        bits = np.packbits(flat[start : start + _COUNT_CHUNK])
+        for other in packed:
+            bits &= other[start // 8 : start // 8 + len(bits)]
+        count += np.count_nonzero(np.unpackbits(bits))
+    return count
+
+
+def _group_counts(length: int, bound: int, fg_vectors, fg_words, partitions) -> list[tuple[int, int]]:
+    """(hull size, code size) of each partition of one group (f ∪ g fixed).
+
+    fg_vectors and fg_words are the shifts of the group's f·g; each
+    partition is the words of its 2·f shifts and (2·f shifts)⊥ as bits.
+    The span of f·g is grown once, and each partition extends it in place
+    and then clears what it added.  (f·g shifts)⊥ is scanned before the
+    word list is touched, so the scan's mask and the list are never held
+    at once; partitions is read one at a time, so a dual that only it
+    holds is released once its partition is counted.
+    """
+    fg_perp = _perp_bits(length, fg_vectors, bound)
+    members, words = _zero_code(length)
+    flat = members.reshape(-1)
+    prefix = _span(flat, words, 1, fg_words)
+    counts = []
+    for two_f, two_f_perp in partitions:
+        size = _span(flat, words, prefix, two_f)
+        counts.append((_count_common(flat, fg_perp, two_f_perp), int(np.count_nonzero(flat))))
+        flat[words[prefix:size]] = False  # past the list's end when the span is Z4^N
+    return counts
+
+
 def sweep_verify(length: int, bound: int = DEFAULT_BOUND) -> SweepReport:
     """Check every (f, g, h) partition against the brute force.
 
     Per partition: the hull formula must match the brute-force hull size,
     the code-size formula must match the expanded codeword count, and the
     LCD verdict must coincide with (g empty and f reciprocal-closed).
+
+    The code of (f, g, h) is spanned by the shifts of f·g and 2·f, so its
+    dual is (f·g shifts)⊥ ∩ (2·f shifts)⊥, and each of those is the scan of
+    one generator subset: 2^(r+1) scans for the 3^r partitions.  The
+    partitions that share f ∪ g, and so h, form a group that shares the
+    expansion of f·g and its dual (_group_counts).
     """
     _check_bound(length, bound)
     table = build_factor_table(length)
+    specs = list(all_partitions(table))
+
+    def generator(poly):
+        vectors = _shifts(poly, length)
+        return vectors, [encode_word(vec) for vec in vectors]
+
+    products, doubles = {}, {}  # subset -> the shifts of its product, of twice it
+    groups = {}  # f ∪ g -> indices of its partitions, in all_partitions order
+    for index, spec in enumerate(specs):
+        f = spec.f_set.members
+        if f not in products:
+            poly = divisor_poly(spec.f_set)
+            products[f], doubles[f] = generator(poly), generator(poly.scale(2))
+        groups.setdefault(f | spec.g_set.members, []).append(index)
+    two_f_perps = {f: _perp_bits(length, vectors, bound) for f, (vectors, _) in doubles.items()}
+    counts = {}
+    # Groups by decreasing degree of f ∪ g, so no later group holds a
+    # superset of it, and the largest codes, with the longest word lists,
+    # come last.  A group's first partition has f = f ∪ g, whose dual of
+    # 2·f shifts no later partition needs: it is dropped once counted.
+    for subset in sorted(groups, key=lambda ids: -DivisorSet(table, ids).degree):
+        indices = groups[subset]
+        fs = [specs[i].f_set.members for i in indices]
+        partitions = ((doubles[f][1], two_f_perps.pop(f) if f == subset else two_f_perps[f]) for f in fs)
+        counts.update(zip(indices, _group_counts(length, bound, *products[subset], partitions)))
+
     mismatches = []
-    partitions = 0
     lcd_count = 0
 
     def check(spec, label, expected, got):
         if expected != got:
             mismatches.append(Mismatch(spec, f"{label}={expected}", f"{label}={got}"))
 
-    for spec in all_partitions(table):
-        partitions += 1
-        code = expand_code(spec, bound)
-        dual = dual_bruteforce(code, bound)
+    for index, spec in enumerate(specs):
+        hull, size = counts[index]
         report = hull_report(spec)
-        check(spec, "hullSize", report.hull_size, np.count_nonzero(code.mask & dual.mask))
-        check(spec, "codeSize", code_size(spec), len(code))
-        del code, dual  # not held while the next partition expands
+        check(spec, "hullSize", report.hull_size, hull)
+        check(spec, "codeSize", code_size(spec), size)
         f_closed = reciprocal_set(spec.f_set).members == spec.f_set.members
         check(spec, "lcd", f_closed and not spec.g_set.members, report.lcd)
         if report.lcd:
             lcd_count += 1
-    return SweepReport(length, partitions, tuple(mismatches), lcd_count)
+    return SweepReport(length, len(specs), tuple(mismatches), lcd_count)
 
 
 def sweep_to_wire(report: SweepReport) -> dict:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -14,6 +15,7 @@ from z4lcd.cyclotomic import build_factor_table
 from z4lcd.lcdenum import all_partitions
 from z4lcd.oracle import (
     CodeSet,
+    Mismatch,
     dual_bruteforce,
     encode_word,
     expand_code,
@@ -22,6 +24,8 @@ from z4lcd.oracle import (
     sweep_to_wire,
     _add_words,
     _check_bound,
+    _span,
+    _zero_code,
     _vector_mod,
 )
 from z4lcd.z4poly import Z4Poly
@@ -147,6 +151,28 @@ class TestExpandCode:
             assert {w[-1:] + w[:-1] for w in expected} == expected  # closed under shift
             assert set(vectors(expand_code(spec))) == expected
 
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_span_matches_worklist_closure_in_any_order(self, length):
+        # random generator lists, with repeats, multiples and zero, so that
+        # steps of one and of three cosets, skipped steps and a last step of
+        # either kind that fills Z4^N unlisted all occur
+        rng = random.Random(length)
+        pool = [decode_word(w, length) for w in range(4**length)]
+        for trial in range(60):
+            gens = [rng.choice(pool) for _ in range(rng.randrange(1, 2 * length + 2))]
+            if trial % 3 == 0:
+                gens = [tuple(2 * d % 4 for d in g) for g in gens] + gens  # doubles first
+            members, words = _zero_code(length)
+            size = _span(members.reshape(-1), words, 1, map(encode_word, gens))
+            expected = {(0,) * length}  # the additive span alone, no shifts
+            for g in gens:
+                for _ in range(3):
+                    expected |= {tuple((a + b) % 4 for a, b in zip(w, g)) for w in expected}
+            assert size == len(expected)
+            assert {decode_word(w, length) for w in np.flatnonzero(members).tolist()} == expected
+            if size <= len(words):
+                assert sorted(words[:size].tolist()) == sorted(map(encode_word, expected))
+
     def test_bound_enforced(self):
         table = build_factor_table(11)
         with pytest.raises(ValueError, match="exceeds brute-force bound 9"):
@@ -212,15 +238,18 @@ class TestDualBruteforce:
                 full = CodeSet(length, code.mask, tuple(vectors(code)))
                 assert set(vectors(dual_bruteforce(full))) == expected
 
-    @pytest.mark.parametrize("count", [31, 32, 62])
+    @pytest.mark.parametrize("count", [4, 8, 16, 17, 31, 32, 62])
     def test_packed_chunk_boundaries(self, count):
-        # 31 residues fill one int64 key.  Fillers come from the span of e0
-        # and 2e1, and the unit vectors e1..e4 sit at the first and last place
-        # of each chunk, so a vector dropped from any of those changes the dual
+        # _KEY_WIDTH residues fill one key, whose dtype is as narrow as its
+        # block (4, 8 and 16 residues fill a uint8, uint16 and uint32).
+        # Fillers come from the span of e0 and 2e1, and the unit vectors
+        # e1..e4 sit at the first and last place of the first two chunks, so
+        # a vector dropped from any of those changes the dual
+        width = oracle._KEY_WIDTH
         rng = random.Random(count)
         basis = [(rng.randrange(4), 2 * rng.randrange(2), 0, 0, 0) for _ in range(count)]
         units = iter([(0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
-        for place in sorted({0, 30, min(31, count - 1), count - 1}):
+        for place in sorted({0, min(width, count) - 1, min(width, count - 1), count - 1}):
             basis[place] = next(units)
         mask = np.zeros((4**3, 4**2), dtype=bool)
         dual = dual_bruteforce(CodeSet(5, mask, tuple(basis)))
@@ -323,6 +352,37 @@ class TestSweepVerify:
     def test_bound_error(self):
         with pytest.raises(ValueError, match="length 11 exceeds brute-force bound 9"):
             sweep_verify(11)
+
+    @pytest.mark.parametrize("length", [1, 3, 5, 7, 9])
+    def test_wrong_formulas_mismatch_every_partition_in_order(self, length, monkeypatch):
+        # the brute-force side of every partition, against expand_code and
+        # dual_bruteforce run on that partition alone
+        real_hull, real_size = oracle.hull_report, oracle.code_size
+        off_by_one = lambda spec: dataclasses.replace(real_hull(spec), hull_size=real_hull(spec).hull_size + 1)
+        monkeypatch.setattr(oracle, "hull_report", off_by_one)
+        monkeypatch.setattr(oracle, "code_size", lambda spec: real_size(spec) + 1)
+        expected = []
+        for spec in all_partitions(build_factor_table(length)):
+            code = expand_code(spec)
+            hull = np.count_nonzero(code.mask & dual_bruteforce(code).mask)
+            expected.append(Mismatch(spec, f"hullSize={real_hull(spec).hull_size + 1}", f"hullSize={hull}"))
+            expected.append(Mismatch(spec, f"codeSize={real_size(spec) + 1}", f"codeSize={len(code)}"))
+        assert sweep_verify(length).mismatches == tuple(expected)
+
+    @pytest.mark.parametrize("length", [7, 9])
+    def test_one_scan_per_generator_subset(self, length, monkeypatch):
+        # 3^r partitions, but only 2^r products f·g and 2^r products 2·f
+        # to scan; a second sweep must not see state left by the first
+        scans = []
+        real = oracle.dual_bruteforce
+        monkeypatch.setattr(oracle, "dual_bruteforce", lambda code, bound: scans.append(code) or real(code, bound))
+        r = len(build_factor_table(length).records)
+        first = sweep_verify(length)
+        assert (first.partitions, first.ok, r) == (27, True, 3)
+        assert 0 < len(scans) <= 2 ** (r + 1)
+        scans.clear()
+        assert sweep_verify(length) == first
+        assert 0 < len(scans) <= 2 ** (r + 1)
 
     def test_wire_form(self):
         wire = sweep_to_wire(sweep_verify(3))
