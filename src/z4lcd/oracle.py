@@ -11,8 +11,7 @@ at position i), and a `CodeSet` holds one boolean membership mask over the
 encoding, L = N // 2 and H = N - L, so that its flat index is the encoding:
 
 - the expansion also lists the span's encodings, four bytes each, and adds
-  a generator g by their digit-wise sums with g, 2g and 3g, at O(|C|) a
-  step;
+  a generator step by their digit-wise sums with it, at O(|C|) a step;
 - the dual scan tests every ambient word against every spanning vector s,
   by x·s ≡ lo·s_lo + hi·s_hi (mod 4): a 4^L and a 4^H column of keys, each
   packing the residues of up to 16 vectors, give the zero test for all of
@@ -135,7 +134,7 @@ def _add_words(a: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarray:
     Per digit: the XOR of the bits, with the carry of the low bits moved
     into the high bit and the carry of the high bit dropped.  With out
     given, the sum is written there, and the only temporary is the size of
-    b: the expansion's b is a column of a few steps.
+    b, which the expansion gives as one word.
     """
     carry_bits = a.dtype.type(((1 << 8 * a.dtype.itemsize) - 1) // 3)  # 0b0101…01
     out = np.bitwise_and(a, b & carry_bits, out=out)
@@ -160,27 +159,25 @@ def _span(flat: np.ndarray, words: np.ndarray, size: int, gens) -> int:
     """Extend a span by the encoded generators gens; return its new size.
 
     The span S is set in the flat mask and listed in words[:size].  Adding
-    a generator g maps it to S + {0, g, 2g, 3g}.  With g in S that adds
-    nothing; with only 2g in S it is S + {0, g}, two cosets; otherwise the
-    four cosets of 0, g, 2g and 3g are distinct.  So a step writes
-    words[:size] ⊕ t for each new t, ⊕ the digit-wise sum, after the list
-    and sets them in the mask.  A step that would overrun the list is the
-    one that fills Z4^N, whose image is set in the mask chunk by chunk and
-    not listed, since no later step reads it.
+    a generator g maps S to S + {0, g}, then to S + {0, 2g}.  A step in S
+    adds nothing and is skipped (2g is in S + {0, g} only when it is in S);
+    any other step t gives S + t disjoint from S.  So a step writes
+    words[:k] ⊕ t, ⊕ the digit-wise sum, into words[k:2k] and sets them in
+    the mask.  The list has room for half of Z4^N: a step that would
+    overrun it is the one that fills Z4^N, whose image is set in the mask
+    chunk by chunk and not listed, since no later step reads it.
     """
     ones = (flat.size - 1) // 3  # digit 1 in every place
     for gen in gens:
-        if flat[gen]:
-            continue  # already in the span, adds nothing
-        two = (gen & ones) << 1  # 2g: low bits moved up; g ⊕ 2g = g ^ 2g, no carry
-        steps = np.array([gen] if flat[two] else [gen, two, gen ^ two], dtype=words.dtype)[:, None]
-        grown = size * (1 + len(steps))
-        if grown > len(words):
-            for start in range(0, size, _SCATTER_CHUNK):
-                flat[_add_words(words[start : start + _SCATTER_CHUNK], steps)] = True
-        else:
-            flat[_add_words(words[:size], steps, out=words[size:grown].reshape(-1, size))] = True
-        size = grown
+        for word in (gen, (gen & ones) << 1):  # g, then 2g: low bits moved up
+            if flat[word]:
+                continue  # already in the span, adds nothing
+            if size == len(words):
+                for start in range(0, size, _SCATTER_CHUNK):
+                    flat[_add_words(words[start : start + _SCATTER_CHUNK], np.uint32(word))] = True
+            else:
+                flat[_add_words(words[:size], np.uint32(word), out=words[size : 2 * size])] = True
+            size *= 2
     return size
 
 

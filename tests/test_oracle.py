@@ -154,8 +154,8 @@ class TestExpandCode:
     @pytest.mark.parametrize("length", [1, 2, 3])
     def test_span_matches_worklist_closure_in_any_order(self, length):
         # random generator lists, with repeats, multiples and zero, so that
-        # steps of one and of three cosets, skipped steps and a last step of
-        # either kind that fills Z4^N unlisted all occur
+        # skipped steps, listed steps and a last step that fills Z4^N
+        # unlisted all occur, from g and from 2g
         rng = random.Random(length)
         pool = [decode_word(w, length) for w in range(4**length)]
         for trial in range(60):
