@@ -25,11 +25,11 @@ The partitions that share h share the span of f·g: it is expanded once, and
 each partition extends it in place by its 2·f shifts, counts its size and
 hull, and clears the words it added.
 
-On a 2-vCPU VM the sweep takes about 3 ms at N = 7 (27 partitions) and
-10 ms at N = 9 in-process, under the default bound of 9.  N = 11 and N = 13
+On a 2-vCPU VM the sweep takes about 2.5 ms at N = 7 (27 partitions) and
+9 ms at N = 9 in-process, under the default bound of 9.  N = 11 and N = 13
 (9 partitions each) need a higher bound: a whole `verify` process takes
-about 0.35 s wall at N = 11, 0.07 s of it the sweep, at a peak RSS of 45 MB,
-and about 1.5 s wall at N = 13, at 240 MB.  No bound admits a length above
+about 0.35 s wall at N = 11, 0.06 s of it the sweep, at a peak RSS of 45 MB,
+and about 1.6 s wall at N = 13, at 240 MB.  No bound admits a length above
 16.
 """
 

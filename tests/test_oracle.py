@@ -152,7 +152,7 @@ class TestExpandCode:
             assert set(vectors(expand_code(spec))) == expected
 
     @pytest.mark.parametrize("length", [1, 2, 3])
-    def test_span_matches_worklist_closure_in_any_order(self, length):
+    def test_span_matches_a_literal_closure_in_any_order(self, length):
         # random generator lists, with repeats, multiples and zero, so that
         # skipped steps, listed steps and a last step that fills Z4^N
         # unlisted all occur, from g and from 2g
