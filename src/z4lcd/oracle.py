@@ -198,9 +198,9 @@ def expand_code(spec: CodeSpec, bound: int = DEFAULT_BOUND) -> CodeSet:
 def dual_bruteforce(code: CodeSet, bound: int = DEFAULT_BOUND) -> CodeSet:
     """Every ambient vector orthogonal (dot product mod 4) to the code.
 
-    Checks orthogonality against the spanning set that expand_code stored,
-    which suffices because every codeword is a Z4-combination of it; a code
-    without one, such as a dual, raises ValueError.  Every one of the 4^N
+    Checks orthogonality against the code's spanning set, which expand_code
+    stores and which suffices because every codeword is a Z4-combination of
+    it; a code without one, such as a dual, raises ValueError.  Every one of the 4^N
     ambient vectors x = hi·4^L + lo is tested against every spanning vector
     s: x·s ≡ 0 (mod 4) exactly when lo·s_lo ≡ -hi·s_hi.  The 2-bit residues
     of up to _KEY_WIDTH vectors are packed into one key per half-table row,
