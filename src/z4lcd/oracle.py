@@ -1,20 +1,22 @@
 """Ground-truth brute force for small lengths.
 
 Codes are expanded as the additive span of the cyclic shifts of their two
-generators, duals are found by scanning Z4^N for vectors orthogonal to a
+generators, duals are found by scanning Z4^N for words orthogonal to a
 spanning set, and hulls are literal intersections.  Nothing here touches
 the hull formula, so these results are an independent check of it.
 
-A word is identified with its base-4 integer encoding (digit i is the entry
-at position i), and a `CodeSet` holds one boolean membership mask over the
+A word is held as one base-4 integer, digit i the entry at position i,
+from a generator's shifts to the dual scan: a generator is folded mod
+X^N - 1 into that form, shifted by rotating it and doubled by moving each
+digit's low bit up.  A `CodeSet` holds one boolean membership mask over the
 4^N ambient words, shaped (4^H, 4^L) by the split x = hi·4^L + lo of the
 encoding, L = N // 2 and H = N - L, so that its flat index is the encoding:
 
 - the expansion also lists the span's encodings, four bytes each, and adds
   a generator step by their digit-wise sums with it, at O(|C|) a step;
-- the dual scan tests every ambient word against every spanning vector s,
+- the dual scan tests every ambient word against every spanning word s,
   by x·s ≡ lo·s_lo + hi·s_hi (mod 4): a 4^L and a 4^H column of keys, each
-  packing the residues of up to 16 vectors, give the zero test for all of
+  packing the residues of up to 16 words, give the zero test for all of
   Z4^N in one broadcast comparison.
 
 A sweep shares this work among the 3^r partitions (f, g, h).  Their codes
@@ -59,60 +61,64 @@ def _check_bound(length: int, bound: int) -> None:
         raise ValueError(f"length {length} exceeds brute-force bound {bound}")
 
 
-def encode_word(vector) -> int:
-    """Base-4 integer encoding of a residue vector."""
-    value = 0
-    for digit in reversed(vector):
-        value = (value << 2) | (digit & 3)
-    return value
-
-
 @dataclass(frozen=True, eq=False)
 class CodeSet:
     """A code as its membership mask, with a spanning set when one is known.
 
     mask is the (4^H, 4^L) boolean array whose flat index is the word's
     encoding, or None for a code given by its spanning set alone, as the
-    sweep scans it.  spanning holds the generator vectors that the code was
-    spanned from; a dual has none, and dual_bruteforce refuses it.
+    sweep scans it; such a code has no words or size to report, and raises
+    ValueError when asked.  spanning holds the encodings of the generator
+    words that the code was spanned from; a dual has none, and
+    dual_bruteforce refuses it.
     """
 
     length: int
     mask: np.ndarray | None
-    spanning: tuple[tuple[int, ...], ...] | None = None
+    spanning: tuple[int, ...] | None = None
+
+    def _members(self) -> np.ndarray:
+        if self.mask is None:
+            raise ValueError("this code is given by its spanning set alone and has no mask")
+        return self.mask
 
     @property
     def words(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.mask).tolist())
+        return frozenset(np.flatnonzero(self._members()).tolist())
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        return int(np.count_nonzero(self._members()))
 
 
-def _vector_mod(poly: Z4Poly, length: int) -> tuple[int, ...]:
-    """Coefficient vector of poly reduced mod X^N - 1 (fold exponents mod N)."""
-    acc = [0] * length
+def _shift_words(poly: Z4Poly, length: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The distinct nonzero cyclic shifts of w and of 2w, w = poly mod X^N - 1.
+
+    Digit i of the word w sums the coefficients of the exponents ≡ i
+    (mod N).  The shift by X^s is (w << 2s | w >> 2(N - s)) mod 4^N, and
+    2w moves the low bit of every digit up, as in _span.
+    """
+    full = 4**length - 1
+    digits = [0] * length
     for k, c in enumerate(poly.coeffs):
-        acc[k % length] = (acc[k % length] + c) % 4
-    return tuple(acc)
+        digits[k % length] += c
+    word = sum((d & 3) << 2 * i for i, d in enumerate(digits))
+    found = []
+    for w in (word, (word & full // 3) << 1):
+        shifts = dict.fromkeys((w << 2 * s | w >> 2 * (length - s)) & full for s in range(length))
+        found.append(tuple(x for x in shifts if x))
+    return tuple(found)
 
 
-def _shifts(poly: Z4Poly, length: int) -> list[tuple[int, ...]]:
-    """The distinct nonzero cyclic shifts of poly reduced mod X^N - 1."""
-    base = _vector_mod(poly, length)
-    vectors = []
-    for shift in range(length):
-        vec = base[-shift:] + base[:-shift] if shift else base
-        if any(vec) and vec not in vectors:
-            vectors.append(vec)
-    return vectors
+def spanning_words(spec: CodeSpec) -> tuple[int, ...]:
+    """All cyclic shifts of the two generators f·g and 2·f as words, deduped, nonzero."""
+    fg, _ = _shift_words(divisor_poly(spec.f_set | spec.g_set), spec.length)
+    _, two_f = _shift_words(divisor_poly(spec.f_set), spec.length)
+    return tuple(dict.fromkeys(fg + two_f))
 
 
-def spanning_vectors(spec: CodeSpec) -> list[tuple[int, ...]]:
-    """All cyclic shifts of the two generators f·g and 2·f, deduped, nonzero."""
-    fg = _shifts(divisor_poly(spec.f_set | spec.g_set), spec.length)
-    two_f = _shifts(divisor_poly(spec.f_set).scale(2), spec.length)
-    return fg + [vec for vec in two_f if vec not in fg]
+def _digits(words: np.ndarray, count: int) -> np.ndarray:
+    """Row j holds the lowest count base-4 digits of words[j], digit 0 first."""
+    return (words[:, None] >> (2 * np.arange(count, dtype=np.int64))) & 3
 
 
 @functools.cache
@@ -122,8 +128,7 @@ def _digit_table(count: int) -> np.ndarray:
     Built once per count; a count is at most MAX_LENGTH / 2 = 8, so all the
     tables held come to under 6 MB.
     """
-    index = np.arange(4**count, dtype=np.int64)
-    table = (index[:, None] >> (2 * np.arange(count, dtype=np.int64))) & 3
+    table = _digits(np.arange(4**count, dtype=np.int64), count)
     table.flags.writeable = False
     return table
 
@@ -189,21 +194,22 @@ def expand_code(spec: CodeSpec, bound: int = DEFAULT_BOUND) -> CodeSet:
     spanning set is shift-closed.
     """
     _check_bound(spec.length, bound)
-    gens = spanning_vectors(spec)
+    gens = spanning_words(spec)
     members, words = _zero_code(spec.length)
-    _span(members.reshape(-1), words, 1, map(encode_word, gens))
-    return CodeSet(spec.length, members, tuple(gens))
+    _span(members.reshape(-1), words, 1, gens)
+    return CodeSet(spec.length, members, gens)
 
 
 def dual_bruteforce(code: CodeSet, bound: int = DEFAULT_BOUND) -> CodeSet:
-    """Every ambient vector orthogonal (dot product mod 4) to the code.
+    """Every ambient word orthogonal (dot product mod 4) to the code.
 
     Checks orthogonality against the code's spanning set, which expand_code
     stores and which suffices because every codeword is a Z4-combination of
-    it; a code without one, such as a dual, raises ValueError.  Every one of the 4^N
-    ambient vectors x = hi·4^L + lo is tested against every spanning vector
-    s: x·s ≡ 0 (mod 4) exactly when lo·s_lo ≡ -hi·s_hi.  The 2-bit residues
-    of up to _KEY_WIDTH vectors are packed into one key per half-table row,
+    it; a code without one, such as a dual, raises ValueError.  Every one of
+    the 4^N ambient words x = hi·4^L + lo is tested against every spanning
+    word s: x·s ≡ 0 (mod 4) exactly when lo·s_lo ≡ -hi·s_hi, the digits of
+    s read by _digits as the tables' are.  The 2-bit residues of up to
+    _KEY_WIDTH words are packed into one key per half-table row,
     so one broadcast comparison of a 4^H and a 4^L key column tests all of
     Z4^N against all of them at once.  Keys are as narrow as the block
     allows, since the comparison's time grows with their width.
@@ -212,12 +218,12 @@ def dual_bruteforce(code: CodeSet, bound: int = DEFAULT_BOUND) -> CodeSet:
     _check_bound(length, bound)
     if code.spanning is None:
         raise ValueError("dual scan needs the code's spanning set, and this code has none")
-    basis = code.spanning or ((0,) * length,)  # every word is orthogonal to 0
+    basis = code.spanning or (0,)  # every word is orthogonal to 0
     low = length // 2
     lo_digits, hi_digits = _digit_table(low), _digit_table(length - low)
     orthogonal = np.empty((len(hi_digits), len(lo_digits)), dtype=bool)
     for start in range(0, len(basis), _KEY_WIDTH):
-        block = np.array(basis[start : start + _KEY_WIDTH], dtype=np.int64).T
+        block = _digits(np.array(basis[start : start + _KEY_WIDTH], dtype=np.int64), length).T
         places = 4 ** np.arange(block.shape[1], dtype=np.int64)  # two bits a residue
         key = np.min_scalar_type(4 ** block.shape[1] - 1)
         lo_key = (((lo_digits @ block[:low]) & 3) @ places).astype(key)
@@ -248,9 +254,9 @@ class SweepReport:
         return not self.mismatches
 
 
-def _perp_bits(length: int, vectors, bound: int) -> np.ndarray:
-    """The dual scan of a set of vectors, bit-packed in encoding order."""
-    return np.packbits(dual_bruteforce(CodeSet(length, None, tuple(vectors)), bound).mask)
+def _perp_bits(length: int, words, bound: int) -> np.ndarray:
+    """The dual scan of a set of words, bit-packed in encoding order."""
+    return np.packbits(dual_bruteforce(CodeSet(length, None, words), bound).mask)
 
 
 def _count_common(flat: np.ndarray, *packed: np.ndarray) -> int:
@@ -264,18 +270,18 @@ def _count_common(flat: np.ndarray, *packed: np.ndarray) -> int:
     return count
 
 
-def _group_counts(length: int, bound: int, fg_vectors, fg_words, partitions) -> list[tuple[int, int]]:
+def _group_counts(length: int, bound: int, fg_words, partitions) -> list[tuple[int, int]]:
     """(hull size, code size) of each partition of one group (f ∪ g fixed).
 
-    fg_vectors and fg_words are the shifts of the group's f·g; each
-    partition is the words of its 2·f shifts and (2·f shifts)⊥ as bits.
+    fg_words are the shifts of the group's f·g; each partition is the
+    words of its 2·f shifts and (2·f shifts)⊥ as bits.
     The span of f·g is grown once, and each partition extends it in place
     and then clears what it added.  (f·g shifts)⊥ is scanned before the
     word list is touched, so the scan's mask and the list are never held
     at once; partitions is read one at a time, so a dual that only it
     holds is released once its partition is counted.
     """
-    fg_perp = _perp_bits(length, fg_vectors, bound)
+    fg_perp = _perp_bits(length, fg_words, bound)
     members, words = _zero_code(length)
     flat = members.reshape(-1)
     prefix = _span(flat, words, 1, fg_words)
@@ -303,20 +309,14 @@ def sweep_verify(length: int, bound: int = DEFAULT_BOUND) -> SweepReport:
     _check_bound(length, bound)
     table = build_factor_table(length)
     specs = list(all_partitions(table))
-
-    def generator(poly):
-        vectors = _shifts(poly, length)
-        return vectors, [encode_word(vec) for vec in vectors]
-
     products, doubles = {}, {}  # subset -> the shifts of its product, of twice it
     groups = {}  # f ∪ g -> indices of its partitions, in all_partitions order
     for index, spec in enumerate(specs):
         f = spec.f_set.members
         if f not in products:
-            poly = divisor_poly(spec.f_set)
-            products[f], doubles[f] = generator(poly), generator(poly.scale(2))
+            products[f], doubles[f] = _shift_words(divisor_poly(spec.f_set), length)
         groups.setdefault(f | spec.g_set.members, []).append(index)
-    two_f_perps = {f: _perp_bits(length, vectors, bound) for f, (vectors, _) in doubles.items()}
+    two_f_perps = {f: _perp_bits(length, words, bound) for f, words in doubles.items()}
     counts = {}
     # Groups by decreasing degree of f ∪ g, so no later group holds a
     # superset of it, and the largest codes, with the longest word lists,
@@ -325,8 +325,8 @@ def sweep_verify(length: int, bound: int = DEFAULT_BOUND) -> SweepReport:
     for subset in sorted(groups, key=lambda ids: -DivisorSet(table, ids).degree):
         indices = groups[subset]
         fs = [specs[i].f_set.members for i in indices]
-        partitions = ((doubles[f][1], two_f_perps.pop(f) if f == subset else two_f_perps[f]) for f in fs)
-        counts.update(zip(indices, _group_counts(length, bound, *products[subset], partitions)))
+        partitions = ((doubles[f], two_f_perps.pop(f) if f == subset else two_f_perps[f]) for f in fs)
+        counts.update(zip(indices, _group_counts(length, bound, products[subset], partitions)))
 
     mismatches = []
     lcd_count = 0

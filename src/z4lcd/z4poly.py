@@ -145,10 +145,6 @@ class Z4Poly:
         low = _unpack(_pack(a, w) * _pack(b, w), w).translate(_LOW_2_BITS)
         return Z4Poly._of(low.rstrip(b"\0"))
 
-    def scale(self, unit: int) -> "Z4Poly":
-        """Multiply every coefficient by an integer (reduced mod 4)."""
-        return Z4Poly(unit * c for c in self.coeffs)
-
     def divmod_monic(self, divisor: "Z4Poly") -> tuple["Z4Poly", "Z4Poly"]:
         """Long division by a monic divisor; returns (quotient, remainder).
 

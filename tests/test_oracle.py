@@ -17,23 +17,59 @@ from z4lcd.oracle import (
     CodeSet,
     Mismatch,
     dual_bruteforce,
-    encode_word,
     expand_code,
-    spanning_vectors,
+    spanning_words,
     sweep_verify,
     sweep_to_wire,
     _add_words,
     _check_bound,
+    _shift_words,
     _span,
     _zero_code,
-    _vector_mod,
 )
 from z4lcd.z4poly import Z4Poly
+
+
+def encode_word(vector):
+    """Base-4 integer encoding of a residue vector, position i at digit i."""
+    value = 0
+    for digit in reversed(vector):
+        value = (value << 2) | (digit & 3)
+    return value
 
 
 def decode_word(value, length):
     """Residue vector of a base-4 word encoding, digit i at position i."""
     return tuple((value >> (2 * k)) & 3 for k in range(length))
+
+
+def fold(poly, length):
+    """Coefficient vector of poly mod X^N - 1: exponent k adds into position k mod N."""
+    acc = [0] * length
+    for k, c in enumerate(poly.coeffs):
+        acc[k % length] = (acc[k % length] + c) % 4
+    return tuple(acc)
+
+
+def double(vector):
+    return tuple(2 * d % 4 for d in vector)
+
+
+def rotations(vector):
+    """The distinct nonzero cyclic shifts X^s·v, s = 0, 1, ..., N - 1, in that order."""
+    found = []
+    for shift in range(len(vector)):
+        vec = vector[-shift:] + vector[:-shift] if shift else vector
+        if any(vec) and vec not in found:
+            found.append(vec)
+    return found
+
+
+def tuple_spanning(spec):
+    """The spanning vectors of a partition's code, by the tuple route: shifts of f·g, then of 2·f."""
+    fg = rotations(fold(divisor_poly(spec.f_set | spec.g_set), spec.length))
+    two_f = rotations(double(fold(divisor_poly(spec.f_set), spec.length)))
+    return fg + [vec for vec in two_f if vec not in fg]
 
 
 def vectors(code):
@@ -93,6 +129,15 @@ class TestEncoding:
         for vec in itertools.product(range(4), repeat=3):
             assert decode_word(encode_word(vec), 3) == vec
 
+    @pytest.mark.parametrize("length", [1, 3, 16])
+    def test_digits_decode_each_word(self, length):
+        # the oracle's one decoder, for the digit tables and the dual scan's
+        # spanning words alike; N = 16 sets the top bit of a uint32
+        rng = random.Random(length)
+        words = [0, 4**length - 1] + [rng.randrange(4**length) for _ in range(100)]
+        got = oracle._digits(np.array(words, dtype=np.int64), length)
+        assert [tuple(row) for row in got.tolist()] == [decode_word(w, length) for w in words]
+
 
 class TestAddWords:
     @pytest.mark.parametrize("length", [1, 2, 15, 16])
@@ -114,12 +159,37 @@ class TestAddWords:
 
 
 class TestVectorMod:
+    """A polynomial mod X^N - 1, its shifts and their doubles, each held as a word."""
+
     def test_folds_high_exponents(self):
-        # 2(X^3 - 1) at length 3 folds to zero
-        assert _vector_mod(Z4Poly.x_pow_minus_one(3).scale(2), 3) == (0, 0, 0)
+        # X^3 - 1 at length 3 folds to zero, and so does its double
+        assert _shift_words(Z4Poly.x_pow_minus_one(3), 3) == ((), ())
 
     def test_plain_coefficients(self):
-        assert _vector_mod(Z4Poly([1, 2]), 3) == (1, 2, 0)
+        # 1 + 2X: its shifts at length 3, and 2 + 0X, whose shifts are X^s·2
+        assert _shift_words(Z4Poly([1, 2]), 3) == (
+            (encode_word((1, 2, 0)), encode_word((0, 1, 2)), encode_word((2, 0, 1))),
+            (encode_word((2, 0, 0)), encode_word((0, 2, 0)), encode_word((0, 0, 2))),
+        )
+
+    @pytest.mark.parametrize("length", range(1, 17))
+    def test_matches_tuple_fold_rotations_and_double(self, length):
+        # random polynomials of degree N to 3N, so exponents fold once or
+        # more, all-even ones, whose doubles vanish, the zero polynomial,
+        # and X^N - 1, which folds to zero
+        rng = random.Random(length)
+        polys = [Z4Poly(), Z4Poly.x_pow_minus_one(length)]
+        for _ in range(20):
+            degree = rng.randrange(length, 3 * length + 1)
+            coeffs = [rng.randrange(4) for _ in range(degree)] + [rng.randrange(1, 4)]
+            polys += [Z4Poly(coeffs), Z4Poly(2 * c for c in coeffs)]
+        for poly in polys:
+            base = fold(poly, length)
+            expected = (rotations(base), rotations(double(base)))
+            got = _shift_words(poly, length)
+            assert tuple([decode_word(w, length) for w in words] for words in got) == expected
+            if not any(c % 2 for c in poly.coeffs):
+                assert got[1] == ()
 
 
 class TestExpandCode:
@@ -143,8 +213,9 @@ class TestExpandCode:
     def test_matches_worklist_closure(self, length):
         table = build_factor_table(length)
         for spec in all_partitions(table):
-            fg = _vector_mod(divisor_poly(spec.f_set | spec.g_set), length)
-            two_f = _vector_mod(divisor_poly(spec.f_set).scale(2), length)
+            # the tuple fold and doubling, apart from the oracle's words
+            fg = fold(divisor_poly(spec.f_set | spec.g_set), length)
+            two_f = double(fold(divisor_poly(spec.f_set), length))
             expected = worklist_closure([fg, two_f], length)
             expected_other = worklist_closure([two_f, fg], length, lifo=False)
             assert expected == expected_other  # strategy independence
@@ -179,6 +250,22 @@ class TestExpandCode:
             expand_code(CodeSpec.of(table, f=table.ids(), g=set()))
 
 
+class TestCodeSet:
+    def test_a_code_without_mask_reports_no_words_or_size(self):
+        # the sweep scans codes given by their spanning words alone; such a
+        # code must not pass for the empty set
+        code = CodeSet(3, None, (encode_word((1, 0, 0)),))
+        with pytest.raises(ValueError, match="no mask"):
+            len(code)
+        with pytest.raises(ValueError, match="no mask"):
+            code.words
+        assert len(dual_bruteforce(code)) == 4**2  # x with x_0 = 0
+
+    def test_a_code_with_mask_reports_its_words(self):
+        code = expand_code(CodeSpec.of(build_factor_table(3), f=set(), g={0}))
+        assert len(code) == len(code.words) == np.count_nonzero(code.mask)
+
+
 class TestDualBruteforce:
     def test_dual_of_ambient_at_length_one(self):
         table = build_factor_table(1)
@@ -210,7 +297,7 @@ class TestDualBruteforce:
         table = build_factor_table(3)
         for spec in all_partitions(table):
             code = expand_code(spec)
-            full = CodeSet(code.length, code.mask, tuple(vectors(code)))
+            full = CodeSet(code.length, code.mask, tuple(code.words))
             assert dual_bruteforce(code).words == dual_bruteforce(full).words
 
     def test_refuses_a_code_without_spanning_set(self):
@@ -232,10 +319,10 @@ class TestDualBruteforce:
         table = build_factor_table(length)
         for spec in all_partitions(table):
             code = expand_code(spec)
-            expected = literal_dual(code.spanning, length)
+            expected = literal_dual([decode_word(w, length) for w in code.spanning], length)
             assert set(vectors(dual_bruteforce(code))) == expected
             if length <= 3:
-                full = CodeSet(length, code.mask, tuple(vectors(code)))
+                full = CodeSet(length, code.mask, tuple(code.words))
                 assert set(vectors(dual_bruteforce(full))) == expected
 
     @pytest.mark.parametrize("count", [4, 8, 16, 17, 31, 32, 62])
@@ -252,7 +339,7 @@ class TestDualBruteforce:
         for place in sorted({0, min(width, count) - 1, min(width, count - 1), count - 1}):
             basis[place] = next(units)
         mask = np.zeros((4**3, 4**2), dtype=bool)
-        dual = dual_bruteforce(CodeSet(5, mask, tuple(basis)))
+        dual = dual_bruteforce(CodeSet(5, mask, tuple(map(encode_word, basis))))
         assert set(vectors(dual)) == literal_dual(basis, 5)
 
     def test_order_reversing_on_chain(self):
@@ -390,14 +477,21 @@ class TestSweepVerify:
 
 
 class TestSpanningVectors:
+    """The shifts of a partition's two generators, held as words."""
+
     def test_shift_closed_and_nonzero(self):
         table = build_factor_table(5)
         for spec in all_partitions(table):
-            gens = spanning_vectors(spec)
+            gens = [decode_word(w, 5) for w in spanning_words(spec)]
             assert all(any(v) for v in gens)
             as_set = set(gens)
             for v in gens:
                 assert v[-1:] + v[:-1] in as_set or len(as_set) == 0
+
+    @pytest.mark.parametrize("length", [1, 3, 5, 7, 9])
+    def test_matches_the_tuple_route(self, length):
+        for spec in all_partitions(build_factor_table(length)):
+            assert [decode_word(w, length) for w in spanning_words(spec)] == tuple_spanning(spec)
 
 
 class TestLengthLimit:
