@@ -10,12 +10,12 @@ and validation errors, and 141 (128 + SIGPIPE) when the reader of stdout
 closes it early, as `| head` does, with nothing printed on stderr; for
 `factor --json` and `enumerate-lcd` that holds with stdout unbuffered too.
 Every validation error is a ValueError, which `main` prints as "error:
-<message>" on stderr.  `main` checks N once, before any command runs:
-N <= 0 prints "error: N must be a positive integer" and an even N "error:
-N must be odd".  `count-lcd` refuses a count 2^nsrf with more decimal
-digits than the interpreter converts to a string, before it builds the
-power.  The parser is built on the first call and serves every later
-call of the process.
+<message>" on stderr.  `main` checks N and --config once, before any
+command runs: N <= 0 prints "error: N must be a positive integer" and an
+even N "error: N must be odd".  `count-lcd` refuses a count 2^nsrf with
+more decimal digits than the interpreter converts to a string, before it
+builds the power.  The parser is built on the first call and serves
+every later call of the process.
 
 Polynomial arguments are comma-separated ascending coefficient strings
 ("3,1" is X-1, "1" is the constant 1); signed input must be attached to its
@@ -178,7 +178,7 @@ def cmd_verify(args) -> int:
 
     bound = args.max_bruteforce
     if bound is None:
-        bound = _config_bound(args.config)
+        bound = args.config_bound
     if bound is None:
         bound = oracle.DEFAULT_BOUND
     report = oracle.sweep_verify(args.N, bound)
@@ -257,6 +257,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cyclotomic._require_odd(args.N)
+        args.config_bound = _config_bound(args.config)
         code = args.run(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code

@@ -331,23 +331,19 @@ def build_factor_table(length: int) -> FactorTable:
     lifted = [graeffe_lift(bits) for bits in mod2]
     coset_of = {s: idx for idx, coset in enumerate(cosets) for s in coset}
 
-    self_counter: dict[int, int] = {}
-    pair_counter: dict[int, int] = {}
+    # one count per n-block: it holds only self-reciprocal factors or only pairs
+    blocks: dict[int, int] = {}
     records: list[FactorRecord] = []
     for idx, (coset, poly) in enumerate(zip(cosets, lifted)):
         divisor = length // math.gcd(length, coset[0])
         partner = coset_of[-coset[0] % length]
         if lifted[partner] != poly.reciprocal():
             raise AssertionError("reciprocal of a factor is the factor of the negated coset")
-        if partner == idx:
-            kind = SELF_RECIPROCAL
-            block = self_counter[divisor] = self_counter.get(divisor, 0) + 1
-        elif idx < partner:
-            kind = PAIR_FIRST
-            block = pair_counter[divisor] = pair_counter.get(divisor, 0) + 1
+        if idx <= partner:
+            kind = SELF_RECIPROCAL if idx == partner else PAIR_FIRST
+            block = blocks[divisor] = blocks.get(divisor, 0) + 1
         else:
-            kind = PAIR_SECOND
-            block = records[partner].block_index
+            kind, block = PAIR_SECOND, records[partner].block_index
         records.append(
             FactorRecord(idx, poly, mod2[idx], divisor, block, kind, partner, coset)
         )

@@ -12,13 +12,13 @@ A catalog row is the atom mask of an entry (atom k sets bit k, atoms in
 order of least id) and its product (the generator) packed as an int, made
 in catalog order, one big-int product of an earlier row and one atom, with
 no sort and nothing unpacked between products (see enumerate_lcd).  The
-catalog holds its factor table once, reads ids off a mask through one
-decoder (LcdCatalog.ids), and builds Z4Poly entries only when they are
-asked for.
+catalog holds its factor table and its atoms once (nsrf is their count),
+reads ids off a mask from the atoms (LcdCatalog.ids), and builds Z4Poly
+entries only when they are asked for.
 The text form (write_catalog_text), the --json form (write_catalog_json)
-and catalog_rows render the rows a chunk at a time.  An entry's ids and
-label are two lookups in text tables made once per catalog, one for the
-ids below a cut and one for the rest, and its generator string is one
+and catalog_rows render the rows a chunk at a time.  An entry's id text
+and label are two lookups in string tables made once per catalog, one for
+the ids below a cut and one for the rest, and its generator string is one
 to_bytes of the packed int plus a digit constant.  --json is byte for byte
 what json.dumps(..., indent=2, sort_keys=True) gives, without the encoder
 that indent forces into pure Python.
@@ -52,23 +52,23 @@ class LcdEntry(NamedTuple):
 class LcdCatalog:
     """All cyclic LCD codes of one odd length; N is table.length.
 
-    Each row is (mask, packed): bit k of the mask is set when the entry
-    takes atom k (see atoms), and packed is the generator with one
-    coefficient in the low byte of each slot of `width` >= 2 bytes; it is
-    monic, so its top slot tells its coefficient count.
+    atoms are the reciprocal-closed atoms as id tuples, in order of least
+    id, and nsrf is their count.  Each row is (mask, packed): bit k of the
+    mask is set when the entry takes atoms[k], and packed is the generator
+    with one coefficient in the low byte of each slot of `width` >= 2
+    bytes; it is monic, so its top slot tells its coefficient count.
     """
 
     table: cyclotomic.FactorTable
-    nsrf: int
+    atoms: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[int, int], ...]
     width: int
 
-    # cached properties are built once; the frozen dataclass has a __dict__
-    @functools.cached_property
-    def atoms(self) -> list[tuple[int, ...]]:
-        """The reciprocal-closed atoms as id tuples; mask bit k is atoms[k]."""
-        return _atoms(self.table)
+    @property
+    def nsrf(self) -> int:
+        return len(self.atoms)
 
+    # cached properties are built once; the frozen dataclass has a __dict__
     @functools.cached_property
     def _sides(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """(id, atom bit) of the ids below the cut and of the rest, largest id first.
@@ -86,14 +86,9 @@ class LcdCatalog:
         ids = sorted(((i, 1 << k) for k, atom in enumerate(atoms) for i in atom), reverse=True)
         return [row for row in ids if row[0] < cut], [row for row in ids if row[0] >= cut]
 
-    @functools.cached_property
-    def _id_tables(self):
-        return _text_tables(self, [(i,) for i in range(len(self.table))], ())
-
     def ids(self, mask: int) -> tuple[int, ...]:
         """The sorted factor ids of the atoms that a row's mask sets."""
-        (low_mask, low), (high_mask, high) = self._id_tables
-        return low[mask & low_mask] + high[mask & high_mask]
+        return tuple(sorted(i for k, atom in enumerate(self.atoms) if mask >> k & 1 for i in atom))
 
     @functools.cached_property
     def entries(self) -> tuple[LcdEntry, ...]:
@@ -119,7 +114,7 @@ def count_nsrf(length: int) -> int:
     return sum(pc.block for pc in cyclotomic.pair_classes(length))
 
 
-def _atoms(table: cyclotomic.FactorTable) -> list[tuple[int, ...]]:
+def _atoms(table: cyclotomic.FactorTable) -> tuple[tuple[int, ...], ...]:
     """Reciprocal-closed atoms as id tuples, ordered by smallest id."""
     atoms = []
     for record in table.records:
@@ -127,7 +122,7 @@ def _atoms(table: cyclotomic.FactorTable) -> list[tuple[int, ...]]:
             atoms.append((record.index,))
         elif record.index < record.partner:
             atoms.append((record.index, record.partner))
-    return atoms
+    return tuple(atoms)
 
 
 def enumerate_lcd(length: int) -> LcdCatalog:
@@ -162,7 +157,7 @@ def enumerate_lcd(length: int) -> LcdCatalog:
             by_size[size] += [(mask | bit, packed * factor & mod4)
                               for mask, packed in by_size[size - len(atom)]]
     rows = tuple(row for size_rows in by_size for row in reversed(size_rows))
-    return LcdCatalog(table, len(atoms), rows, w)
+    return LcdCatalog(table, atoms, rows, w)
 
 
 def all_partitions(table: cyclotomic.FactorTable):
@@ -188,7 +183,7 @@ def lcd_census(length: int) -> LcdCensus:
     return LcdCensus(formula, len(catalog.rows), swept)
 
 
-def _text_tables(catalog: LcdCatalog, pieces, empty):
+def _text_tables(catalog: LcdCatalog, pieces: list[str]):
     """((low mask, low table), (high mask, high table)) for the pieces of ids.
 
     Each table maps mask & its side's mask (see LcdCatalog._sides) to the
@@ -199,7 +194,7 @@ def _text_tables(catalog: LcdCatalog, pieces, empty):
     """
     tables = []
     for side in catalog._sides:
-        values = {0: empty}
+        values = {0: ""}
         seen = 0
         # ids from the largest down, each piece put in front: a pair's
         # larger id adds its atom to every value, its smaller one extends those
@@ -219,9 +214,10 @@ def _text_tables(catalog: LcdCatalog, pieces, empty):
 def _chunks(catalog: LcdCatalog) -> Iterator[tuple[list[int], list[str], list[str]]]:
     """(masks, generator strings, labels) of the rows, CHUNK_ROWS at a time.
 
-    The label is (1) for the whole ambient code, (0) for the zero code and
-    otherwise the factor labels in id order, from text tables with "(" at
-    the front of each low value and ")" at the end of each high one.
+    The label is (1) for the whole ambient code (mask 0), (0) for the zero
+    code (every atom set) and otherwise the factor labels in id order, from
+    text tables with "(" at the front of each low value and ")" at the end
+    of each high one.
     Adding the digit constant, '0' in the low byte of every slot and ','
     in the next, makes each slot of a packed generator the bytes of one
     coefficient and its comma; the string is those bytes less the zero
@@ -229,7 +225,7 @@ def _chunks(catalog: LcdCatalog) -> Iterator[tuple[list[int], list[str], list[st
     whose slot the bit length tells.
     """
     (low_mask, low), (high_mask, high) = _text_tables(
-        catalog, [factor_label(r) for r in catalog.table.records], "")
+        catalog, [factor_label(r) for r in catalog.table.records])
     low = {key: "(" + value for key, value in low.items()}
     high = {key: value + ")" for key, value in high.items()}
     w = catalog.width
@@ -244,9 +240,9 @@ def _chunks(catalog: LcdCatalog) -> Iterator[tuple[list[int], list[str], list[st
                       [:(packed.bit_length() - 1) // (4 * w) + 1].decode()
                       for _, packed in chunk]
         labels = [low[mask & low_mask] + high[mask & high_mask] for mask in masks]
-        if start == 0:
+        if masks[0] == 0:
             labels[0] = "(1)"
-        if start + len(chunk) == len(rows):
+        if masks[-1] == (1 << catalog.nsrf) - 1:
             labels[-1] = "(0)"
         yield masks, generators, labels
 
@@ -287,7 +283,7 @@ def write_catalog_json(catalog: LcdCatalog, out: TextIO) -> None:
     """
     out.write(_JSON_HEAD % (catalog.table.length, len(catalog.rows)))
     (low_mask, low), (high_mask, high) = _text_tables(
-        catalog, [_JSON_ID % i for i in range(len(catalog.table))], "")
+        catalog, [_JSON_ID % i for i in range(len(catalog.table))])
     alone = {key: "[" + value[1:] + _JSON_ID_LIST_END if key else "[]"
              for key, value in high.items()}
     low = {key: "[" + value[1:] for key, value in low.items()}

@@ -32,7 +32,7 @@ On a 2-vCPU VM the sweep takes about 2.5 ms at N = 7 (27 partitions) and
 (9 partitions each) need a higher bound: a whole `verify` process takes
 about 0.35 s wall at N = 11, 0.06 s of it the sweep, at a peak RSS of 45 MB,
 and about 1.6 s wall at N = 13, at 240 MB.  No bound admits a length above
-16.
+13 (see MAX_LENGTH).
 """
 
 from __future__ import annotations
@@ -48,7 +48,9 @@ from .lcdenum import all_partitions
 from .z4poly import Z4Poly
 
 DEFAULT_BOUND = 9
-MAX_LENGTH = 16  # a word's encoding fits in uint32; N = 17 would need a 17 GB mask
+# a sweep peaks at 240 MB at N = 13; at N = 15 it would hold 2^5 packed
+# duals of 128 MiB each (4 GiB) before a 1 GiB mask and a 2 GiB word list
+MAX_LENGTH = 13
 _SCATTER_CHUNK = 1 << 16  # words of the last expansion step made at a time, 256 KB
 _KEY_WIDTH = 16  # residues packed into one dual-scan key, two bits each: a uint32
 _COUNT_CHUNK = 1 << 20  # mask entries packed at a time when a hull is counted, 1 MB
@@ -125,8 +127,8 @@ def _digits(words: np.ndarray, count: int) -> np.ndarray:
 def _digit_table(count: int) -> np.ndarray:
     """Row x holds the count base-4 digits of x, for x < 4^count; read-only.
 
-    Built once per count; a count is at most MAX_LENGTH / 2 = 8, so all the
-    tables held come to under 6 MB.
+    Built once per count; a count is at most (MAX_LENGTH + 1) / 2 = 7, so
+    all the tables held come to under 1.2 MB.
     """
     table = _digits(np.arange(4**count, dtype=np.int64), count)
     table.flags.writeable = False
@@ -254,9 +256,9 @@ class SweepReport:
         return not self.mismatches
 
 
-def _perp_bits(length: int, words, bound: int) -> np.ndarray:
-    """The dual scan of a set of words, bit-packed in encoding order."""
-    return np.packbits(dual_bruteforce(CodeSet(length, None, words), bound).mask)
+def _perp_bits(length: int, words) -> np.ndarray:
+    """The dual scan of a set of words, bit-packed; bounded by N, as the sweep checked its bound."""
+    return np.packbits(dual_bruteforce(CodeSet(length, None, words), length).mask)
 
 
 def _count_common(flat: np.ndarray, *packed: np.ndarray) -> int:
@@ -270,7 +272,7 @@ def _count_common(flat: np.ndarray, *packed: np.ndarray) -> int:
     return count
 
 
-def _group_counts(length: int, bound: int, fg_words, partitions) -> list[tuple[int, int]]:
+def _group_counts(length: int, fg_words, partitions) -> list[tuple[int, int]]:
     """(hull size, code size) of each partition of one group (f ∪ g fixed).
 
     fg_words are the shifts of the group's f·g; each partition is the
@@ -281,7 +283,7 @@ def _group_counts(length: int, bound: int, fg_words, partitions) -> list[tuple[i
     at once; partitions is read one at a time, so a dual that only it
     holds is released once its partition is counted.
     """
-    fg_perp = _perp_bits(length, fg_words, bound)
+    fg_perp = _perp_bits(length, fg_words)
     members, words = _zero_code(length)
     flat = members.reshape(-1)
     prefix = _span(flat, words, 1, fg_words)
@@ -309,14 +311,14 @@ def sweep_verify(length: int, bound: int = DEFAULT_BOUND) -> SweepReport:
     _check_bound(length, bound)
     table = build_factor_table(length)
     specs = list(all_partitions(table))
-    products, doubles = {}, {}  # subset -> the shifts of its product, of twice it
+    shifts = {}  # subset -> (the shifts of its product, the shifts of twice it)
     groups = {}  # f ∪ g -> indices of its partitions, in all_partitions order
     for index, spec in enumerate(specs):
         f = spec.f_set.members
-        if f not in products:
-            products[f], doubles[f] = _shift_words(divisor_poly(spec.f_set), length)
+        if f not in shifts:
+            shifts[f] = _shift_words(divisor_poly(spec.f_set), length)
         groups.setdefault(f | spec.g_set.members, []).append(index)
-    two_f_perps = {f: _perp_bits(length, words, bound) for f, words in doubles.items()}
+    two_f_perps = {f: _perp_bits(length, two_f) for f, (_, two_f) in shifts.items()}
     counts = {}
     # Groups by decreasing degree of f ∪ g, so no later group holds a
     # superset of it, and the largest codes, with the longest word lists,
@@ -325,8 +327,8 @@ def sweep_verify(length: int, bound: int = DEFAULT_BOUND) -> SweepReport:
     for subset in sorted(groups, key=lambda ids: -DivisorSet(table, ids).degree):
         indices = groups[subset]
         fs = [specs[i].f_set.members for i in indices]
-        partitions = ((doubles[f], two_f_perps.pop(f) if f == subset else two_f_perps[f]) for f in fs)
-        counts.update(zip(indices, _group_counts(length, bound, products[subset], partitions)))
+        partitions = ((shifts[f][1], two_f_perps.pop(f) if f == subset else two_f_perps[f]) for f in fs)
+        counts.update(zip(indices, _group_counts(length, shifts[subset][0], partitions)))
 
     mismatches = []
     lcd_count = 0

@@ -369,6 +369,19 @@ class TestVerify:
         result = run_cli("verify", "5", "--config", str(config), "--max-bruteforce", "5")
         assert result.returncode == 0
 
+    def test_every_command_checks_the_config(self, tmp_path, capsys):
+        # the config is read before any command runs, with verify's errors
+        missing = tmp_path / "missing.json"
+        listed = tmp_path / "listed.json"
+        listed.write_text("[]")
+        for command, config, message in [("factor", missing, "error: cannot read config "),
+                                         ("classify", listed, "error: config ")]:
+            assert cli.main(["verify", "3", "--config", str(config)]) == 2
+            expected = capsys.readouterr()
+            assert expected.err.startswith(message) and str(config) in expected.err
+            assert cli.main([command, "7", "--config", str(config)]) == 2
+            assert capsys.readouterr() == ("", expected.err)
+
 
 class TestUsage:
     def test_unknown_command(self):

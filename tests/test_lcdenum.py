@@ -5,7 +5,7 @@ import pytest
 
 from z4lcd import cli, cyclotomic, lcdenum
 from z4lcd.codes import DivisorSet, divisor_poly, hull_report, reciprocal_set
-from z4lcd.cyclotomic import PAIR_FIRST, build_factor_table, factor_label
+from z4lcd.cyclotomic import PAIR_FIRST, PAIR_SECOND, build_factor_table, factor_label
 from z4lcd.lcdenum import (
     DEFAULT_SWEEP_BUDGET,
     LcdCensus,
@@ -204,14 +204,25 @@ class TestEnumerate:
         keys = [(len(ids), ids) for ids in ids_of]
         assert keys == sorted(set(keys))
 
-    @pytest.mark.parametrize("n", [1, 7, 15, 21, 63, 127, 195])
+    @pytest.mark.parametrize("n", [n for n in range(1, 200, 2) if count_nsrf(n) <= 14])
     def test_ids_decode_the_mask(self, n):
         # atom k is bit k of a mask, atoms in order of least id; the decoder
         # gives the sorted ids of the atoms a mask sets
         catalog = enumerate_lcd(n)
-        assert catalog.atoms == sorted(catalog.atoms) and len(catalog.atoms) == catalog.nsrf
+        assert list(catalog.atoms) == sorted(catalog.atoms) and len(catalog.atoms) == catalog.nsrf
+        assert type(catalog.atoms) is tuple and hash(catalog) == hash(enumerate_lcd(n))
         for mask, _ in catalog.rows:
-            assert catalog.ids(mask) == literal_ids(catalog, mask)
+            assert catalog.ids(mask) == record_ids(catalog, mask)
+
+    def test_atoms_are_found_once(self, monkeypatch, capsys):
+        # the catalog keeps the atoms that enumerate_lcd found, and its
+        # rendering reads them from there
+        calls = []
+        atoms = lcdenum._atoms
+        monkeypatch.setattr(lcdenum, "_atoms", lambda table: calls.append(table) or atoms(table))
+        assert cli.main(["enumerate-lcd", "63", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["nsrf"] == 8
+        assert len(calls) == 1
 
     def test_text_tables_no_larger_than_the_catalog(self):
         # each table holds one value per subset of its side's atoms, and a
@@ -221,8 +232,10 @@ class TestEnumerate:
             if count_nsrf(n) > 14:
                 continue
             catalog = enumerate_lcd(n)
-            (low_mask, low), (high_mask, high) = lcdenum._text_tables(
-                catalog, [(i,) for i in range(len(catalog.table))], ())
+            tables = lcdenum._text_tables(catalog, ["%d," % i for i in range(len(catalog.table))])
+            (low_mask, low), (high_mask, high) = [
+                (side, {key: [int(i) for i in text.split(",")[:-1]] for key, text in table.items()})
+                for side, table in tables]
             assert len(low) <= len(catalog.rows) and len(high) <= len(catalog.rows), n
             assert low_mask | high_mask == (1 << catalog.nsrf) - 1
             straddled += bool(low_mask & high_mask)
@@ -272,8 +285,18 @@ class TestCensus:
 WRITER_LENGTHS = [*range(1, 64, 2), 129, 195, 7283]
 
 
-def literal_ids(catalog, mask):
-    return tuple(sorted(i for k, atom in enumerate(catalog.atoms) if mask >> k & 1 for i in atom))
+def record_ids(catalog, mask):
+    """The sorted ids a mask sets, read off the records, not the catalog's atoms:
+    bit k is the k-th record by id that is self-reciprocal or a pairFirst,
+    taken with its partner."""
+    ids, bit = set(), 1
+    for record in catalog.table.records:
+        if record.kind == PAIR_SECOND:
+            continue  # in its pairFirst's atom
+        if mask & bit:
+            ids |= {record.index, record.partner}  # one id when self-reciprocal
+        bit <<= 1
+    return tuple(sorted(ids))
 
 
 def entry_label(catalog, ids):
@@ -289,7 +312,7 @@ def reference_entries(catalog):
     generator from the Z4Poly view."""
     return [(ids, entry.generator.to_string(), entry_label(catalog, ids))
             for (mask, _), entry in zip(catalog.rows, catalog.entries)
-            for ids in [literal_ids(catalog, mask)]]
+            for ids in [record_ids(catalog, mask)]]
 
 
 def reference_json(catalog) -> str:
@@ -416,15 +439,17 @@ class TestWire:
     @pytest.mark.parametrize("rows", [1, 2, 3, 255, 256])
     def test_chunk_size_does_not_show(self, rows, monkeypatch):
         # 256 entries at N = 63: the first and last rows land in chunks of
-        # every alignment
-        catalog = enumerate_lcd(63)
+        # every alignment.  At N = 1 and 7283 (2 and 4 entries) the first and
+        # last chunks are one row each at 1, and one chunk is both at 255 and 256
         monkeypatch.setattr(lcdenum, "CHUNK_ROWS", rows)
-        json_out, text_out = io.StringIO(), io.StringIO()
-        write_catalog_json(catalog, json_out)
-        lcdenum.write_catalog_text(catalog, text_out)
-        assert json_out.getvalue() == reference_json(catalog)
-        assert text_out.getvalue() == reference_text(catalog)
-        assert list(catalog_rows(catalog)) == reference_entries(catalog)
+        for n in (63, 1, 7283):
+            catalog = enumerate_lcd(n)
+            json_out, text_out = io.StringIO(), io.StringIO()
+            write_catalog_json(catalog, json_out)
+            lcdenum.write_catalog_text(catalog, text_out)
+            assert json_out.getvalue() == reference_json(catalog), n
+            assert text_out.getvalue() == reference_text(catalog), n
+            assert list(catalog_rows(catalog)) == reference_entries(catalog), n
 
     @pytest.mark.parametrize("n", [1, 7, 15, 63, 127])
     def test_matches_the_indented_encoder(self, n):

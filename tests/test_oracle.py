@@ -495,11 +495,12 @@ class TestSpanningVectors:
 
 
 class TestLengthLimit:
-    """Past N = 16 the brute force refuses whatever the bound, before numpy is used.
+    """Past N = 13 the brute force refuses whatever the bound, before numpy is used.
 
-    At N = 17 the ambient mask alone would be 4^17 bytes (17 GB), so each
-    refusal runs with the oracle's numpy replaced by a stub that fails on
-    any use.
+    At N = 15 a sweep would hold 4 GiB of packed duals before its 1 GiB
+    mask and 2 GiB word list, and at N = 17 the ambient mask alone would be
+    4^17 bytes (17 GB), so each refusal runs with the oracle's numpy
+    replaced by a stub that fails on any use.
     """
 
     class NoNumpy:
@@ -510,24 +511,27 @@ class TestLengthLimit:
     def no_numpy(self, monkeypatch):
         monkeypatch.setattr(oracle, "np", self.NoNumpy())
 
-    def test_limit_is_sixteen(self):
-        _check_bound(15, 15)
-        _check_bound(16, 100)
-        with pytest.raises(ValueError, match="limit 16"):
-            _check_bound(17, 100)
+    def test_limit_is_thirteen(self):
+        _check_bound(13, 13)
+        _check_bound(13, 100)
+        for n in (15, 17):
+            with pytest.raises(ValueError, match="limit 13"):
+                _check_bound(n, 100)
 
     def test_sweep_verify(self):
-        with pytest.raises(ValueError, match="limit 16"):
-            sweep_verify(17, 17)
+        for n in (15, 17):
+            with pytest.raises(ValueError, match="limit 13"):
+                sweep_verify(n, n)
 
     def test_expand_code(self):
-        table = build_factor_table(17)
-        ambient = CodeSpec.of(table, f=set(), g=set())
-        with pytest.raises(ValueError, match="limit 16"):
-            expand_code(ambient, 17)
+        for n in (15, 17):
+            ambient = CodeSpec.of(build_factor_table(n), f=set(), g=set())
+            with pytest.raises(ValueError, match="limit 13"):
+                expand_code(ambient, n)
 
     def test_cli(self, capsys):
-        assert cli.main(["verify", "17", "--max-bruteforce", "17"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: length 17 exceeds the brute-force limit 16\n"
+        for n in (15, 17):
+            assert cli.main(["verify", str(n), "--max-bruteforce", str(n)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: length {n} exceeds the brute-force limit 13\n"
