@@ -52,7 +52,7 @@ class DivisorSet:
 
     @property
     def degree(self) -> int:
-        return sum(self.table[i].degree for i in self.members)
+        return sum(map(self.table.degrees.__getitem__, self.members))
 
     def complement(self) -> "DivisorSet":
         return DivisorSet(self.table, self.table.ids() - self.members)
@@ -120,9 +120,8 @@ def reciprocal_set(divisor: DivisorSet) -> DivisorSet:
     The reciprocal of a product is the product of the reciprocals, so this
     set represents the reciprocal of divisor_poly(divisor).
     """
-    return DivisorSet(
-        divisor.table, frozenset(divisor.table[i].partner for i in divisor.members)
-    )
+    partners = divisor.table.partners
+    return DivisorSet(divisor.table, frozenset(map(partners.__getitem__, divisor.members)))
 
 
 def factor_divisor(poly: Z4Poly, table: FactorTable) -> DivisorSet:

@@ -99,6 +99,14 @@ class FactorTable:
     def bits(self) -> tuple[int, ...]:  # each record's reduction mod 2, by id
         return tuple(r.bits for r in self.records)
 
+    @functools.cached_property
+    def degrees(self) -> tuple[int, ...]:  # each record's degree, by id
+        return tuple(r.degree for r in self.records)
+
+    @functools.cached_property
+    def partners(self) -> tuple[int, ...]:  # each record's reciprocal partner, by id
+        return tuple(r.partner for r in self.records)
+
     def __getitem__(self, index: int) -> FactorRecord:
         return self.records[index]
 

@@ -22,22 +22,22 @@ encoding, L = N // 2 and H = N - L, so that its flat index is the encoding:
 A sweep shares this work among the 3^r partitions (f, g, h).  Their codes
 are spanned by the shifts of 2^r products f·g and 2^r products 2·f, and a
 code's dual is (f·g shifts)⊥ ∩ (2·f shifts)⊥, so Z4^N is scanned once per
-generator subset, 2^(r+1) times, and each dual is kept at one bit a word.
-The partitions that share h share the span of f·g: it is expanded once, and
-each partition extends it in place by its 2·f shifts, counts its size and
-hull, and clears the words it added.
+generator subset, 2^(r+1) times, from keys built for all of them at once,
+and each dual is kept at one bit a word.  One mask and one word list hold
+every code in turn: a walk down the subset lattice grows each code in
+place from one that it contains, and clears what it added on the way back.
 
-On a 2-vCPU VM the sweep takes about 2.5 ms at N = 7 (27 partitions) and
-9 ms at N = 9 in-process, under the default bound of 9.  N = 11 and N = 13
+On a 2-vCPU VM the sweep takes about 2 ms at N = 7 (27 partitions) and
+7 ms at N = 9 in-process, under the default bound of 9.  N = 11 and N = 13
 (9 partitions each) need a higher bound: a whole `verify` process takes
-about 0.35 s wall at N = 11, 0.06 s of it the sweep, at a peak RSS of 45 MB,
-and about 1.6 s wall at N = 13, at 240 MB.  No bound admits a length above
+about 0.3 s wall at N = 11, 0.05 s of it the sweep, at a peak RSS of 46 MB,
+and about 1.3 s wall at N = 13, at 247 MB.  No bound admits a length above
 13 (see MAX_LENGTH).
 """
 
 from __future__ import annotations
 
-import functools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +48,7 @@ from .lcdenum import all_partitions
 from .z4poly import Z4Poly
 
 DEFAULT_BOUND = 9
-# a sweep peaks at 240 MB at N = 13; at N = 15 it would hold 2^5 packed
+# a sweep peaks at 247 MB at N = 13; at N = 15 it would hold 2^5 packed
 # duals of 128 MiB each (4 GiB) before a 1 GiB mask and a 2 GiB word list
 MAX_LENGTH = 13
 _SCATTER_CHUNK = 1 << 16  # words of the last expansion step made at a time, 256 KB
@@ -123,18 +123,6 @@ def _digits(words: np.ndarray, count: int) -> np.ndarray:
     return (words[:, None] >> (2 * np.arange(count, dtype=np.int64))) & 3
 
 
-@functools.cache
-def _digit_table(count: int) -> np.ndarray:
-    """Row x holds the count base-4 digits of x, for x < 4^count; read-only.
-
-    Built once per count; a count is at most (MAX_LENGTH + 1) / 2 = 7, so
-    all the tables held come to under 1.2 MB.
-    """
-    table = _digits(np.arange(4**count, dtype=np.int64), count)
-    table.flags.writeable = False
-    return table
-
-
 def _add_words(a: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarray:
     """Digit-wise sum mod 4 of the base-4 encodings in a and b, one dtype.
 
@@ -188,6 +176,26 @@ def _span(flat: np.ndarray, words: np.ndarray, size: int, gens) -> int:
     return size
 
 
+def _walk(flat: np.ndarray, words: np.ndarray, size: int, top: frozenset, removable, gens, visit) -> None:
+    """Visit top and each subset of it that drops removable ids, top first.
+
+    The flat mask holds a span listed in words[:size], as _span keeps it.
+    A subset that drops removable[k] may then drop removable[:k] only, so
+    each is reached once and the one that drops them all comes last.  Each
+    extends its parent's span in place by gens(subset), is visited with its
+    size and, after its own subsets, clears the words it added.  Z4^N, half
+    of it unlisted, is cleared whole, so it must be the last.
+    """
+    grown = _span(flat, words, size, gens(top))
+    visit(top, grown)
+    for k, i in enumerate(removable):
+        _walk(flat, words, grown, top - {i}, removable[:k], gens, visit)
+    if grown == flat.size > size:
+        flat[1:] = False
+    else:
+        flat[words[size:grown]] = False
+
+
 def expand_code(spec: CodeSpec, bound: int = DEFAULT_BOUND) -> CodeSet:
     """Smallest codeword set closed under addition mod 4 and cyclic shift.
 
@@ -202,39 +210,67 @@ def expand_code(spec: CodeSpec, bound: int = DEFAULT_BOUND) -> CodeSet:
     return CodeSet(spec.length, members, gens)
 
 
-def dual_bruteforce(code: CodeSet, bound: int = DEFAULT_BOUND) -> CodeSet:
+def _key_table(columns: np.ndarray) -> np.ndarray:
+    """Row k, entry x: the digit-wise sum mod 4 of x_i·columns[k, i] over the digits x_i of x.
+
+    x runs over 4^count, count = columns.shape[1]; the table doubles twice
+    per digit, by the multiples 0, c, 2c and 3c of its column c.
+    """
+    twice = _add_words(columns, columns)
+    multiples = np.stack([np.zeros_like(columns), columns, twice, _add_words(columns, twice)], axis=-1)
+    table = np.zeros((len(columns), 1), dtype=columns.dtype)
+    for i in range(columns.shape[1]):
+        table = _add_words(multiples[:, i, :, None], table[:, None, :]).reshape(len(columns), -1)
+    return table
+
+
+def _dual_keys(length: int, word_sets) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Per set of encoded words, the (hi, lo) key columns of its dual scan.
+
+    A word x = hi·4^L + lo is orthogonal to every s in a set when
+    lo·s_lo ≡ -hi·s_hi (mod 4) for each.  The sets are laid out in keys of
+    up to _KEY_WIDTH words, as many as the largest set needs, each set
+    padded with zero words to at least one whole key.  A key packs the
+    2-bit residues of its words: one per half-table row, built for every
+    key of every set at once by _key_table from the words' digits (negated
+    for hi).  Each key is cut to the narrowest dtype its words allow, since
+    the comparison's time grows with its width.
+    """
+    low = length // 2
+    width = min(_KEY_WIDTH, max(1, *map(len, word_sets)))
+    key = np.min_scalar_type(4**width - 1)
+    places = 2 * np.arange(width)[:, None]
+    words, counts = [], []  # padded words; per set, the words in each of its keys
+    for word_set in word_sets:
+        keys = max(1, -(-len(word_set) // width))
+        words += [*word_set] + [0] * (keys * width - len(word_set))
+        counts.append([min(width, len(word_set) - k * width) for k in range(keys)])
+    digits = _digits(np.array(words, dtype=np.int64), length).reshape(-1, width, length)
+    lo_keys = iter(_key_table((digits[..., :low] << places).sum(axis=1).astype(key)))
+    hi_keys = iter(_key_table(((-digits[..., low:] & 3) << places).sum(axis=1).astype(key)))
+    narrow = [np.min_scalar_type(4**count - 1) for count in range(width + 1)]
+    return [[(next(hi_keys).astype(narrow[c]), next(lo_keys).astype(narrow[c])) for c in keys] for keys in counts]
+
+
+def dual_bruteforce(code: CodeSet, bound: int = DEFAULT_BOUND, keys=None) -> CodeSet:
     """Every ambient word orthogonal (dot product mod 4) to the code.
 
     Checks orthogonality against the code's spanning set, which expand_code
     stores and which suffices because every codeword is a Z4-combination of
     it; a code without one, such as a dual, raises ValueError.  Every one of
-    the 4^N ambient words x = hi·4^L + lo is tested against every spanning
-    word s: x·s ≡ 0 (mod 4) exactly when lo·s_lo ≡ -hi·s_hi, the digits of
-    s read by _digits as the tables' are.  The 2-bit residues of up to
-    _KEY_WIDTH words are packed into one key per half-table row,
-    so one broadcast comparison of a 4^H and a 4^L key column tests all of
-    Z4^N against all of them at once.  Keys are as narrow as the block
-    allows, since the comparison's time grows with their width.
+    the 4^N ambient words is tested against every spanning word: one
+    broadcast comparison of a 4^H and a 4^L key column per key, the keys
+    being those _dual_keys builds for the spanning set, or keys when given
+    (the sweep builds them for all of its sets at once).
     """
-    length = code.length
-    _check_bound(length, bound)
+    _check_bound(code.length, bound)
     if code.spanning is None:
         raise ValueError("dual scan needs the code's spanning set, and this code has none")
-    basis = code.spanning or (0,)  # every word is orthogonal to 0
-    low = length // 2
-    lo_digits, hi_digits = _digit_table(low), _digit_table(length - low)
-    orthogonal = np.empty((len(hi_digits), len(lo_digits)), dtype=bool)
-    for start in range(0, len(basis), _KEY_WIDTH):
-        block = _digits(np.array(basis[start : start + _KEY_WIDTH], dtype=np.int64), length).T
-        places = 4 ** np.arange(block.shape[1], dtype=np.int64)  # two bits a residue
-        key = np.min_scalar_type(4 ** block.shape[1] - 1)
-        lo_key = (((lo_digits @ block[:low]) & 3) @ places).astype(key)
-        hi_key = ((-(hi_digits @ block[low:]) & 3) @ places).astype(key)
-        if start:
-            orthogonal &= hi_key[:, None] == lo_key
-        else:
-            np.equal(hi_key[:, None], lo_key, out=orthogonal)
-    return CodeSet(length, orthogonal, None)
+    (hi, lo), *rest = _dual_keys(code.length, [code.spanning])[0] if keys is None else keys
+    orthogonal = hi[:, None] == lo
+    for hi, lo in rest:
+        orthogonal &= hi[:, None] == lo
+    return CodeSet(code.length, orthogonal, None)
 
 
 @dataclass(frozen=True)
@@ -256,45 +292,6 @@ class SweepReport:
         return not self.mismatches
 
 
-def _perp_bits(length: int, words) -> np.ndarray:
-    """The dual scan of a set of words, bit-packed; bounded by N, as the sweep checked its bound."""
-    return np.packbits(dual_bruteforce(CodeSet(length, None, words), length).mask)
-
-
-def _count_common(flat: np.ndarray, *packed: np.ndarray) -> int:
-    """Words set in the flat mask and in every bit-packed set, a chunk at a time."""
-    count = 0
-    for start in range(0, flat.size, _COUNT_CHUNK):
-        bits = np.packbits(flat[start : start + _COUNT_CHUNK])
-        for other in packed:
-            bits &= other[start // 8 : start // 8 + len(bits)]
-        count += np.count_nonzero(np.unpackbits(bits))
-    return count
-
-
-def _group_counts(length: int, fg_words, partitions) -> list[tuple[int, int]]:
-    """(hull size, code size) of each partition of one group (f ∪ g fixed).
-
-    fg_words are the shifts of the group's f·g; each partition is the
-    words of its 2·f shifts and (2·f shifts)⊥ as bits.
-    The span of f·g is grown once, and each partition extends it in place
-    and then clears what it added.  (f·g shifts)⊥ is scanned before the
-    word list is touched, so the scan's mask and the list are never held
-    at once; partitions is read one at a time, so a dual that only it
-    holds is released once its partition is counted.
-    """
-    fg_perp = _perp_bits(length, fg_words)
-    members, words = _zero_code(length)
-    flat = members.reshape(-1)
-    prefix = _span(flat, words, 1, fg_words)
-    counts = []
-    for two_f, two_f_perp in partitions:
-        size = _span(flat, words, prefix, two_f)
-        counts.append((_count_common(flat, fg_perp, two_f_perp), int(np.count_nonzero(flat))))
-        flat[words[prefix:size]] = False  # past the list's end when the span is Z4^N
-    return counts
-
-
 def sweep_verify(length: int, bound: int = DEFAULT_BOUND) -> SweepReport:
     """Check every (f, g, h) partition against the brute force.
 
@@ -302,33 +299,48 @@ def sweep_verify(length: int, bound: int = DEFAULT_BOUND) -> SweepReport:
     the code-size formula must match the expanded codeword count, and the
     LCD verdict must coincide with (g empty and f reciprocal-closed).
 
-    The code of (f, g, h) is spanned by the shifts of f·g and 2·f, so its
-    dual is (f·g shifts)⊥ ∩ (2·f shifts)⊥, and each of those is the scan of
-    one generator subset: 2^(r+1) scans for the 3^r partitions.  The
-    partitions that share f ∪ g, and so h, form a group that shares the
-    expansion of f·g and its dual (_group_counts).
+    The 2^(r+1) generator subsets are scanned by dual_bruteforce, from keys
+    that one _dual_keys call builds for all of them, before the word list
+    is touched, and each packed dual is dropped after its last use.  With
+    S = f ∪ g, A_S = span(f·g shifts) contains A_(S ∪ {i}), and
+    A_S + span(2·f shifts) contains A_S + span(2·(f ∪ {i}) shifts), so one
+    _walk over S grows each A_S, and within it one over f grows each code.
     """
     _check_bound(length, bound)
     table = build_factor_table(length)
     specs = list(all_partitions(table))
-    shifts = {}  # subset -> (the shifts of its product, the shifts of twice it)
-    groups = {}  # f ∪ g -> indices of its partitions, in all_partitions order
-    for index, spec in enumerate(specs):
-        f = spec.f_set.members
-        if f not in shifts:
-            shifts[f] = _shift_words(divisor_poly(spec.f_set), length)
-        groups.setdefault(f | spec.g_set.members, []).append(index)
-    two_f_perps = {f: _perp_bits(length, two_f) for f, (_, two_f) in shifts.items()}
+    uses = Counter(spec.f_set.members for spec in specs)  # f -> partitions left that read (2·f shifts)⊥
+    # subset -> (the shifts of its product, the shifts of twice it)
+    shifts = {f: _shift_words(divisor_poly(DivisorSet(table, f)), length) for f in uses}
+    scanned = [(part, subset) for part in (0, 1) for subset in shifts]
+    keys = _dual_keys(length, [shifts[s][p] for p, s in scanned])
+    perps = {
+        (p, s): np.packbits(dual_bruteforce(CodeSet(length, None, shifts[s][p]), length, keys=k).mask)
+        for (p, s), k in zip(scanned, keys)
+    }
+    members, words = _zero_code(length)
+    flat = members.reshape(-1)
     counts = {}
-    # Groups by decreasing degree of f ∪ g, so no later group holds a
-    # superset of it, and the largest codes, with the longest word lists,
-    # come last.  A group's first partition has f = f ∪ g, whose dual of
-    # 2·f shifts no later partition needs: it is dropped once counted.
-    for subset in sorted(groups, key=lambda ids: -DivisorSet(table, ids).degree):
-        indices = groups[subset]
-        fs = [specs[i].f_set.members for i in indices]
-        partitions = ((shifts[f][1], two_f_perps.pop(f) if f == subset else two_f_perps[f]) for f in fs)
-        counts.update(zip(indices, _group_counts(length, shifts[subset][0], partitions)))
+    by_degree = sorted(table.ids(), key=table.degrees.__getitem__)
+
+    def group(subset, size):
+        fg_perp = perps.pop((0, subset))
+
+        def count(f, _):
+            uses[f] -= 1
+            two_f_perp = perps[1, f] if uses[f] else perps.pop((1, f))
+            hull = 0
+            for start in range(0, flat.size, _COUNT_CHUNK):
+                bits = np.packbits(flat[start : start + _COUNT_CHUNK])
+                bits &= fg_perp[start // 8 : start // 8 + len(bits)]
+                bits &= two_f_perp[start // 8 : start // 8 + len(bits)]
+                hull += np.count_nonzero(np.unpackbits(bits))
+            counts[f, subset] = hull, int(np.count_nonzero(flat))
+
+        _walk(flat, words, size, subset, [i for i in by_degree if i in subset], lambda f: shifts[f][1], count)
+
+    _walk(flat, words, 1, frozenset(by_degree), by_degree, lambda subset: shifts[subset][0], group)
+    assert flat[0] and np.count_nonzero(flat) == 1, "the walk left words other than 0 in the mask"
 
     mismatches = []
     lcd_count = 0
@@ -337,8 +349,8 @@ def sweep_verify(length: int, bound: int = DEFAULT_BOUND) -> SweepReport:
         if expected != got:
             mismatches.append(Mismatch(spec, f"{label}={expected}", f"{label}={got}"))
 
-    for index, spec in enumerate(specs):
-        hull, size = counts[index]
+    for spec in specs:
+        hull, size = counts[spec.f_set.members, spec.f_set.members | spec.g_set.members]
         report = hull_report(spec)
         check(spec, "hullSize", report.hull_size, hull)
         check(spec, "codeSize", code_size(spec), size)

@@ -284,14 +284,6 @@ class TestDualBruteforce:
         assert dual.words == code.words
         assert len(code) * len(dual) == 4**3
 
-    def test_digit_table_is_shared_and_read_only(self):
-        # every dual scan of a length reads the same tables, so none may write them
-        digits = oracle._digit_table(3)
-        assert oracle._digit_table(3) is digits
-        assert digits.tolist() == [[x // 4**i % 4 for i in range(3)] for x in range(64)]
-        with pytest.raises(ValueError):
-            digits[0, 0] = 1
-
     def test_spanning_fallback_agrees(self):
         # the scan over every codeword equals the scan over the spanning set
         table = build_factor_table(3)
@@ -327,8 +319,8 @@ class TestDualBruteforce:
 
     @pytest.mark.parametrize("count", [4, 8, 16, 17, 31, 32, 62])
     def test_packed_chunk_boundaries(self, count):
-        # _KEY_WIDTH residues fill one key, whose dtype is as narrow as its
-        # block (4, 8 and 16 residues fill a uint8, uint16 and uint32).
+        # _KEY_WIDTH residues fill one key, which is compared as narrow as
+        # its words allow (4, 8 and 16 residues fill a uint8, uint16 and uint32).
         # Fillers come from the span of e0 and 2e1, and the unit vectors
         # e1..e4 sit at the first and last place of the first two chunks, so
         # a vector dropped from any of those changes the dual
@@ -351,6 +343,95 @@ class TestDualBruteforce:
         assert zero.words <= two_f.words <= full_f.words
         d0, d1, d2 = (dual_bruteforce(c) for c in (zero, two_f, full_f))
         assert d2.words <= d1.words <= d0.words
+
+
+def literal_key_table(columns, count):
+    """Entry x of row k: the sum of x_i·columns[k][i] mod 4 digit by digit, over the count digits of x."""
+    table = []
+    for column in columns:
+        row = []
+        for x in range(4**count):
+            total = [0] * 16
+            for i, digit in enumerate(decode_word(x, count)):
+                for j, c in enumerate(decode_word(column[i], 16)):
+                    total[j] += digit * c
+            row.append(encode_word(total))
+        table.append(row)
+    return table
+
+
+def scan_sets(length):
+    """Word sets for the dual scan: the sweep's, at odd N, between empty sets, single
+    words, and random sets past one key, so that keys of every width and padding occur."""
+    rng = random.Random(length)
+    sets = [(), (0,), (4**length - 1,)]
+    if length % 2:
+        for spec in all_partitions(build_factor_table(length)):
+            sets += _shift_words(divisor_poly(spec.f_set), length)
+    for size in (1, 3, oracle._KEY_WIDTH, oracle._KEY_WIDTH + 1, 40):
+        sets += [tuple(rng.randrange(4**length) for _ in range(size)), ()]
+    return sets
+
+
+class TestScans:
+    @pytest.mark.parametrize("count", [0, 1, 2, 3])
+    def test_key_table_sums_the_multiples_of_each_column(self, count):
+        # random columns, all-3 columns that carry in every digit, and zero
+        rng = random.Random(count)
+        columns = [[rng.randrange(4**16) for _ in range(count)] for _ in range(5)]
+        columns += [[4**16 - 1] * count, [0] * count]
+        table = oracle._key_table(np.array(columns, dtype=np.uint32).reshape(len(columns), count))
+        assert table.dtype == np.uint32
+        assert table.tolist() == literal_key_table(columns, count)
+
+    @pytest.mark.parametrize("length", range(1, 12))
+    def test_each_set_matches_its_own_dual_scan(self, length):
+        # keys from one call for every set, against dual_bruteforce of each
+        # set alone, whose masks the digest fixtures pin at N <= 11
+        sets = scan_sets(length)
+        keys = oracle._dual_keys(length, sets)
+        assert len(keys) == len(sets)
+        for words, set_keys in zip(sets, keys):
+            mask = dual_bruteforce(CodeSet(length, None, words), length, keys=set_keys).mask
+            alone = dual_bruteforce(CodeSet(length, None, words), length).mask
+            assert mask.shape == alone.shape == (4 ** (length - length // 2), 4 ** (length // 2))
+            assert np.array_equal(mask, alone), words
+
+
+class TestWalk:
+    @pytest.mark.parametrize("length", [2, 3])
+    def test_visits_each_subset_once_with_its_span(self, length):
+        # random generator words per subset, 0 at position 0, so that only
+        # the empty subset, given the unit words too, spans Z4^N, as in a
+        # sweep; each visit must see the span of the words of every subset
+        # on its path from the top, which drops ids last listed first, and
+        # the walk must end with the mask back at {0}
+        rng = random.Random(length)
+        ids = [0, 1, 2]
+        gens = {}
+        for mask in range(8):
+            subset = frozenset(i for i in ids if mask >> i & 1)
+            gens[subset] = tuple(4 * rng.randrange(4 ** (length - 1)) for _ in range(rng.randrange(3)))
+        gens[frozenset()] += tuple(4**i for i in range(length))
+        members, words = _zero_code(length)
+        flat = members.reshape(-1)
+        seen = []
+
+        def visit(subset, size):
+            dropped = sorted(set(ids) - subset, reverse=True)
+            path = [frozenset(ids) - set(dropped[:k]) for k in range(len(dropped) + 1)]
+            expected = {(0,) * length}
+            for g in (w for above in path for w in gens[above]):
+                for _ in range(3):
+                    expected |= {tuple((a + b) % 4 for a, b in zip(x, decode_word(g, length))) for x in expected}
+            assert size == len(expected) == np.count_nonzero(flat)
+            assert {decode_word(w, length) for w in np.flatnonzero(flat).tolist()} == expected
+            seen.append(subset)
+
+        oracle._walk(flat, words, 1, frozenset(ids), ids, gens.__getitem__, visit)
+        assert sorted(seen, key=sorted) == sorted(gens, key=sorted)
+        assert len(seen) == len(gens) and seen[0] == frozenset(ids) and seen[-1] == frozenset()
+        assert np.flatnonzero(flat).tolist() == [0]
 
 
 class TestDigests:
@@ -459,17 +540,22 @@ class TestSweepVerify:
     @pytest.mark.parametrize("length", [7, 9])
     def test_one_scan_per_generator_subset(self, length, monkeypatch):
         # 3^r partitions, but only 2^r products f·g and 2^r products 2·f
-        # to scan; a second sweep must not see state left by the first
-        scans = []
-        real = oracle.dual_bruteforce
-        monkeypatch.setattr(oracle, "dual_bruteforce", lambda code, bound: scans.append(code) or real(code, bound))
+        # to scan, from keys built in one pass; a second sweep must not see
+        # state left by the first
+        builds, scans = [], []
+        real_keys, real_scan = oracle._dual_keys, oracle.dual_bruteforce
+        monkeypatch.setattr(oracle, "_dual_keys", lambda length, sets: builds.append(sets) or real_keys(length, sets))
+        monkeypatch.setattr(
+            oracle, "dual_bruteforce", lambda code, bound, keys: scans.append(code) or real_scan(code, bound, keys)
+        )
         r = len(build_factor_table(length).records)
         first = sweep_verify(length)
         assert (first.partitions, first.ok, r) == (27, True, 3)
+        assert len(builds) == 1 and len(builds[0]) == len(scans)
         assert 0 < len(scans) <= 2 ** (r + 1)
-        scans.clear()
+        builds.clear(), scans.clear()
         assert sweep_verify(length) == first
-        assert 0 < len(scans) <= 2 ** (r + 1)
+        assert len(builds) == 1 and 0 < len(scans) <= 2 ** (r + 1)
 
     def test_wire_form(self):
         wire = sweep_to_wire(sweep_verify(3))
