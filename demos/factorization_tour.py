@@ -59,5 +59,5 @@ for n in (1, 9, 15, 21, 31):
     product = functools.reduce(
         operator.mul, (r.poly for r in table_n.records), Z4Poly.one()
     )
-    assert product == Z4Poly.x_pow_minus_one(n)
+    assert product == Z4Poly([3] + [0] * (n - 1) + [1])
     print(f"N={n:>2}: product of {len(table_n.records)} factors == X^{n}-1  ok")

@@ -30,11 +30,9 @@ from .cyclotomic import (
 )
 from .lcdenum import (
     LcdCatalog,
-    LcdCensus,
     LcdEntry,
     count_nsrf,
     enumerate_lcd,
-    lcd_census,
 )
 from .z4poly import Z4Poly, format_terms
 
@@ -47,7 +45,6 @@ __all__ = [
     "FactorTable",
     "HullReport",
     "LcdCatalog",
-    "LcdCensus",
     "LcdEntry",
     "PairClass",
     "Z4Poly",
@@ -64,7 +61,6 @@ __all__ = [
     "format_terms",
     "graeffe_lift",
     "hull_report",
-    "lcd_census",
     "mult_order_of_2",
     "reciprocal_set",
 ]

@@ -20,13 +20,14 @@ every later call of the process.
 Polynomial arguments are comma-separated ascending coefficient strings
 ("3,1" is X-1, "1" is the constant 1); signed input must be attached to its
 flag ("--f=-1,1"), or argparse reads it as an option.  Factor-id lists are
-given with an ids: prefix ("ids:0,2").  A JSON config file
+given with an ids: prefix ("ids:0,2"), each id once.  A JSON config file
 ({"max_bruteforce": M}) can set the default brute-force bound for `verify`.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import io
 import json
@@ -89,6 +90,9 @@ def _parse_divisor_arg(text: str, table: cyclotomic.FactorTable) -> codes.Diviso
             ids = [int(part) for part in body.split(",")] if body else []
         except ValueError as exc:
             raise ValueError(f"bad id list {text!r}") from exc
+        repeated = sorted(i for i, count in collections.Counter(ids).items() if count > 1)
+        if repeated:
+            raise ValueError(f"repeated factor ids: {repeated}")
         return codes.DivisorSet.of(table, ids)
     try:
         poly = Z4Poly.from_string(text)

@@ -15,13 +15,13 @@ no sort and nothing unpacked between products (see enumerate_lcd).  The
 catalog holds its factor table and its atoms once (nsrf is their count),
 reads ids off a mask from the atoms (LcdCatalog.ids), and builds Z4Poly
 entries only when they are asked for.
-The text form (write_catalog_text), the --json form (write_catalog_json)
-and catalog_rows render the rows a chunk at a time.  An entry's id text
-and label are two lookups in string tables made once per catalog, one for
-the ids below a cut and one for the rest, and its generator string is one
-to_bytes of the packed int plus a digit constant.  --json is byte for byte
-what json.dumps(..., indent=2, sort_keys=True) gives, without the encoder
-that indent forces into pure Python.
+The text form (write_catalog_text) and the --json form (write_catalog_json)
+render the rows a chunk at a time.  An entry's id text and label are two
+lookups in string tables made once per catalog, one for the ids below a
+cut and one for the rest, and its generator string is one to_bytes of the
+packed int plus a digit constant.  --json is byte for byte what
+json.dumps(..., indent=2, sort_keys=True) gives, without the encoder that
+indent forces into pure Python.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, TextIO
 
-from . import codes, cyclotomic
-from .codes import CodeSpec, DivisorSet, hull_report
+from . import cyclotomic
+from .codes import CodeSpec, DivisorSet
 from .cyclotomic import SELF_RECIPROCAL, build_factor_table, factor_label
 from .z4poly import Z4Poly, _pack, _unpack
 
-DEFAULT_SWEEP_BUDGET = 200_000  # partitions; 3^11 is just under
 CHUNK_ROWS = 1024  # rows rendered, joined and written at a time
 
 
@@ -95,14 +94,6 @@ class LcdCatalog:
         w = self.width
         return tuple(LcdEntry(self.ids(mask), Z4Poly._of(_unpack(packed, w)))
                      for mask, packed in self.rows)
-
-
-class LcdCensus(NamedTuple):
-    """Three independent LCD counts that must agree."""
-
-    formula: int  # 2^nsrf
-    enumerated: int  # catalog size
-    swept: int | None  # exhaustive partition sweep; None if over budget
 
 
 def count_nsrf(length: int) -> int:
@@ -169,20 +160,6 @@ def all_partitions(table: cyclotomic.FactorTable):
         yield CodeSpec(DivisorSet(table, f), DivisorSet(table, g))
 
 
-def lcd_census(length: int) -> LcdCensus:
-    """Count LCD codes three ways: closed formula, catalog, partition sweep.
-
-    The sweep applies the hull formula to all 3^r partitions and is skipped
-    (swept=None) when that count exceeds DEFAULT_SWEEP_BUDGET.
-    """
-    formula = 2 ** count_nsrf(length)
-    catalog = enumerate_lcd(length)
-    if 3 ** len(catalog.table.records) > DEFAULT_SWEEP_BUDGET:
-        return LcdCensus(formula, len(catalog.rows), None)
-    swept = sum(1 for spec in all_partitions(catalog.table) if hull_report(spec).lcd)
-    return LcdCensus(formula, len(catalog.rows), swept)
-
-
 def _text_tables(catalog: LcdCatalog, pieces: list[str]):
     """((low mask, low table), (high mask, high table)) for the pieces of ids.
 
@@ -245,12 +222,6 @@ def _chunks(catalog: LcdCatalog) -> Iterator[tuple[list[int], list[str], list[st
         if masks[-1] == (1 << catalog.nsrf) - 1:
             labels[-1] = "(0)"
         yield masks, generators, labels
-
-
-def catalog_rows(catalog: LcdCatalog) -> Iterator[tuple[tuple[int, ...], str, str]]:
-    """(sorted ids, generator string, label) of each entry, in catalog order."""
-    for masks, generators, labels in _chunks(catalog):
-        yield from zip(map(catalog.ids, masks), generators, labels)
 
 
 def write_catalog_text(catalog: LcdCatalog, out: TextIO) -> None:

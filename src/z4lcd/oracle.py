@@ -27,12 +27,11 @@ and each dual is kept at one bit a word.  One mask and one word list hold
 every code in turn: a walk down the subset lattice grows each code in
 place from one that it contains, and clears what it added on the way back.
 
-On a 2-vCPU VM the sweep takes about 2 ms at N = 7 (27 partitions) and
-7 ms at N = 9 in-process, under the default bound of 9.  N = 11 and N = 13
-(9 partitions each) need a higher bound: a whole `verify` process takes
-about 0.3 s wall at N = 11, 0.05 s of it the sweep, at a peak RSS of 46 MB,
-and about 1.3 s wall at N = 13, at 247 MB.  No bound admits a length above
-13 (see MAX_LENGTH).
+On a 2-vCPU Xeon VM the sweep takes about 3.3 ms at N = 7 (27 partitions)
+and 8 ms at N = 9 in-process, under the default bound of 9.  N = 11 and 13
+(9 partitions each) need a higher bound: a `verify` process takes about
+0.3 s wall and 46 MB at N = 11, 0.05 s of it the sweep, and 1.3 to 1.6 s
+and 247 MB at N = 13.  No bound admits a length above 13 (see MAX_LENGTH).
 """
 
 from __future__ import annotations

@@ -103,13 +103,6 @@ class Z4Poly:
         return cls._of(b"\1")
 
     @classmethod
-    def x_pow_minus_one(cls, n: int) -> "Z4Poly":
-        """X^n - 1 for n >= 1."""
-        if n < 1:
-            raise ValueError("exponent must be positive")
-        return cls._of(b"\3" + bytes(n - 1) + b"\1")
-
-    @classmethod
     def from_string(cls, text: str) -> "Z4Poly":
         """Parse the comma-separated ascending coefficient form."""
         text = text.strip()
@@ -178,9 +171,6 @@ class Z4Poly:
             raise ValueError("reciprocal requires a unit constant term")
         reverse = self.coeffs[::-1]
         return Z4Poly._of(reverse if a0 == 1 else reverse.translate(_NEG_LOW_2_BITS))
-
-    def is_self_reciprocal(self) -> bool:
-        return self == self.reciprocal()
 
     def reduce_mod2(self) -> int:
         """Coefficient-wise reduction mod 2, in the int encoding (degree may drop)."""

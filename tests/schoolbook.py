@@ -6,6 +6,7 @@ folding or int encodings the library uses.  Z4 results may carry trailing
 zeros (wrap them in ``Z4Poly`` to compare); F2 remainders and gcds do not.
 ``f2_bits`` and ``f2_coeffs`` convert between F2 coefficient lists and the
 library's int encoding of F2[X], bit k the coefficient of X^k.
+``is_self_reciprocal`` alone takes a ``Z4Poly``.
 """
 
 
@@ -21,6 +22,15 @@ def f2_coeffs(bits):
         coeffs.append(bits % 2)
         bits //= 2
     return coeffs
+
+
+def x_pow_minus_one(n):
+    """X^n - 1 over Z4, for n >= 1."""
+    return [3] + [0] * (n - 1) + [1]
+
+
+def is_self_reciprocal(p):
+    return p == p.reciprocal()
 
 
 def z4_add(a, b):

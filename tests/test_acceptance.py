@@ -29,11 +29,18 @@ from z4lcd.cyclotomic import (
     cyclotomic_cosets,
     factor_mod2,
 )
-from z4lcd.lcdenum import all_partitions, count_nsrf, enumerate_lcd, lcd_census
+from z4lcd.lcdenum import all_partitions, count_nsrf, enumerate_lcd
 from z4lcd.oracle import dual_bruteforce, expand_code, sweep_verify
 from z4lcd.z4poly import Z4Poly
 
-from schoolbook import f2_coeffs, f2_is_irreducible_by_trial_division, z4_add
+from schoolbook import (
+    f2_coeffs,
+    f2_is_irreducible_by_trial_division,
+    is_self_reciprocal,
+    x_pow_minus_one,
+    z4_add,
+)
+from test_lcdenum import lcd_census
 
 SRC = str(Path(z4lcd.__file__).resolve().parent.parent)
 SWEEP_LENGTHS = (1, 3, 5, 7, 9)
@@ -150,7 +157,7 @@ def test_criterion_4_lcd_iff_self_reciprocal(oracle_sweeps):
             )
             assert hull_report(spec).lcd == structural
             if structural:
-                assert divisor_poly(spec.f_set).is_self_reciprocal()
+                assert is_self_reciprocal(divisor_poly(spec.f_set))
 
 
 @criterion(5, "2^nsrf counting for odd N <= 31, swept agreement for N <= 9")
@@ -174,7 +181,7 @@ def test_criterion_6_factorization_structure():
         product = functools.reduce(
             operator.mul, (r.poly for r in table.records), Z4Poly.one()
         )
-        assert product == Z4Poly.x_pow_minus_one(n)
+        assert product == Z4Poly(x_pow_minus_one(n))
         for divisor in sorted({r.divisor for r in table.records}):
             block = [r for r in table.records if r.divisor == divisor]
             pc = classify_pair(divisor)

@@ -212,6 +212,7 @@ class TestHull:
             (("--f", "0,1"), "'0,1' does not divide X^7-1"),
             (("--f", "ids:0", "--g", "ids:0"), "f and g overlap"),
             (("--f", "3,1", "--g", "3,1"), "f and g overlap"),
+            (("--f", "ids:1,1"), "repeated factor ids: [1]"),
         ],
     )
     def test_rejection_messages(self, args, message):

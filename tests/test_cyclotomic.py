@@ -41,6 +41,7 @@ from schoolbook import (
     f2_is_irreducible_by_trial_division,
     f2_mul,
     f2_rem,
+    x_pow_minus_one,
     z4_add,
     z4_divmod_monic,
 )
@@ -419,7 +420,7 @@ class TestGraeffeLift:
                 lift = graeffe_lift(f2)
                 assert lift.is_monic
                 assert lift.reduce_mod2() == f2
-                _, rem = z4_divmod_monic(Z4Poly.x_pow_minus_one(n).coeffs, lift.coeffs)
+                _, rem = z4_divmod_monic(x_pow_minus_one(n), lift.coeffs)
                 assert not any(rem)
 
     @staticmethod
@@ -506,7 +507,7 @@ class TestFactorTable:
             product = functools.reduce(
                 operator.mul, (r.poly for r in table.records), Z4Poly.one()
             )
-            assert product == Z4Poly.x_pow_minus_one(n)
+            assert product == Z4Poly(x_pow_minus_one(n))
             assert sum(r.degree for r in table.records) == n
 
     def test_records_mirror_mod2_factors_and_divide(self):
@@ -516,7 +517,7 @@ class TestFactorTable:
             for r in table.records:
                 assert r.bits == mod2[r.index] == r.poly.reduce_mod2()
                 assert graeffe_lift(r.bits) == r.poly
-                _, rem = z4_divmod_monic(Z4Poly.x_pow_minus_one(n).coeffs, r.poly.coeffs)
+                _, rem = z4_divmod_monic(x_pow_minus_one(n), r.poly.coeffs)
                 assert not any(rem)
 
     def test_pairwise_coprime_mod_2(self):

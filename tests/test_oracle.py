@@ -29,6 +29,8 @@ from z4lcd.oracle import (
 )
 from z4lcd.z4poly import Z4Poly
 
+from schoolbook import x_pow_minus_one
+
 
 def encode_word(vector):
     """Base-4 integer encoding of a residue vector, position i at digit i."""
@@ -163,7 +165,7 @@ class TestVectorMod:
 
     def test_folds_high_exponents(self):
         # X^3 - 1 at length 3 folds to zero, and so does its double
-        assert _shift_words(Z4Poly.x_pow_minus_one(3), 3) == ((), ())
+        assert _shift_words(Z4Poly(x_pow_minus_one(3)), 3) == ((), ())
 
     def test_plain_coefficients(self):
         # 1 + 2X: its shifts at length 3, and 2 + 0X, whose shifts are X^s·2
@@ -178,7 +180,7 @@ class TestVectorMod:
         # more, all-even ones, whose doubles vanish, the zero polynomial,
         # and X^N - 1, which folds to zero
         rng = random.Random(length)
-        polys = [Z4Poly(), Z4Poly.x_pow_minus_one(length)]
+        polys = [Z4Poly(), Z4Poly(x_pow_minus_one(length))]
         for _ in range(20):
             degree = rng.randrange(length, 3 * length + 1)
             coeffs = [rng.randrange(4) for _ in range(degree)] + [rng.randrange(1, 4)]
