@@ -27,7 +27,6 @@ given with an ids: prefix ("ids:0,2"), each id once.  A JSON config file
 from __future__ import annotations
 
 import argparse
-import collections
 import functools
 import io
 import json
@@ -90,9 +89,6 @@ def _parse_divisor_arg(text: str, table: cyclotomic.FactorTable) -> codes.Diviso
             ids = [int(part) for part in body.split(",")] if body else []
         except ValueError as exc:
             raise ValueError(f"bad id list {text!r}") from exc
-        repeated = sorted(i for i, count in collections.Counter(ids).items() if count > 1)
-        if repeated:
-            raise ValueError(f"repeated factor ids: {repeated}")
         return codes.DivisorSet.of(table, ids)
     try:
         poly = Z4Poly.from_string(text)

@@ -7,8 +7,9 @@ gcd and lcm of divisors are plain set operations on factor ids, never a
 Euclidean algorithm (Z4[X] has none).
 
 Factor ids are checked once, where they enter (DivisorSet.of, CodeSpec.of,
-factor_divisor); sets built from valid sets are not checked again.  A
-CodeSpec stores f and g only; h is derived as the rest of the factors.
+factor_divisor): each must be an id of the table, given once.  Sets built
+from valid sets are not checked again.  A CodeSpec stores f and g only; h
+is derived as the rest of the factors.
 A polynomial divisor is read from its reduction a mod 2: the factors whose
 reductions leave remainder 0, found in one pass over its bits.  It is
 accepted when their degrees add up to its own, so their product is a, and
@@ -25,6 +26,7 @@ cardinality is 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .cyclotomic import FactorTable, graeffe_lift
@@ -43,8 +45,15 @@ class DivisorSet:
 
     @classmethod
     def of(cls, table: FactorTable, ids=()) -> "DivisorSet":
-        """Build a divisor set from ids, rejecting any that table lacks."""
-        members = frozenset(ids)
+        """Build a divisor set from ids, rejecting a repeated id or one that table lacks."""
+        if isinstance(ids, (set, frozenset)):
+            members = frozenset(ids)  # a set holds each id once; a frozenset comes back as is
+        else:
+            ids = list(ids)
+            members = frozenset(ids)
+            if len(members) != len(ids):
+                repeated = sorted(i for i, count in Counter(ids).items() if count > 1)
+                raise ValueError(f"repeated factor ids: {repeated}")
         unknown = members - table.ids()
         if unknown:
             raise ValueError(f"unknown factor ids: {sorted(unknown)}")

@@ -9,13 +9,17 @@ the least irreducible factor of Phi_N mod 2 in the int encoding, so the
 labels depend on no choice of modulus.  The field is F2[X]/(P) for an
 irreducible factor P of Phi_N mod 2, split off Phi_N by gcds with the
 coset periods, so X has order N there and no modulus is searched for.  One
-chain of N shifts lists bit 0 of the powers of X, and Berlekamp-Massey on
-2d terms of it gives the minimal polynomial of a coset of size d.
+chain of N shifts lists bit 0 of the powers of X, one byte per power, and
+Berlekamp-Massey on 2d terms of it gives the minimal polynomial of a coset
+of size d; the terms of the coset of s are bytes s k mod N of the chain,
+read as strided slices that each run until s k wraps past N.
 
 Each divisor n of N contributes a block of factors: gamma(n) self-reciprocal
 ones when (n, 2) is a good pair, beta(n) reciprocal pairs when bad, where
 gamma(n) = phi(n)/ord_n(2) and beta(n) = phi(n)/(2 ord_n(2)).  pair_classes
 sizes every block from one factorization of N and one of each p - 1, p | N.
+PairClass and FactorRecord are named tuples, so they compare, order and
+hash as the tuples of their fields.
 
 write_table_json writes the --json form of a table from fixed templates,
 byte for byte what json.dumps(..., indent=2, sort_keys=True) gives, without
@@ -27,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .z4poly import (
     _LOW_2_BITS,
@@ -52,8 +56,7 @@ PAIR_SECOND = "pairSecond"
 FACTOR_TABLE_CACHE_SIZE = 128
 
 
-@dataclass(frozen=True)
-class PairClass:
+class PairClass(NamedTuple):
     """Classification of (n, 2) for odd n, with the block-count it implies."""
 
     divisor: int
@@ -63,9 +66,11 @@ class PairClass:
     block: int  # gamma(n), self-reciprocal factors, when good; beta(n), reciprocal pairs, when bad
 
 
-@dataclass(frozen=True)
-class FactorRecord:
-    """One monic basic irreducible factor of X^N - 1 with its metadata."""
+class FactorRecord(NamedTuple):
+    """One monic basic irreducible factor of X^N - 1 with its metadata.
+
+    The field `index` hides tuple.index on a record.
+    """
 
     index: int
     poly: Z4Poly
@@ -250,6 +255,35 @@ def _field_modulus(cosets: list[tuple[int, ...]]) -> int:
     return modulus
 
 
+def _coset_index(cosets: list[tuple[int, ...]]) -> list[int]:
+    """The position in `cosets` of the coset of each residue mod N."""
+    coset_of = [0] * sum(map(len, cosets))
+    for idx, coset in enumerate(cosets):
+        for s in coset:
+            coset_of[s] = idx
+    return coset_of
+
+
+def _coset_terms(bit0: bytes, step: int, count: int) -> bytes:
+    """bit0[step * k % N] for k < count, N = len(bit0), as bytes.
+
+    step * k runs through the slice bit0[start::step] until it wraps past
+    N, and then through the slice from the wrapped residue, which is below
+    step; the last slice is cut at `count` terms.  step 0 repeats bit0[0].
+    """
+    if not step:
+        return bytes(bit0[:1]) * count
+    length = len(bit0)
+    pieces = []
+    start = read = 0
+    while read < count:
+        piece = bit0[start::step]
+        pieces.append(piece)
+        read += len(piece)
+        start = (start - length) % step
+    return b"".join(pieces)[:count]
+
+
 def factor_mod2(cosets: list[tuple[int, ...]]) -> list[int]:
     """Monic irreducible factors of X^N + 1 over F2, one per cyclotomic coset.
 
@@ -264,9 +298,10 @@ def factor_mod2(cosets: list[tuple[int, ...]]) -> list[int]:
     close at X^N = 1.  Bit 0 of (X^s)^k follows the recurrence of the
     minimal polynomial of X^s, which is irreducible, and is 1 at k = 0, so
     Berlekamp-Massey on its first 2d terms gives that minimal polynomial,
-    d the coset size.  The unit coset with the least of these has
-    least member t, so alpha = X^t up to Frobenius, and factor j is the one
-    of coset t*s.
+    d the coset size; _coset_terms reads them off the chain as strided
+    slices, one per wrap of s k past N.  The unit coset with the least of
+    these has least member t, so alpha = X^t up to Frobenius, and factor j
+    is the one of coset t*s.
     """
     length = sum(map(len, cosets))
     modulus = _field_modulus(cosets)
@@ -282,15 +317,12 @@ def factor_mod2(cosets: list[tuple[int, ...]]) -> list[int]:
         raise AssertionError(f"X has multiplicative order {length}")
     raw = []
     for coset in cosets:
-        s, d = coset[0], len(coset)
-        min_poly = _bits_berlekamp_massey([bit0[s * k % length] for k in range(2 * d)])
+        d = len(coset)
+        min_poly = _bits_berlekamp_massey(_coset_terms(bit0, coset[0], 2 * d))
         if min_poly.bit_length() - 1 != d:
             raise AssertionError(f"minimal polynomial has degree {d}")
         raw.append(min_poly)
-    coset_of = [0] * length
-    for idx, coset in enumerate(cosets):
-        for s in coset:
-            coset_of[s] = idx
+    coset_of = _coset_index(cosets)
     _, t = min((raw[idx], c[0]) for idx, c in enumerate(cosets) if math.gcd(c[0], length) == 1)
     return [raw[coset_of[t * coset[0] % length]] for coset in cosets]
 
@@ -337,7 +369,7 @@ def build_factor_table(length: int) -> FactorTable:
     cosets = cyclotomic_cosets(length)
     mod2 = factor_mod2(cosets)
     lifted = [graeffe_lift(bits) for bits in mod2]
-    coset_of = {s: idx for idx, coset in enumerate(cosets) for s in coset}
+    coset_of = _coset_index(cosets)
 
     # one count per n-block: it holds only self-reciprocal factors or only pairs
     blocks: dict[int, int] = {}

@@ -22,7 +22,8 @@ Phi_N and the chain of powers of X.
   coefficient whatever the number of moduli.
 - ``_bits_berlekamp_massey``: the minimal polynomial of a linear recurrence
   over F2 from its terms, one parity of the connection polynomial against
-  a window of the terms per step.
+  a window of the terms per step, and one shift of the previous connection
+  polynomial, which it keeps pre-shifted.
 
 Z4 multiplication is Kronecker substitution: both operands are packed into
 Python ints, one fixed-width byte slot per coefficient, wide enough that no
@@ -246,25 +247,28 @@ def _bits_gcd(a: int, b: int) -> int:
     return a
 
 
-def _bits_berlekamp_massey(terms: list[int]) -> int:
+def _bits_berlekamp_massey(terms: Sequence[int]) -> int:
     """Minimal polynomial of the shortest F2 linear recurrence that generates `terms`.
 
-    Berlekamp-Massey on a list of 0/1 terms: the connection polynomial C
+    Berlekamp-Massey on a sequence of 0/1 terms: the connection polynomial C
     (C(0) = 1) and the linear complexity L are updated once per term, and
     the discrepancy is one parity of C against a window that holds the
-    terms read so far in reverse, bit i the term i steps back.  Returns
-    X^L C(1/X), of degree L; for 2L terms or more it is unique.
+    terms read so far in reverse, bit i the term i steps back.  The C held
+    before the last change of L is kept already shifted by the steps since
+    that change, so a step shifts it once more instead of shifting it from
+    scratch.  Returns X^L C(1/X), of degree L; for 2L terms or more it is
+    unique.
     """
-    conn, prev, complexity, gap = 1, 1, 0, 1
+    conn, shifted, complexity = 1, 2, 0
     window = 0
     for n, term in enumerate(terms):
         window = window << 1 | term
         if (conn & window).bit_count() & 1:
             if 2 * complexity <= n:
-                conn, prev, complexity, gap = conn ^ prev << gap, conn, n + 1 - complexity, 1
+                conn, shifted, complexity = conn ^ shifted, conn << 1, n + 1 - complexity
                 continue
-            conn ^= prev << gap
-        gap += 1
+            conn ^= shifted
+        shifted <<= 1
     return int(format(conn, "b").zfill(complexity + 1)[::-1], 2)
 
 

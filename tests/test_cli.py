@@ -132,6 +132,16 @@ class TestClassify:
         assert result.returncode == 0
         assert result.stdout == expected
 
+    def test_json_4608_divisors_digest(self):
+        # 2^60 - 1 = 3^2 5^2 7 11 13 31 41 61 151 331 1321; the digest was
+        # taken while PairClass was still a frozen dataclass
+        result = run_cli("classify", str(2**60 - 1), "--json")
+        assert result.returncode == 0
+        assert result.stdout.count('"n": ') == 4608
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "2031c8e4dde88eab2de4f5481d3f8076ea49dc73855af896534075a2e64c369e"
+        )
+
     def test_json(self):
         parsed = json.loads(run_cli("classify", "7", "--json").stdout)
         assert parsed["divisors"] == [

@@ -78,6 +78,15 @@ class TestDivisorSet:
         with pytest.raises(ValueError):
             DivisorSet.of(t7, [0, 9])
 
+    def test_rejects_repeated_ids(self, t7):
+        with pytest.raises(ValueError, match=r"^repeated factor ids: \[1\]$"):
+            DivisorSet.of(t7, [1, 1])
+        with pytest.raises(ValueError, match=r"^repeated factor ids: \[1\]$"):
+            DivisorSet.of(t7, iter([1, 0, 1]))
+        # sorted, and reported before an unknown id
+        with pytest.raises(ValueError, match=r"^repeated factor ids: \[0, 2\]$"):
+            DivisorSet.of(t7, [2, 9, 0, 2, 0])
+
     def test_degree_sums_members(self, t7):
         assert DivisorSet.of(t7, [1, 2]).degree == 6
         assert DivisorSet.of(t7).degree == 0
@@ -245,6 +254,13 @@ class TestCodeSpec:
     def test_rejects_unknown_ids(self, t7):
         with pytest.raises(ValueError, match=r"unknown factor ids: \[3\]"):
             CodeSpec.of(t7, f={0}, g={3})
+
+    def test_rejects_repeated_ids(self, t7):
+        # f[1,7] twice and f*[1,7] twice are no partition ({1}, {2})
+        with pytest.raises(ValueError, match=r"^repeated factor ids: \[1\]$"):
+            CodeSpec.of(t7, [1, 1], [2, 2])
+        with pytest.raises(ValueError, match=r"^repeated factor ids: \[2\]$"):
+            CodeSpec.of(t7, [1], [2, 2])
 
     def test_h_defaults_to_complement(self, t7):
         spec = CodeSpec.of(t7, f={0}, g=set())

@@ -17,6 +17,9 @@ from z4lcd.cyclotomic import (
     PAIR_FIRST,
     PAIR_SECOND,
     SELF_RECIPROCAL,
+    FactorRecord,
+    PairClass,
+    _coset_terms,
     _cyclotomic_mod2,
     _field_modulus,
     build_factor_table,
@@ -380,6 +383,27 @@ class TestFactorMod2:
         assert f2_is_irreducible_by_trial_division(f2_coeffs(factors[1]))
 
 
+class TestCosetTerms:
+    # random bytes rather than the 0/1 chain, so that a term read from a
+    # wrong index shows
+    @pytest.mark.parametrize("n", [1, 3, 7, 9, 15, 21, 63, 101, 301, 353, 1023, 4369, 8191])
+    def test_strided_read_matches_indexed_read(self, n):
+        rng = random.Random(n)
+        bit0 = bytearray(rng.randrange(256) for _ in range(n))
+        for coset in cyclotomic_cosets(n):
+            s, d = coset[0], len(coset)
+            assert _coset_terms(bit0, s, 2 * d) == bytes([bit0[s * k % n] for k in range(2 * d)])
+
+    def test_step_zero_and_counts_past_n(self):
+        bit0 = bytearray([5, 6, 7])
+        assert _coset_terms(bit0, 0, 2) == bytes([5, 5])
+        assert _coset_terms(bit0, 1, 4) == bytes([5, 6, 7, 5])  # the coset {1, 2} of N = 3
+        assert _coset_terms(bit0, 2, 7) == bytes([5, 7, 6, 5, 7, 6, 5])
+        assert _coset_terms(bit0, 1, 0) == b""
+        for s in range(3):
+            assert _coset_terms(bit0, s, 10) == bytes([bit0[s * k % 3] for k in range(10)])
+
+
 class TestDeepLengths:
     @pytest.mark.parametrize("n", [83, 107, 131, 167, 179, 1019, 3001, 4093])
     def test_builds_without_factoring_the_group_order(self, n, monkeypatch):
@@ -485,6 +509,24 @@ class TestFactorTable:
             # the held views are not fields: equality and hash see the records
             assert table == build_factor_table.__wrapped__(n)
             assert hash(table) == hash(build_factor_table.__wrapped__(n))
+
+    def test_record_contract(self):
+        assert FactorRecord._fields == (
+            "index", "poly", "bits", "divisor", "block_index", "kind", "partner", "coset",
+        )
+        assert PairClass._fields == ("divisor", "order2", "phi", "kind", "block")
+        table = build_factor_table(7)
+        first, second = table[1], table[2]
+        # the field, not tuple.index
+        assert (first.index, second.index) == (1, 2)
+        assert (first.degree, second.degree) == (3, 3)
+        assert first == tuple(first) and first < second  # compare and order as tuples
+        pc = classify_pair(7)
+        assert pc == (7, 3, 6, BAD, 1)
+        assert len({first, second, first}) == 2 and hash(pc) == hash(tuple(pc))
+        for record, field in ((first, "kind"), (pc, "block")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
 
     def test_length_one(self):
         table = build_factor_table(1)
