@@ -59,9 +59,10 @@ class TestFactor:
         rendered = json.dumps(parsed, indent=2, sort_keys=True)
         assert rendered == result.stdout.strip()
 
-    @pytest.mark.parametrize("n", [1, 1023, 1365, 2047, 3855, 4095, 4369, 4681, 5461, 8191])
+    @pytest.mark.parametrize("n", [1, 3, 255, 1023, 1365, 2047, 3855, 4095, 4369, 4681, 5461, 8191])
     def test_json_matches_the_indented_encoder_at_wide_lengths(self, n, capsys):
-        # the digest fixtures stop below 400; these N have 1 to 631 factors
+        # the digest fixtures stop below 400; these N have 1 to 631 factors,
+        # and N = 4095 has cosets of sizes 1, 2, 3, 4, 6 and 12
         assert cli.main(["factor", str(n), "--json"]) == 0
         expected = json.dumps(table_to_wire(build_factor_table(n)), indent=2, sort_keys=True)
         assert capsys.readouterr().out == expected + "\n"
@@ -88,6 +89,18 @@ class TestFactor:
         # change of alpha, of factor order or of labels shows here; run
         # in-process to stay quick
         expected = json.loads((Path(__file__).parent / "data" / "factor_digests.json").read_text())
+        got = {}
+        for n in expected:
+            assert cli.main(["factor", n, "--json"]) == 0
+            got[n] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert [n for n in expected if got[n] != expected[n]] == []
+
+    def test_json_matches_wide_digests(self, capsys):
+        # sha256 of `factor N --json` stdout for the wide N of the benchmark's
+        # factor workload (107 to 351 factors, m = ord_N(2) from 8 to 16),
+        # captured while each coset's minimal polynomial came from its own
+        # Berlekamp-Massey run and each record was rendered on its own
+        expected = json.loads((Path(__file__).parent / "data" / "factor_digests_wide.json").read_text())
         got = {}
         for n in expected:
             assert cli.main(["factor", n, "--json"]) == 0
