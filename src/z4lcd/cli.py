@@ -13,9 +13,12 @@ Every validation error is a ValueError, which `main` prints as "error:
 <message>" on stderr.  `main` checks N and --config once, before any
 command runs: N <= 0 prints "error: N must be a positive integer" and an
 even N "error: N must be odd".  `count-lcd` refuses a count 2^nsrf with
-more decimal digits than the interpreter converts to a string, before it
-builds the power.  The parser is built on the first call and serves
-every later call of the process.
+more decimal digits than the interpreter converts to a string
+(sys.get_int_max_str_digits()), before it builds the power; when that
+limit is switched off (0, as PYTHONINTMAXSTRDIGITS=0 sets it), the default
+of 4300 digits still applies, and the message says which limit it was.
+The parser is built on the first call and serves every later call of the
+process.
 
 Polynomial arguments are comma-separated ascending coefficient strings
 ("3,1" is X-1, "1" is the constant 1); signed input must be attached to its
@@ -162,10 +165,13 @@ def cmd_count_lcd(args) -> int:
     nsrf = lcdenum.count_nsrf(args.N)
     # refused before 2^nsrf is built: at N = 2^60 - 1 it would take petabytes
     digits = math.floor(nsrf * math.log10(2)) + 1
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if digits > limit:
+    limit = sys.get_int_max_str_digits()
+    cap = limit or sys.int_info.default_max_str_digits
+    if digits > cap:
+        applied = (f"the interpreter's limit of {cap}" if limit else
+                   f"the default limit of {cap}, applied because the interpreter's limit is off")
         raise ValueError(f"nsrf={nsrf}: the count 2^nsrf has {digits} decimal digits, "
-                         f"over the interpreter's limit of {limit}")
+                         f"over {applied}")
     if args.json:
         _emit_json({"N": args.N, "nsrf": nsrf, "count": 2**nsrf})
         return EXIT_OK

@@ -12,7 +12,10 @@ coset periods, so X has order N there and no modulus is searched for.  One
 chain of N shifts lists bit 0 of the powers of X, one byte per power, and
 Berlekamp-Massey on 2d terms of it gives the minimal polynomial of a coset
 of size d; the terms of the coset of s are bytes s k mod N of the chain,
-read as strided slices that each run until s k wraps past N.
+read as strided slices that each run until s k wraps past N.  The cosets
+of one size d form a class, and a class of more than 2d cosets runs
+Berlekamp-Massey once, bit-sliced with one lane per coset; a smaller class
+runs it once per coset.
 
 Each divisor n of N contributes a block of factors: gamma(n) self-reciprocal
 ones when (n, 2) is a good pair, beta(n) reciprocal pairs when bad, where
@@ -22,8 +25,9 @@ PairClass and FactorRecord are named tuples, so they compare, order and
 hash as the tuples of their fields.
 
 write_table_json writes the --json form of a table from fixed templates,
-byte for byte what json.dumps(..., indent=2, sort_keys=True) gives, without
-the encoder that indent forces into pure Python.
+one per coset size, filled by one % from a flat tuple of every record's
+fields: byte for byte what json.dumps(..., indent=2, sort_keys=True)
+gives, without the encoder that indent forces into pure Python.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .z4poly import (
     _NEG_LOW_2_BITS,
     Z4Poly,
     _bits_berlekamp_massey,
+    _bits_berlekamp_massey_lanes,
     _bits_gcd,
     _bits_rem,
     _pack,
@@ -299,9 +304,13 @@ def factor_mod2(cosets: list[tuple[int, ...]]) -> list[int]:
     minimal polynomial of X^s, which is irreducible, and is 1 at k = 0, so
     Berlekamp-Massey on its first 2d terms gives that minimal polynomial,
     d the coset size; _coset_terms reads them off the chain as strided
-    slices, one per wrap of s k past N.  The unit coset with the least of
-    these has least member t, so alpha = X^t up to Frobenius, and factor j
-    is the one of coset t*s.
+    slices, one per wrap of s k past N.  The cosets are taken by size: a
+    class of R cosets of size d runs _bits_berlekamp_massey_lanes once,
+    one lane per coset, when R > 2d, where it was measured to beat R runs
+    of _bits_berlekamp_massey, and that kernel once per coset otherwise.
+    Either way each minimal polynomial must have degree d.  The unit coset
+    with the least of these has least member t, so alpha = X^t up to
+    Frobenius, and factor j is the one of coset t*s.
     """
     length = sum(map(len, cosets))
     modulus = _field_modulus(cosets)
@@ -315,13 +324,20 @@ def factor_mod2(cosets: list[tuple[int, ...]]) -> list[int]:
             power ^= modulus
     if power != 1:
         raise AssertionError(f"X has multiplicative order {length}")
-    raw = []
-    for coset in cosets:
-        d = len(coset)
-        min_poly = _bits_berlekamp_massey(_coset_terms(bit0, coset[0], 2 * d))
-        if min_poly.bit_length() - 1 != d:
-            raise AssertionError(f"minimal polynomial has degree {d}")
-        raw.append(min_poly)
+    classes: dict[int, list[int]] = {}  # coset size -> positions of its cosets
+    for idx, coset in enumerate(cosets):
+        classes.setdefault(len(coset), []).append(idx)
+    raw = [0] * len(cosets)
+    for d, members in classes.items():
+        terms = [_coset_terms(bit0, cosets[idx][0], 2 * d) for idx in members]
+        if len(members) > 2 * d:
+            min_polys = _bits_berlekamp_massey_lanes(b"".join(terms), len(members))
+        else:
+            min_polys = map(_bits_berlekamp_massey, terms)
+        for idx, min_poly in zip(members, min_polys):
+            if min_poly.bit_length() - 1 != d:
+                raise AssertionError(f"minimal polynomial has degree {d}")
+            raw[idx] = min_poly
     coset_of = _coset_index(cosets)
     _, t = min((raw[idx], c[0]) for idx, c in enumerate(cosets) if math.gcd(c[0], length) == 1)
     return [raw[coset_of[t * coset[0] % length]] for coset in cosets]
@@ -397,9 +413,10 @@ def factor_label(record: FactorRecord) -> str:
 
 
 _JSON_HEAD = '{\n  "N": %d,\n  "records": [\n'
-_JSON_RECORD = (
-    '    {\n      "coset": [\n        %s\n      ],\n      "i": %d,\n      "id": %d,\n'
-    '      "kind": "%s",\n      "n": %d,\n      "partner": %d,\n      "poly": "%s"\n    }'
+_JSON_RECORD_HEAD = '    {\n      "coset": [\n        '
+_JSON_RECORD_TAIL = (
+    '\n      ],\n      "i": %d,\n      "id": %d,\n      "kind": "%s",\n      "n": %d,\n'
+    '      "partner": %d,\n      "poly": "%s"\n    }'
 )
 _JSON_TAIL = "\n  ]\n}\n"
 _JSON_COSET_SEP = ",\n        "
@@ -410,13 +427,17 @@ def write_table_json(table: FactorTable, out: TextIO) -> None:
 
     Fixed templates stand in for the encoder, which runs in pure Python
     whenever indent is set; keys are in sorted order, and kinds and
-    coefficient strings hold nothing that JSON escapes.  A table has at
-    least one record and a coset at least one member, so no list renders
-    as [].  The text is made whole and written once.
+    coefficient strings hold nothing that JSON escapes.  Each coset size has
+    a record template with one %d per coset member; the templates of all
+    records are joined into one, and one % fills it from a flat tuple of
+    every record's fields.  A table has at least one record and a coset at
+    least one member, so no list renders as [].  The text is written once.
     """
-    records = ",\n".join([
-        _JSON_RECORD % (_JSON_COSET_SEP.join(map(str, r.coset)), r.block_index, r.index,
-                        r.kind, r.divisor, r.partner, r.poly.to_string())
-        for r in table.records
-    ])
-    out.write(_JSON_HEAD % table.length + records + _JSON_TAIL)
+    templates = {size: _JSON_RECORD_HEAD + _JSON_COSET_SEP.join(["%d"] * size) + _JSON_RECORD_TAIL
+                 for size in set(table.degrees)}
+    template = _JSON_HEAD + ",\n".join([templates[size] for size in table.degrees]) + _JSON_TAIL
+    fields = [table.length]
+    for r in table.records:
+        fields += r.coset
+        fields += (r.block_index, r.index, r.kind, r.divisor, r.partner, r.poly.to_string())
+    out.write(template % tuple(fields))

@@ -24,6 +24,11 @@ Phi_N and the chain of powers of X.
   over F2 from its terms, one parity of the connection polynomial against
   a window of the terms per step, and one shift of the previous connection
   polynomial, which it keeps pre-shifted.
+- ``_bits_berlekamp_massey_lanes``: the same for R sequences of one length
+  and one linear complexity at once, bit-sliced: each coefficient is a
+  plane of R bits, one per sequence, so a step costs a few dozen big-int
+  operations whatever R.  It pays off over the one-sequence kernel when R
+  is more than about the number of terms (cyclotomic.factor_mod2).
 
 Z4 multiplication is Kronecker substitution: both operands are packed into
 Python ints, one fixed-width byte slot per coefficient, wide enough that no
@@ -47,6 +52,7 @@ polynomial.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import repeat
 
 _LOW_2_BITS = bytes(i & 3 for i in range(256))  # byte -> byte mod 4
 _NEG_LOW_2_BITS = bytes(-i & 3 for i in range(256))  # byte -> its negative mod 4
@@ -270,6 +276,72 @@ def _bits_berlekamp_massey(terms: Sequence[int]) -> int:
             conn ^= shifted
         shifted <<= 1
     return int(format(conn, "b").zfill(complexity + 1)[::-1], 2)
+
+
+def _bits_berlekamp_massey_lanes(terms: bytes, lanes: int) -> list[int]:
+    """_bits_berlekamp_massey of many sequences at once, one lane per sequence.
+
+    `terms` holds `lanes` sequences of 0/1 bytes of one length, one after
+    another, and every lane must end at the same linear complexity L (an
+    AssertionError otherwise); the result lists each lane's X^L C(1/X).
+    Each coefficient of a connection polynomial is a plane of R bits, R the
+    number of lanes, bit j for lane j, and a polynomial is one int with its
+    coefficient of X^i in slot i of R bits.  Term n is read as a plane off
+    the bytes transposed, and the window holds term n - i in slot i, so the
+    discrepancies of all lanes are the slots of conn & window folded by
+    halves with XOR.  Each lane's complexity is kept in a map from value to
+    lane mask, and a step spreads its discrepancy plane, and the plane of
+    the lanes whose complexity grows, over every slot, to pick per lane
+    which update runs.  A step is a few dozen big-int operations whatever R,
+    where the one-lane kernel takes one step per lane.
+    """
+    if not lanes:
+        return []
+    count = len(terms) // lanes
+    digits = terms.translate(_PARITY_DIGIT)  # lane j's term n at j * count + n
+    full = (1 << lanes) - 1
+    conn, shifted, window = full, full << lanes, 0
+    complexity = {0: full}
+    for n in range(count):
+        window = window << lanes | int(digits[n::count][::-1], 2)
+        disc, slots = conn & window, n + 1
+        while slots > 1:
+            half = slots + 1 >> 1
+            disc = disc >> half * lanes ^ disc & (1 << half * lanes) - 1
+            slots = half
+        if disc:
+            grow = 0
+            for value, mask in list(complexity.items()):
+                moved = mask & disc
+                if moved and 2 * value <= n:
+                    grow |= moved
+                    if moved == mask:
+                        del complexity[value]
+                    else:
+                        complexity[value] = mask ^ moved
+                    complexity[n + 1 - value] = complexity.get(n + 1 - value, 0) | moved
+            spreads = []
+            for plane in (disc, grow):  # copied into slots 0 .. n + 1, those of shifted
+                filled = 1
+                while filled < n + 2:
+                    plane |= plane << filled * lanes
+                    filled <<= 1
+                spreads.append(plane)
+            conn, shifted = conn ^ shifted & spreads[0], shifted ^ (conn ^ shifted) & spreads[1]
+        shifted <<= lanes
+    if len(complexity) != 1:
+        raise AssertionError("the lanes end at different linear complexities")
+    (degree,) = complexity
+    width = degree + 1
+    if conn >> width * lanes:
+        raise AssertionError("a connection polynomial has degree above its complexity")
+    # lane j's text is bit j of the planes of X^0 ... X^L, which read as
+    # binary is X^L C(1/X); the lanes are cut apart at commas
+    text = bytearray(b",") * ((width + 1) * lanes)
+    for i in range(width):
+        plane = format(conn >> i * lanes & full, "b").zfill(lanes)
+        text[i::width + 1] = plane[::-1].encode()
+    return list(map(int, text.split(b",")[:lanes], repeat(2)))
 
 
 def format_terms(p: Z4Poly) -> str:

@@ -19,8 +19,8 @@ from test_cyclotomic import table_to_wire
 SRC = str(Path(z4lcd.__file__).resolve().parent.parent)
 
 
-def run_cli(*args, **kwargs):
-    env = dict(os.environ)
+def run_cli(*args, env=None, **kwargs):
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "z4lcd", *args],
@@ -328,6 +328,18 @@ class TestCount:
         assert result.stderr == (
             f"error: nsrf={nsrf}: the count 2^nsrf has {digits} decimal digits, "
             "over the interpreter's limit of 4300\n"
+        )
+
+
+    def test_refuses_at_the_default_limit_when_the_interpreters_is_off(self):
+        # with PYTHONINTMAXSTRDIGITS=0 the interpreter would print any
+        # count; the default of 4300 digits still stops the power, and the
+        # message names that default, not an interpreter limit
+        result = run_cli("count-lcd", "111546435", env={"PYTHONINTMAXSTRDIGITS": "0"}, timeout=10)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == (
+            "error: nsrf=32420: the count 2^nsrf has 9760 decimal digits, over the default "
+            "limit of 4300, applied because the interpreter's limit is off\n"
         )
 
 

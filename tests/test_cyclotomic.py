@@ -34,7 +34,7 @@ from z4lcd.cyclotomic import (
 )
 from z4lcd.codes import hull_report
 from z4lcd.lcdenum import all_partitions
-from z4lcd.z4poly import Z4Poly
+from z4lcd.z4poly import Z4Poly, _bits_berlekamp_massey, _bits_berlekamp_massey_lanes
 
 from schoolbook import (
     f2_bits,
@@ -375,6 +375,46 @@ class TestFactorMod2:
         records = [r for r in build_factor_table(n).records if r.divisor == n]
         least = min(records, key=lambda r: r.poly.reduce_mod2())
         assert 1 % n in least.coset
+
+    @pytest.mark.parametrize("n", [127, 255, 4095, 8191, 32767])
+    def test_both_kernels_on_every_coset_size_class(self, n):
+        # factor_mod2 runs Berlekamp-Massey once for a class of more than 2d
+        # cosets of size d, and once per coset for a smaller class; here
+        # every class goes through both kernels, which must agree lane by
+        # lane, and factor_mod2 must list the same polynomials
+        cosets = cyclotomic_cosets(n)
+        modulus = _field_modulus(cosets)
+        bit0, power = bytearray(n), 1
+        for k in range(n):
+            bit0[k] = power & 1
+            power <<= 1
+            if power >> modulus.bit_length() - 1:
+                power ^= modulus
+        found = []
+        for d in sorted(set(map(len, cosets))):
+            terms = [_coset_terms(bit0, c[0], 2 * d) for c in cosets if len(c) == d]
+            one_lane = [_bits_berlekamp_massey(t) for t in terms]
+            assert {p.bit_length() - 1 for p in one_lane} == {d}
+            assert _bits_berlekamp_massey_lanes(b"".join(terms), len(terms)) == one_lane
+            found += one_lane
+        assert sorted(factor_mod2(cosets)) == sorted(found)
+
+    @pytest.mark.parametrize("n, classes", [(7, []), (255, [(8, 30)]), (4095, [(12, 335)]),
+                                            (511, [(9, 56)]), (63, [])])
+    def test_many_lane_kernel_takes_the_classes_of_more_than_2d_cosets(self, n, classes, monkeypatch):
+        # (coset size d, coset count R) of each class that goes to it; at
+        # N = 63 the class of size 6 has 9 cosets, under the 2d = 12 that
+        # the many-lane kernel needs to be the faster
+        seen = []
+
+        def record(terms, lanes):
+            seen.append((len(terms) // lanes // 2, lanes))
+            return _bits_berlekamp_massey_lanes(terms, lanes)
+
+        expected = factor_mod2(cyclotomic_cosets(n))
+        monkeypatch.setattr(cyclotomic, "_bits_berlekamp_massey_lanes", record)
+        assert factor_mod2(cyclotomic_cosets(n)) == expected
+        assert seen == classes
 
     def test_large_degree_factor_irreducible(self):
         # the degree-28 factor at N=29 via the same exhaustive oracle

@@ -58,4 +58,4 @@ def test_library_snippet():
             comment = lines[k + 1][1:]
         assert eval(code.strip(), namespace) == ast.literal_eval(comment.strip())
         checked += 1
-    assert checked == 2
+    assert checked == 3

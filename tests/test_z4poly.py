@@ -9,6 +9,7 @@ from z4lcd.cyclotomic import graeffe_lift
 from z4lcd.z4poly import (
     Z4Poly,
     _bits_berlekamp_massey,
+    _bits_berlekamp_massey_lanes,
     _bits_gcd,
     _bits_rem,
     _bits_rems,
@@ -465,6 +466,56 @@ class TestMinPoly:
             found = _bits_berlekamp_massey(terms)
             assert annihilates(found, terms)
             assert found.bit_length() == least_annihilator(terms).bit_length()
+
+
+class TestMinPolyLanes:
+    # the many-lane kernel against the one-lane kernel, lane by lane
+
+    def test_random_sequences_grouped_by_complexity(self):
+        # every group of lanes that end at one complexity gives, lane by
+        # lane, what the one-lane kernel gives for each
+        rng = random.Random(20261020)
+        for _ in range(60):
+            count = rng.randrange(0, 41)
+            sequences = [bytes(rng.getrandbits(1) for _ in range(count))
+                         for _ in range(rng.randrange(1, 701))]
+            groups = {}
+            for terms in sequences:
+                groups.setdefault(_bits_berlekamp_massey(terms).bit_length(), []).append(terms)
+            for group in groups.values():
+                expected = [_bits_berlekamp_massey(terms) for terms in group]
+                assert _bits_berlekamp_massey_lanes(b"".join(group), len(group)) == expected
+
+    def test_recurrences_of_one_degree(self):
+        # lanes of products of irreducibles, all of degree 8, from random
+        # nonzero states: complexities can fall short of 8, so each lane is
+        # checked against the one-lane kernel in its complexity group
+        rng = random.Random(20261021)
+        irreducibles = [p for p in range(2, 1 << 9) if f2_is_irreducible_by_trial_division(f2_coeffs(p))]
+        eights = [p for p in irreducibles if p.bit_length() == 9]
+        lanes = [bytes(lfsr(rng.choice(eights), rng.randrange(1, 256), 16)) for _ in range(300)]
+        assert _bits_berlekamp_massey_lanes(b"".join(lanes), len(lanes)) == [
+            _bits_berlekamp_massey(terms) for terms in lanes
+        ]
+
+    def test_edge_cases(self):
+        assert _bits_berlekamp_massey_lanes(b"", 0) == []
+        assert _bits_berlekamp_massey_lanes(b"", 3) == [1, 1, 1]  # no terms: C = 1
+        assert _bits_berlekamp_massey_lanes(bytes([1, 1, 1, 1] * 2), 2) == [0b11, 0b11]
+        assert _bits_berlekamp_massey_lanes(bytes([1, 0, 1, 0, 1, 1, 1, 1, 0]), 3) == [0b101, 0b111, 0b111]
+
+    def test_lanes_past_the_int_string_digit_limit(self):
+        # a plane of 5000 lanes is read and written as base-2 text, which
+        # CPython's 4300-digit limit on decimal conversions leaves alone
+        lanes = [bytes([1, 0, 1, 1, 0, 1]), bytes([0, 1, 1, 0, 1, 1])] * 2500
+        assert _bits_berlekamp_massey_lanes(b"".join(lanes), 5000) == [0b111, 0b111] * 2500
+
+    def test_lanes_of_different_complexities_raise(self):
+        # the same check as the scalar path's degree check in factor_mod2
+        for lanes in ([bytes([1, 1, 1, 1]), bytes([0, 0, 1, 0])],
+                      [bytes([0, 0, 0, 0])] * 40 + [bytes([0, 0, 0, 1])]):
+            with pytest.raises(AssertionError, match="different linear complexities"):
+                _bits_berlekamp_massey_lanes(b"".join(lanes), len(lanes))
 
 
 def random_monic_unit(rng, max_degree=10):
