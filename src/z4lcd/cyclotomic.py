@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, TextIO
 
@@ -192,8 +193,13 @@ def mult_order_of_2(n: int) -> int:
 
 
 def cyclotomic_cosets(length: int) -> list[tuple[int, ...]]:
-    """Orbits of s -> 2s mod N on {0..N-1}, each ascending, sorted by minimum."""
+    """Orbits of s -> 2s mod N on {0..N-1}, each ascending, sorted by minimum.
+
+    Raises ValueError for N past sys.maxsize, which no list can index.
+    """
     _require_odd(length)
+    if length > sys.maxsize:
+        raise ValueError(f"N = {length} exceeds {sys.maxsize}, the most residues a list can index")
     seen = [False] * length
     cosets = []
     for start in range(length):
@@ -258,15 +264,6 @@ def _field_modulus(cosets: list[tuple[int, ...]]) -> int:
     if modulus.bit_length() - 1 != degree:
         raise AssertionError(f"the coset periods split Phi_{length} into factors of degree {degree}")
     return modulus
-
-
-def _coset_index(cosets: list[tuple[int, ...]]) -> list[int]:
-    """The position in `cosets` of the coset of each residue mod N."""
-    coset_of = [0] * sum(map(len, cosets))
-    for idx, coset in enumerate(cosets):
-        for s in coset:
-            coset_of[s] = idx
-    return coset_of
 
 
 def _coset_terms(bit0: bytes, step: int, count: int) -> bytes:
@@ -338,7 +335,10 @@ def factor_mod2(cosets: list[tuple[int, ...]]) -> list[int]:
             if min_poly.bit_length() - 1 != d:
                 raise AssertionError(f"minimal polynomial has degree {d}")
             raw[idx] = min_poly
-    coset_of = _coset_index(cosets)
+    coset_of = [0] * length  # the position of the coset of each residue
+    for idx, coset in enumerate(cosets):
+        for s in coset:
+            coset_of[s] = idx
     _, t = min((raw[idx], c[0]) for idx, c in enumerate(cosets) if math.gcd(c[0], length) == 1)
     return [raw[coset_of[t * coset[0] % length]] for coset in cosets]
 
@@ -377,22 +377,23 @@ def build_factor_table(length: int) -> FactorTable:
     record is assigned the divisor n = N / gcd(N, s) its roots have order n
     for, a 1-based index within its n-block, and its reciprocal partner.
     Reciprocation maps the roots alpha^s to alpha^-s, so the partner of the
-    coset of s is the coset of -s mod N; the lifted partner must equal the
-    reciprocal of the lifted factor.  Within a pair the record with the
-    smaller minimal representative is the pairFirst.
+    coset of s is the coset of -s mod N, whose least member is N less the
+    greatest member of the coset of s (0 for the coset of 0); the lifted
+    partner must equal the reciprocal of the lifted factor.  Within a pair
+    the record with the smaller minimal representative is the pairFirst.
     """
     _require_odd(length)
     cosets = cyclotomic_cosets(length)
     mod2 = factor_mod2(cosets)
     lifted = [graeffe_lift(bits) for bits in mod2]
-    coset_of = _coset_index(cosets)
+    first = {coset[0]: idx for idx, coset in enumerate(cosets)}  # least member -> position
 
     # one count per n-block: it holds only self-reciprocal factors or only pairs
     blocks: dict[int, int] = {}
     records: list[FactorRecord] = []
     for idx, (coset, poly) in enumerate(zip(cosets, lifted)):
         divisor = length // math.gcd(length, coset[0])
-        partner = coset_of[-coset[0] % length]
+        partner = first[-coset[-1] % length]
         if lifted[partner] != poly.reciprocal():
             raise AssertionError("reciprocal of a factor is the factor of the negated coset")
         if idx <= partner:

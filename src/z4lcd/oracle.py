@@ -9,15 +9,16 @@ A word is held as one base-4 integer, digit i the entry at position i,
 from a generator's shifts to the dual scan: a generator is folded mod
 X^N - 1 into that form, shifted by rotating it and doubled by moving each
 digit's low bit up.  A `CodeSet` holds one boolean membership mask over the
-4^N ambient words, shaped (4^H, 4^L) by the split x = hi·4^L + lo of the
-encoding, L = N // 2 and H = N - L, so that its flat index is the encoding:
+4^N ambient words, indexed by the encoding:
 
 - the expansion also lists the span's encodings, four bytes each, and adds
-  a generator step by their digit-wise sums with it, at O(|C|) a step;
-- the dual scan tests every ambient word against every spanning word s,
-  by x·s ≡ lo·s_lo + hi·s_hi (mod 4): a 4^L and a 4^H column of keys, each
-  packing the residues of up to 16 words, give the zero test for all of
-  Z4^N in one broadcast comparison.
+  a generator step by their digit-wise sums with it, at O(|C|) a step; the
+  step that completes Z4^N sets the whole mask instead;
+- the dual scan splits each word as x = hi·4^L + lo and tests every
+  ambient word against every spanning word s by x·s ≡ lo·s_lo + hi·s_hi
+  (mod 4): a 4^L and a 4^H column of keys, each packing the residues of up
+  to 16 words, give the zero test for all of Z4^N in one broadcast
+  comparison, whose rows in order are the mask.
 
 A sweep shares this work among the 3^r partitions (f, g, h).  Their codes
 are spanned by the shifts of 2^r products f·g and 2^r products 2·f, and a
@@ -27,11 +28,11 @@ and each dual is kept at one bit a word.  One mask and one word list hold
 every code in turn: a walk down the subset lattice grows each code in
 place from one that it contains, and clears what it added on the way back.
 
-On a 2-vCPU Xeon VM the sweep takes about 3.3 ms at N = 7 (27 partitions)
-and 8 ms at N = 9 in-process, under the default bound of 9.  N = 11 and 13
+On a 2-vCPU Xeon VM the sweep takes about 1.8 ms at N = 7 (27 partitions)
+and 7 ms at N = 9 in-process, under the default bound of 9.  N = 11 and 13
 (9 partitions each) need a higher bound: a `verify` process takes about
-0.3 s wall and 46 MB at N = 11, 0.05 s of it the sweep, and 1.3 to 1.6 s
-and 247 MB at N = 13.  No bound admits a length above 13 (see MAX_LENGTH).
+0.23 s wall and 46 MB at N = 11, 0.04 s of it the sweep, and 1.0 s and
+247 MB at N = 13.  No bound admits a length above 13 (see MAX_LENGTH).
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ DEFAULT_BOUND = 9
 # a sweep peaks at 247 MB at N = 13; at N = 15 it would hold 2^5 packed
 # duals of 128 MiB each (4 GiB) before a 1 GiB mask and a 2 GiB word list
 MAX_LENGTH = 13
-_SCATTER_CHUNK = 1 << 16  # words of the last expansion step made at a time, 256 KB
 _KEY_WIDTH = 16  # residues packed into one dual-scan key, two bits each: a uint32
 _COUNT_CHUNK = 1 << 20  # mask entries packed at a time when a hull is counted, 1 MB
 
@@ -66,7 +66,7 @@ def _check_bound(length: int, bound: int) -> None:
 class CodeSet:
     """A code as its membership mask, with a spanning set when one is known.
 
-    mask is the (4^H, 4^L) boolean array whose flat index is the word's
+    mask is the boolean array of length 4^N indexed by the word's
     encoding, or None for a code given by its spanning set alone, as the
     sweep scans it; such a code has no words or size to report, and raises
     ValueError when asked.  spanning holds the encodings of the generator
@@ -139,13 +139,12 @@ def _add_words(a: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _zero_code(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """The mask of {0}, and a word list for _span with room for half of Z4^N.
+    """The mask of {0} over Z4^N, and a word list for _span with room for half of it.
 
     The list is np.zeros, so only the pages a span fills are touched.
     """
-    low = length // 2
-    members = np.zeros((4 ** (length - low), 4**low), dtype=bool)
-    members.flat[0] = True
+    members = np.zeros(4**length, dtype=bool)
+    members[0] = True
     return members, np.zeros(4**length // 2, dtype=np.uint32)
 
 
@@ -158,8 +157,9 @@ def _span(flat: np.ndarray, words: np.ndarray, size: int, gens) -> int:
     any other step t gives S + t disjoint from S.  So a step writes
     words[:k] ⊕ t, ⊕ the digit-wise sum, into words[k:2k] and sets them in
     the mask.  The list has room for half of Z4^N: a step that would
-    overrun it is the one that fills Z4^N, whose image is set in the mask
-    chunk by chunk and not listed, since no later step reads it.
+    overrun it adds a word outside a subgroup of index 2, so S + {0, t} is
+    all of Z4^N; it sets the whole mask and lists nothing, since no later
+    step reads the list.
     """
     ones = (flat.size - 1) // 3  # digit 1 in every place
     for gen in gens:
@@ -167,8 +167,7 @@ def _span(flat: np.ndarray, words: np.ndarray, size: int, gens) -> int:
             if flat[word]:
                 continue  # already in the span, adds nothing
             if size == len(words):
-                for start in range(0, size, _SCATTER_CHUNK):
-                    flat[_add_words(words[start : start + _SCATTER_CHUNK], np.uint32(word))] = True
+                flat[:] = True
             else:
                 flat[_add_words(words[:size], np.uint32(word), out=words[size : 2 * size])] = True
             size *= 2
@@ -205,7 +204,7 @@ def expand_code(spec: CodeSpec, bound: int = DEFAULT_BOUND) -> CodeSet:
     _check_bound(spec.length, bound)
     gens = spanning_words(spec)
     members, words = _zero_code(spec.length)
-    _span(members.reshape(-1), words, 1, gens)
+    _span(members, words, 1, gens)
     return CodeSet(spec.length, members, gens)
 
 
@@ -226,16 +225,18 @@ def _key_table(columns: np.ndarray) -> np.ndarray:
 def _dual_keys(length: int, word_sets) -> list[list[tuple[np.ndarray, np.ndarray]]]:
     """Per set of encoded words, the (hi, lo) key columns of its dual scan.
 
-    A word x = hi·4^L + lo is orthogonal to every s in a set when
-    lo·s_lo ≡ -hi·s_hi (mod 4) for each.  The sets are laid out in keys of
-    up to _KEY_WIDTH words, as many as the largest set needs, each set
-    padded with zero words to at least one whole key.  A key packs the
-    2-bit residues of its words: one per half-table row, built for every
-    key of every set at once by _key_table from the words' digits (negated
-    for hi).  Each key is cut to the narrowest dtype its words allow, since
-    the comparison's time grows with its width.
+    A word x = hi·4^L + lo, L = N - N // 2, is orthogonal to every s in a
+    set when lo·s_lo ≡ -hi·s_hi (mod 4) for each.  The low half takes the
+    odd digit, so that the comparison runs the fewer and longer rows.  The
+    sets are laid out in keys of up to _KEY_WIDTH words, as many as the
+    largest set needs, each set padded with zero words to at least one
+    whole key.  A key packs the 2-bit residues of its words: one per
+    half-table row, built for every key of every set at once by _key_table
+    from the words' digits (negated for hi).  Each key is cut to the
+    narrowest dtype its words allow, since the comparison's time grows with
+    its width.
     """
-    low = length // 2
+    low = length - length // 2
     width = min(_KEY_WIDTH, max(1, *map(len, word_sets)))
     key = np.min_scalar_type(4**width - 1)
     places = 2 * np.arange(width)[:, None]
@@ -260,7 +261,8 @@ def dual_bruteforce(code: CodeSet, bound: int = DEFAULT_BOUND, keys=None) -> Cod
     the 4^N ambient words is tested against every spanning word: one
     broadcast comparison of a 4^H and a 4^L key column per key, the keys
     being those _dual_keys builds for the spanning set, or keys when given
-    (the sweep builds them for all of its sets at once).
+    (the sweep builds them for all of its sets at once).  Its rows, hi
+    after hi, are the mask in the order of the encoding.
     """
     _check_bound(code.length, bound)
     if code.spanning is None:
@@ -269,7 +271,7 @@ def dual_bruteforce(code: CodeSet, bound: int = DEFAULT_BOUND, keys=None) -> Cod
     orthogonal = hi[:, None] == lo
     for hi, lo in rest:
         orthogonal &= hi[:, None] == lo
-    return CodeSet(code.length, orthogonal, None)
+    return CodeSet(code.length, orthogonal.ravel(), None)
 
 
 @dataclass(frozen=True)
@@ -317,8 +319,7 @@ def sweep_verify(length: int, bound: int = DEFAULT_BOUND) -> SweepReport:
         (p, s): np.packbits(dual_bruteforce(CodeSet(length, None, shifts[s][p]), length, keys=k).mask)
         for (p, s), k in zip(scanned, keys)
     }
-    members, words = _zero_code(length)
-    flat = members.reshape(-1)
+    flat, words = _zero_code(length)
     counts = {}
     by_degree = sorted(table.ids(), key=table.degrees.__getitem__)
 

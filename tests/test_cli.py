@@ -300,6 +300,14 @@ class TestCount:
         parsed = json.loads(run_cli("count-lcd", "1000000000039", "--json").stdout)
         assert parsed == {"N": 1000000000039, "count": 4, "nsrf": 2}
 
+    def test_length_past_the_list_index(self, capsys):
+        # 3^50: count-lcd and classify build no factor table, so N past
+        # sys.maxsize is answered from its divisors
+        assert cli.main(["count-lcd", "717897987691852588770249"]) == 0
+        assert capsys.readouterr().out == "N=717897987691852588770249 nsrf=51 count=2251799813685248\n"
+        assert cli.main(["classify", "717897987691852588770249", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["divisors"]) == 51
+
     def test_prints_a_count_under_the_digit_limit(self, capsys):
         # 2^14248 has 4290 decimal digits, under the 4300 that CPython prints by default
         assert cli.main(["count-lcd", "791845"]) == 0
@@ -496,6 +504,18 @@ class TestUsage:
             return usage.ru_utime + usage.ru_stime
 
         assert cpu_seconds(1.5) < cpu_seconds(0) + 0.75
+
+
+    @pytest.mark.parametrize("command", ["factor", "hull", "enumerate-lcd"])
+    def test_length_past_the_list_index(self, command):
+        # the factor table lists every residue mod N, so N past sys.maxsize
+        # is refused as an error, not left to an OverflowError traceback
+        result = run_cli(command, "99999999999999999999", timeout=30)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == (
+            f"error: N = 99999999999999999999 exceeds {sys.maxsize}, "
+            "the most residues a list can index\n"
+        )
 
 
 class TestInProcess:

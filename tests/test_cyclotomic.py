@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -261,6 +262,19 @@ class TestCyclotomicCosets:
     def test_rejects_bad_length(self, n):
         with pytest.raises(ValueError):
             cyclotomic_cosets(n)
+
+    def test_rejects_a_length_no_list_can_index(self):
+        # refused before [False] * N, which would raise OverflowError
+        with pytest.raises(ValueError, match="the most residues a list can index"):
+            cyclotomic_cosets(sys.maxsize + 2)
+
+    def test_negated_coset_starts_at_n_less_the_greatest_member(self):
+        # how build_factor_table finds each reciprocal partner
+        for n in range(1, 3000, 2):
+            cosets = cyclotomic_cosets(n)
+            by_least = {c[0]: c for c in cosets}
+            for coset in cosets:
+                assert set(by_least[-coset[-1] % n]) == {-s % n for s in coset}
 
 
 def order_of_2(n):

@@ -236,7 +236,7 @@ class TestExpandCode:
             if trial % 3 == 0:
                 gens = [tuple(2 * d % 4 for d in g) for g in gens] + gens  # doubles first
             members, words = _zero_code(length)
-            size = _span(members.reshape(-1), words, 1, map(encode_word, gens))
+            size = _span(members, words, 1, map(encode_word, gens))
             expected = {(0,) * length}  # the additive span alone, no shifts
             for g in gens:
                 for _ in range(3):
@@ -245,6 +245,34 @@ class TestExpandCode:
             assert {decode_word(w, length) for w in np.flatnonzero(members).tolist()} == expected
             if size <= len(words):
                 assert sorted(words[:size].tolist()) == sorted(map(encode_word, expected))
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 5])
+    def test_a_step_past_a_listed_half_space_fills_the_ambient(self, length):
+        # two subgroups of index 2, listed as _span keeps a span: words with
+        # digit 0 even, and words whose digits sum to an even number; a word
+        # outside either completes Z4^N without touching the list
+        for parity in (lambda x: x[0] % 2, lambda x: sum(x) % 2):
+            half = [w for w in range(4**length) if not parity(decode_word(w, length))]
+            members, words = _zero_code(length)
+            assert len(words) == len(half) == 4**length // 2
+            words[:] = half
+            members[half] = True
+            outside = next(w for w in range(4**length) if parity(decode_word(w, length)))
+            assert _span(members, words, len(half), [outside]) == 4**length
+            assert members.all()
+            assert words.tolist() == half
+
+    @pytest.mark.parametrize("length", [1, 3, 5, 7, 9, 11])
+    def test_masks_are_indexed_by_the_encoding(self, length):
+        # the zero code, Z4^N (whose last step fills the mask) and the code
+        # (f) with f the first nontrivial factor, each with its dual
+        table = build_factor_table(length)
+        ids = sorted(table.ids())
+        for f, g in [(ids, []), ([], []), (ids[1:2], [])]:
+            code = expand_code(CodeSpec.of(table, f=f, g=g), length)
+            dual = dual_bruteforce(code, length)
+            assert code.mask.shape == dual.mask.shape == (4**length,)
+            assert len(code) * len(dual) == 4**length
 
     def test_bound_enforced(self):
         table = build_factor_table(11)
@@ -309,7 +337,7 @@ class TestDualBruteforce:
 
     @pytest.mark.parametrize("length", [1, 3, 5])
     def test_matches_literal_scan(self, length):
-        # N = 1 is the split with an empty low half
+        # N = 1 is the split with an empty high half
         table = build_factor_table(length)
         for spec in all_partitions(table):
             code = expand_code(spec)
@@ -332,7 +360,7 @@ class TestDualBruteforce:
         units = iter([(0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
         for place in sorted({0, min(width, count) - 1, min(width, count - 1), count - 1}):
             basis[place] = next(units)
-        mask = np.zeros((4**3, 4**2), dtype=bool)
+        mask = np.zeros(4**5, dtype=bool)
         dual = dual_bruteforce(CodeSet(5, mask, tuple(map(encode_word, basis))))
         assert set(vectors(dual)) == literal_dual(basis, 5)
 
@@ -396,7 +424,7 @@ class TestScans:
         for words, set_keys in zip(sets, keys):
             mask = dual_bruteforce(CodeSet(length, None, words), length, keys=set_keys).mask
             alone = dual_bruteforce(CodeSet(length, None, words), length).mask
-            assert mask.shape == alone.shape == (4 ** (length - length // 2), 4 ** (length // 2))
+            assert mask.shape == alone.shape == (4**length,)
             assert np.array_equal(mask, alone), words
 
 
@@ -415,8 +443,7 @@ class TestWalk:
             subset = frozenset(i for i in ids if mask >> i & 1)
             gens[subset] = tuple(4 * rng.randrange(4 ** (length - 1)) for _ in range(rng.randrange(3)))
         gens[frozenset()] += tuple(4**i for i in range(length))
-        members, words = _zero_code(length)
-        flat = members.reshape(-1)
+        flat, words = _zero_code(length)
         seen = []
 
         def visit(subset, size):
