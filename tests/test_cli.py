@@ -99,7 +99,10 @@ class TestFactor:
         # sha256 of `factor N --json` stdout for the wide N of the benchmark's
         # factor workload (107 to 351 factors, m = ord_N(2) from 8 to 16),
         # captured while each coset's minimal polynomial came from its own
-        # Berlekamp-Massey run and each record was rendered on its own
+        # Berlekamp-Massey run and each record was rendered on its own; and
+        # for 16383, 21845 and 65535 (1181 to 4115 factors, the largest
+        # classes of cosets of one size), captured while each factor was
+        # lifted on its own and each coset's terms were read by strided loops
         expected = json.loads((Path(__file__).parent / "data" / "factor_digests_wide.json").read_text())
         got = {}
         for n in expected:
