@@ -12,10 +12,11 @@ coset periods, so X has order N there and no modulus is searched for.  One
 chain of N shifts lists bit 0 of the powers of X, one byte per power, and
 Berlekamp-Massey on 2d terms of it gives the minimal polynomial of a coset
 of size d; the terms of the coset of s are bytes s k mod N of the chain,
-read as strided slices that each run until s k wraps past N.  The cosets
-of one size d form a class, and a class of more than 2d cosets runs
-Berlekamp-Massey once, bit-sliced with one lane per coset; a smaller class
-runs it once per coset.
+read from copies of it laid end to end as one strided slice per coset
+(TERM_EXTENSION_BYTES caps the copies; past the cap a read wraps).  The
+cosets of one size d form a class, and a lane class, of more than 2d
+cosets, runs Berlekamp-Massey and the Graeffe lift once each, bit-sliced
+with one lane per coset; a smaller class runs both once per coset.
 
 Each divisor n of N contributes a block of factors: gamma(n) self-reciprocal
 ones when (n, 2) is a good pair, beta(n) reciprocal pairs when bad, where
@@ -60,6 +61,10 @@ PAIR_SECOND = "pairSecond"
 # Factor tables kept by build_factor_table; a bound, so that a sweep over
 # ever larger N cannot hold every table it built
 FACTOR_TABLE_CACHE_SIZE = 128
+
+# Most bytes of the copies of the chain of bit 0 that factor_mod2 reads the
+# coset terms from; at least one copy is made whatever N
+TERM_EXTENSION_BYTES = 1 << 24
 
 
 class PairClass(NamedTuple):
@@ -266,24 +271,49 @@ def _field_modulus(cosets: list[tuple[int, ...]]) -> int:
     return modulus
 
 
-def _coset_terms(bit0: bytes, step: int, count: int) -> bytes:
-    """bit0[step * k % N] for k < count, N = len(bit0), as bytes.
+def _coset_terms(chain: bytes, steps: list[int], count: int) -> list[bytes]:
+    """chain[s * k % len(chain)] for k < count, as bytes, for each s in steps.
 
-    step * k runs through the slice bit0[start::step] until it wraps past
-    N, and then through the slice from the wrapped residue, which is below
-    step; the last slice is cut at `count` terms.  step 0 repeats bit0[0].
+    `chain` is any whole number of copies of bit0, so these are also
+    bit0[s * k % N]: the copies keep period N.  When count * s is within
+    the chain, the terms of s are the one slice chain[:count * s:s];
+    otherwise _wrapped_terms reads them.
+    """
+    length = len(chain)
+    return [chain[:count * s:s] if 0 < count * s <= length else _wrapped_terms(chain, s, count)
+            for s in steps]
+
+
+def _wrapped_terms(chain: bytes, step: int, count: int) -> bytes:
+    """chain[step * k % len(chain)] for k < count, for a step that wraps.
+
+    step * k runs through a slice of chain until it wraps past the end, and
+    then through the slice from the wrapped residue; each slice is cut at
+    the terms still needed.  step 0 repeats chain[0].
     """
     if not step:
-        return bytes(bit0[:1]) * count
-    length = len(bit0)
+        return chain[:1] * count
     pieces = []
-    start = read = 0
+    read = 0
     while read < count:
-        piece = bit0[start::step]
-        pieces.append(piece)
-        read += len(piece)
-        start = (start - length) % step
-    return b"".join(pieces)[:count]
+        start = read * step % len(chain)
+        pieces.append(chain[start:start + (count - read) * step:step])
+        read += len(pieces[-1])
+    return b"".join(pieces)
+
+
+def _size_classes(cosets: list[tuple[int, ...]]) -> list[tuple[int, list[int], bool]]:
+    """The cosets by size d, as (d, positions of its cosets, lanes).
+
+    `lanes` marks a lane class, of more than 2d cosets, which runs
+    Berlekamp-Massey and the Graeffe lift once for all its cosets,
+    bit-sliced with one lane per coset; there that was measured to beat one
+    run per coset, which a smaller class takes.
+    """
+    classes: dict[int, list[int]] = {}
+    for idx, coset in enumerate(cosets):
+        classes.setdefault(len(coset), []).append(idx)
+    return [(d, members, len(members) > 2 * d) for d, members in classes.items()]
 
 
 def factor_mod2(cosets: list[tuple[int, ...]]) -> list[int]:
@@ -300,14 +330,15 @@ def factor_mod2(cosets: list[tuple[int, ...]]) -> list[int]:
     close at X^N = 1.  Bit 0 of (X^s)^k follows the recurrence of the
     minimal polynomial of X^s, which is irreducible, and is 1 at k = 0, so
     Berlekamp-Massey on its first 2d terms gives that minimal polynomial,
-    d the coset size; _coset_terms reads them off the chain as strided
-    slices, one per wrap of s k past N.  The cosets are taken by size: a
-    class of R cosets of size d runs _bits_berlekamp_massey_lanes once,
-    one lane per coset, when R > 2d, where it was measured to beat R runs
-    of _bits_berlekamp_massey, and that kernel once per coset otherwise.
-    Either way each minimal polynomial must have degree d.  The unit coset
-    with the least of these has least member t, so alpha = X^t up to
-    Frobenius, and factor j is the one of coset t*s.
+    d the coset size.  _coset_terms reads them from copies of the chain,
+    enough that each coset's terms are one slice, or as many as fit in
+    TERM_EXTENSION_BYTES (at least one), when its reads wrap.  The cosets
+    are taken by size (_size_classes): a lane class of R > 2d cosets of
+    size d runs _bits_berlekamp_massey_lanes once, one lane per coset, and
+    a smaller class runs _bits_berlekamp_massey once per coset.  Either way
+    each minimal polynomial must have degree d.  The unit coset with the
+    least of these has least member t, so alpha = X^t up to Frobenius, and
+    factor j is the one of coset t*s.
     """
     length = sum(map(len, cosets))
     modulus = _field_modulus(cosets)
@@ -321,13 +352,14 @@ def factor_mod2(cosets: list[tuple[int, ...]]) -> list[int]:
             power ^= modulus
     if power != 1:
         raise AssertionError(f"X has multiplicative order {length}")
-    classes: dict[int, list[int]] = {}  # coset size -> positions of its cosets
-    for idx, coset in enumerate(cosets):
-        classes.setdefault(len(coset), []).append(idx)
+    # copies of the chain, enough for one slice of 2d terms per coset of
+    # size d and step s, within the cap
+    needed = max(2 * len(coset) * coset[0] for coset in cosets)
+    chain = bytes(bit0) * max(1, min(-(-needed // length), TERM_EXTENSION_BYTES // length))
     raw = [0] * len(cosets)
-    for d, members in classes.items():
-        terms = [_coset_terms(bit0, cosets[idx][0], 2 * d) for idx in members]
-        if len(members) > 2 * d:
+    for d, members, lanes in _size_classes(cosets):
+        terms = _coset_terms(chain, [cosets[idx][0] for idx in members], 2 * d)
+        if lanes:
             min_polys = _bits_berlekamp_massey_lanes(b"".join(terms), len(members))
         else:
             min_polys = map(_bits_berlekamp_massey, terms)
@@ -353,7 +385,9 @@ def graeffe_lift(bits: int) -> Z4Poly:
     Z4 reducing to f2 mod 2 and dividing X^N - 1.  e and o are packed into
     the byte slots of Z4Poly.__mul__, so e^2 + 3 X o^2 is one big-int
     expression; a slot holds at most len(e) + 3 len(o) <= 4 len(e), and
-    the sign is a byte table applied to the slots mod 4.
+    the sign is a byte table applied to the slots mod 4.  build_factor_table
+    lifts the factors of a lane class with _graeffe_lift_lanes instead, and
+    those of a smaller class, and codes.factor_divisor's, here.
     """
     if bits <= 0 or not bits & 1:
         # a negative int would read its sign as a digit below
@@ -369,6 +403,46 @@ def graeffe_lift(bits: int) -> Z4Poly:
     return Z4Poly._of(lifted)
 
 
+def _graeffe_lift_lanes(bits: list[int], degree: int) -> list[Z4Poly]:
+    """graeffe_lift of many mod-2 factors of one degree, one lane per factor.
+
+    Coefficient i of the factors is a plane F_i of R bits, R = len(bits),
+    read off their binary texts laid end to end.  With E = F[0::2] and
+    O = F[1::2], and since e(X)^2 = e(X^2) + 2 sum_{i<j} e_i e_j X^(i+j)
+    mod 4 for a 0/1 polynomial e, the lift e(X)^2 - X o(X)^2 has low bits F_k
+    and high bits hi_k, the XOR of E_i & E_j over i < j with i + j = k, of
+    O_i & O_j over i < j with i + j + 1 = k, and of F_k when k is odd (the
+    3s of -X o(X^2)).  The planes of F and hi are written out as ASCII
+    rows, one row per coefficient, and added as ints, the hi rows twice, so
+    that each byte is 144 + lo + 2 hi with no carry; the byte table of
+    graeffe_lift takes it mod 4 with the sign (-1)^degree.  Lane j's
+    coefficients are then the stride-R slice from byte j.
+    """
+    lanes, width = len(bits), degree + 1
+    if not lanes:
+        return []
+    if min(bits) >> degree != 1 or max(bits) >> degree != 1:
+        raise ValueError(f"every factor must have degree {degree}")
+    text = "".join([format(b, "b") for b in bits])  # lane j's coefficient i at j * width + degree - i
+    rows = [text[degree - i::width] for i in range(width)]  # row i: coefficient i of lanes 0 .. R-1
+    if "0" in rows[0]:
+        raise ValueError("lift requires a positive odd encoding: a nonzero constant term")
+    planes = [int(row, 2) for row in rows]  # lane j at bit R - 1 - j
+    even, odd = planes[0::2], planes[1::2]
+    high = [plane if k % 2 else 0 for k, plane in enumerate(planes)]
+    for half, offset in ((even, 0), (odd, 1)):
+        for i, low in enumerate(half):
+            for j in range(i + 1, len(half)):
+                high[i + j + offset] ^= low & half[j]
+    high_text = "".join([format(plane, "b").zfill(lanes) for plane in high])
+    packed = int.from_bytes("".join(rows).encode(), "big") + 2 * int.from_bytes(high_text.encode(), "big")
+    sign = _LOW_2_BITS if width % 2 else _NEG_LOW_2_BITS  # (-1)^degree
+    coeffs = packed.to_bytes(width * lanes, "big").translate(sign)
+    if coeffs[degree * lanes:] != b"\1" * lanes:
+        raise AssertionError("Graeffe lift is monic by the sign choice")
+    return [Z4Poly._of(coeffs[j::lanes]) for j in range(lanes)]
+
+
 @functools.lru_cache(maxsize=FACTOR_TABLE_CACHE_SIZE)
 def build_factor_table(length: int) -> FactorTable:
     """Lift every mod-2 factor of X^N + 1 and assemble the factor table.
@@ -381,11 +455,19 @@ def build_factor_table(length: int) -> FactorTable:
     greatest member of the coset of s (0 for the coset of 0); the lifted
     partner must equal the reciprocal of the lifted factor.  Within a pair
     the record with the smaller minimal representative is the pairFirst.
+    The factors of a lane class (_size_classes) are lifted as planes, by
+    one _graeffe_lift_lanes call, and those of a smaller class by
+    graeffe_lift one at a time.
     """
     _require_odd(length)
     cosets = cyclotomic_cosets(length)
     mod2 = factor_mod2(cosets)
-    lifted = [graeffe_lift(bits) for bits in mod2]
+    lifted = [Z4Poly.one()] * len(cosets)
+    for d, members, lanes in _size_classes(cosets):
+        factors = [mod2[idx] for idx in members]
+        polys = _graeffe_lift_lanes(factors, d) if lanes else map(graeffe_lift, factors)
+        for idx, poly in zip(members, polys):
+            lifted[idx] = poly
     first = {coset[0]: idx for idx, coset in enumerate(cosets)}  # least member -> position
 
     # one count per n-block: it holds only self-reciprocal factors or only pairs

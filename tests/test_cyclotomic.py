@@ -23,6 +23,8 @@ from z4lcd.cyclotomic import (
     _coset_terms,
     _cyclotomic_mod2,
     _field_modulus,
+    _graeffe_lift_lanes,
+    _size_classes,
     build_factor_table,
     classify_pair,
     cyclotomic_cosets,
@@ -406,7 +408,7 @@ class TestFactorMod2:
                 power ^= modulus
         found = []
         for d in sorted(set(map(len, cosets))):
-            terms = [_coset_terms(bit0, c[0], 2 * d) for c in cosets if len(c) == d]
+            terms = _coset_terms(bytes(bit0), [c[0] for c in cosets if len(c) == d], 2 * d)
             one_lane = [_bits_berlekamp_massey(t) for t in terms]
             assert {p.bit_length() - 1 for p in one_lane} == {d}
             assert _bits_berlekamp_massey_lanes(b"".join(terms), len(terms)) == one_lane
@@ -443,19 +445,55 @@ class TestCosetTerms:
     @pytest.mark.parametrize("n", [1, 3, 7, 9, 15, 21, 63, 101, 301, 353, 1023, 4369, 8191])
     def test_strided_read_matches_indexed_read(self, n):
         rng = random.Random(n)
-        bit0 = bytearray(rng.randrange(256) for _ in range(n))
+        bit0 = bytes(rng.randrange(256) for _ in range(n))
         for coset in cyclotomic_cosets(n):
             s, d = coset[0], len(coset)
-            assert _coset_terms(bit0, s, 2 * d) == bytes([bit0[s * k % n] for k in range(2 * d)])
+            expected = bytes([bit0[s * k % n] for k in range(2 * d)])
+            for copies in (1, 2, 2 * d):
+                assert _coset_terms(bit0 * copies, [s], 2 * d) == [expected]
 
     def test_step_zero_and_counts_past_n(self):
-        bit0 = bytearray([5, 6, 7])
-        assert _coset_terms(bit0, 0, 2) == bytes([5, 5])
-        assert _coset_terms(bit0, 1, 4) == bytes([5, 6, 7, 5])  # the coset {1, 2} of N = 3
-        assert _coset_terms(bit0, 2, 7) == bytes([5, 7, 6, 5, 7, 6, 5])
-        assert _coset_terms(bit0, 1, 0) == b""
-        for s in range(3):
-            assert _coset_terms(bit0, s, 10) == bytes([bit0[s * k % 3] for k in range(10)])
+        bit0 = bytes([5, 6, 7])
+        assert _coset_terms(bit0, [0], 2) == [bytes([5, 5])]
+        assert _coset_terms(bit0, [1], 4) == [bytes([5, 6, 7, 5])]  # the coset {1, 2} of N = 3
+        assert _coset_terms(bit0, [2], 7) == [bytes([5, 7, 6, 5, 7, 6, 5])]
+        assert _coset_terms(bit0, [1], 0) == [b""]
+        assert _coset_terms(bit0, [], 4) == []
+        expected = [bytes([bit0[s * k % 3] for k in range(10)]) for s in range(3)]
+        assert _coset_terms(bit0, [0, 1, 2], 10) == expected
+
+    def test_any_number_of_copies_matches_indexed_read(self):
+        # the chain is c copies of bit0, from 1 to past the 2d that makes
+        # every read one slice; steps include 0 and the steps past N / 2
+        rng = random.Random(20261020)
+        for _ in range(3000):
+            n = rng.randrange(1, 500, 2)
+            bit0 = bytes(rng.randrange(256) for _ in range(n))
+            steps = [0, n - 1, *(rng.randrange(n) for _ in range(rng.randint(0, 4)))]
+            count = rng.randint(0, 80)
+            expected = [bytes([bit0[s * k % n] for k in range(count)]) for s in steps]
+            assert _coset_terms(bit0 * rng.randint(1, 90), steps, count) == expected
+
+    @pytest.mark.parametrize("n", [1023, 8191])
+    def test_json_unchanged_when_the_cap_cuts_the_copies(self, n, monkeypatch):
+        # three copies, against the 2d of one slice per coset: the reads
+        # wrap, and `factor N --json` must keep its pinned digest
+        pins = {}
+        for name in ("factor_digests.json", "factor_digests_wide.json"):
+            pins.update(json.loads((DATA / name).read_text()))
+        wrapped = []
+        read = cyclotomic._wrapped_terms
+
+        def counting(chain, step, count):
+            wrapped.append(len(chain) // n)
+            return read(chain, step, count)
+
+        monkeypatch.setattr(cyclotomic, "TERM_EXTENSION_BYTES", 3 * n + 1)
+        monkeypatch.setattr(cyclotomic, "_wrapped_terms", counting)
+        out = io.StringIO()
+        write_table_json(build_factor_table.__wrapped__(n), out)  # past the cache
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == pins[str(n)]
+        assert wrapped and set(wrapped) == {3}
 
 
 class TestDeepLengths:
@@ -534,6 +572,64 @@ class TestGraeffeLift:
         # that would otherwise be read as a coefficient
         with pytest.raises(ValueError):
             graeffe_lift(bits)
+
+
+class TestGraeffeLiftLanes:
+    @pytest.mark.parametrize("n", [1023, 1365, 2047, 3855, 4095, 4369, 4681, 5461, 8191, 32767])
+    def test_every_lane_class_matches_graeffe_lift(self, n):
+        cosets = cyclotomic_cosets(n)
+        mod2 = factor_mod2(cosets)
+        lane_classes = [(d, members) for d, members, lanes in _size_classes(cosets) if lanes]
+        assert lane_classes
+        for d, members in lane_classes:
+            factors = [mod2[idx] for idx in members]
+            assert _graeffe_lift_lanes(factors, d) == [graeffe_lift(bits) for bits in factors]
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_random_factors_match_graeffe_lift(self, parity):
+        # odd degree flips the sign of every coefficient; R from one lane up
+        rng = random.Random(parity)
+        for degree in range(1, 41):
+            if degree % 2 != parity:
+                continue
+            for lanes in (1, 2, 3, rng.randint(4, 100), 100):
+                factors = [1 << degree | rng.getrandbits(degree) | 1 for _ in range(lanes)]
+                assert _graeffe_lift_lanes(factors, degree) == [graeffe_lift(bits) for bits in factors]
+
+    def test_all_ones_and_no_lanes(self):
+        for degree in range(1, 20):
+            factors = [(1 << degree + 1) - 1, 1 << degree | 1]
+            assert _graeffe_lift_lanes(factors, degree) == [graeffe_lift(bits) for bits in factors]
+        assert _graeffe_lift_lanes([], 5) == []
+
+    def test_rejects_an_even_factor(self):
+        with pytest.raises(ValueError):
+            _graeffe_lift_lanes([0b1011, 0b1010, 0b1101], 3)
+
+    @pytest.mark.parametrize("factors", [[0b1011, 0b111], [0b1011, 0b10011], [0b1011, -0b1011]])
+    def test_rejects_a_factor_of_another_degree(self, factors):
+        with pytest.raises(ValueError):
+            _graeffe_lift_lanes(factors, 3)
+
+    @pytest.mark.parametrize("n", [7, 63, 255, 511, 4095, 4369])
+    def test_lifts_as_planes_exactly_the_classes_that_run_berlekamp_massey_as_planes(self, n, monkeypatch):
+        seen = {"massey": [], "lift": []}
+        massey, lift = cyclotomic._bits_berlekamp_massey_lanes, cyclotomic._graeffe_lift_lanes
+
+        def record_massey(terms, lanes):
+            seen["massey"].append((len(terms) // lanes // 2, lanes))
+            return massey(terms, lanes)
+
+        def record_lift(bits, degree):
+            seen["lift"].append((degree, len(bits)))
+            return lift(bits, degree)
+
+        expected = build_factor_table(n)
+        monkeypatch.setattr(cyclotomic, "_bits_berlekamp_massey_lanes", record_massey)
+        monkeypatch.setattr(cyclotomic, "_graeffe_lift_lanes", record_lift)
+        assert build_factor_table.__wrapped__(n) == expected  # past the cache
+        assert seen["massey"] == seen["lift"]
+        assert bool(seen["lift"]) == (n not in (7, 63))
 
 
 class TestFactorTable:
