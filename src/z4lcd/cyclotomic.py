@@ -307,8 +307,8 @@ def _size_classes(cosets: list[tuple[int, ...]]) -> list[tuple[int, list[int], b
 
     `lanes` marks a lane class, of more than 2d cosets, which runs
     Berlekamp-Massey and the Graeffe lift once for all its cosets,
-    bit-sliced with one lane per coset; there that was measured to beat one
-    run per coset, which a smaller class takes.
+    bit-sliced with one lane per coset, where that was measured to beat
+    one run per coset; a smaller class runs both once per coset.
     """
     classes: dict[int, list[int]] = {}
     for idx, coset in enumerate(cosets):
@@ -462,7 +462,7 @@ def build_factor_table(length: int) -> FactorTable:
     _require_odd(length)
     cosets = cyclotomic_cosets(length)
     mod2 = factor_mod2(cosets)
-    lifted = [Z4Poly.one()] * len(cosets)
+    lifted = [None] * len(cosets)  # filled class by class
     for d, members, lanes in _size_classes(cosets):
         factors = [mod2[idx] for idx in members]
         polys = _graeffe_lift_lanes(factors, d) if lanes else map(graeffe_lift, factors)
