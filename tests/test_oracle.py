@@ -591,6 +591,36 @@ class TestSweepVerify:
         assert wire == {"N": 3, "partitions": 9, "mismatches": [], "lcdCount": 4}
 
 
+class TestVerifyMismatchOutput:
+    """What `verify` prints and returns when the formulas disagree with the brute force.
+
+    The hull and code-size formulas are put off by one, so that every
+    partition gives a hullSize and a codeSize mismatch; the fixture holds
+    the text form's lines and the parsed --json object.
+    """
+
+    EXPECTED = json.loads((Path(__file__).parent / "data" / "verify_forced_mismatches.json").read_text())
+
+    @pytest.fixture(autouse=True)
+    def wrong_formulas(self, monkeypatch):
+        real_hull, real_size = oracle.hull_report, oracle.code_size
+        off_by_one = lambda spec: dataclasses.replace(real_hull(spec), hull_size=real_hull(spec).hull_size + 1)
+        monkeypatch.setattr(oracle, "hull_report", off_by_one)
+        monkeypatch.setattr(oracle, "code_size", lambda spec: real_size(spec) + 1)
+
+    @pytest.mark.parametrize("length", ["1", "3", "7"])
+    def test_text(self, length, capsys):
+        assert cli.main(["verify", length]) == cli.EXIT_MISMATCH
+        lines = self.EXPECTED[length]["text"]
+        assert capsys.readouterr() == ("".join(line + "\n" for line in lines), "")
+
+    @pytest.mark.parametrize("length", ["1", "3", "7"])
+    def test_json(self, length, capsys):
+        assert cli.main(["verify", length, "--json"]) == cli.EXIT_MISMATCH
+        out, err = capsys.readouterr()
+        assert (json.loads(out), err) == (self.EXPECTED[length]["json"], "")
+
+
 class TestSpanningVectors:
     """The shifts of a partition's two generators, held as words."""
 
