@@ -188,17 +188,15 @@ def cmd_verify(args) -> int:
     if bound is None:
         bound = oracle.DEFAULT_BOUND
     report = oracle.sweep_verify(args.N, bound)
+    mismatches = report["mismatches"]
     if args.json:
-        _emit_json(oracle.sweep_to_wire(report))
+        _emit_json(report)
     else:
-        print(
-            f"N={args.N}: {report.partitions} partitions, "
-            f"{len(report.mismatches)} mismatches, {report.lcd_count} LCD"
-        )
-        for m in report.mismatches:
-            print(f"  MISMATCH {codes.spec_to_wire(m.spec)}: "
-                  f"expected {m.expected}, got {m.got}")
-    return EXIT_OK if report.ok else EXIT_MISMATCH
+        print(f"N={args.N}: {report['partitions']} partitions, "
+              f"{len(mismatches)} mismatches, {report['lcdCount']} LCD")
+        for m in mismatches:
+            print(f"  MISMATCH {m['spec']}: expected {m['expected']}, got {m['got']}")
+    return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
 def _config_bound(path: str | None) -> int | None:

@@ -27,6 +27,8 @@ generator subset, 2^(r+1) times, from keys built for all of them at once,
 and each dual is kept at one bit a word.  One mask and one word list hold
 every code in turn: a walk down the subset lattice grows each code in
 place from one that it contains, and clears what it added on the way back.
+Its result is the dict that `verify N --json` prints, filled in as each
+partition is checked.
 
 On a 2-vCPU Xeon VM the sweep takes about 1.8 ms at N = 7 (27 partitions)
 and 7 ms at N = 9 in-process, under the default bound of 9.  N = 11 and 13
@@ -274,28 +276,12 @@ def dual_bruteforce(code: CodeSet, bound: int = DEFAULT_BOUND, keys=None) -> Cod
     return CodeSet(code.length, orthogonal.ravel(), None)
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    spec: CodeSpec
-    expected: str
-    got: str
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    length: int
-    partitions: int
-    mismatches: tuple[Mismatch, ...]
-    lcd_count: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def sweep_verify(length: int, bound: int = DEFAULT_BOUND) -> SweepReport:
+def sweep_verify(length: int, bound: int = DEFAULT_BOUND) -> dict:
     """Check every (f, g, h) partition against the brute force.
 
+    Returns the object that `verify N --json` prints: {"N", "partitions",
+    "mismatches", "lcdCount"}, each mismatch {"spec": spec_to_wire(spec),
+    "expected": "label=value", "got": "label=value"}, in partition order.
     Per partition: the hull formula must match the brute-force hull size,
     the code-size formula must match the expanded codeword count, and the
     LCD verdict must coincide with (g empty and f reciprocal-closed).
@@ -347,7 +333,7 @@ def sweep_verify(length: int, bound: int = DEFAULT_BOUND) -> SweepReport:
 
     def check(spec, label, expected, got):
         if expected != got:
-            mismatches.append(Mismatch(spec, f"{label}={expected}", f"{label}={got}"))
+            mismatches.append({"spec": spec_to_wire(spec), "expected": f"{label}={expected}", "got": f"{label}={got}"})
 
     for spec in specs:
         hull, size = counts[spec.f_set.members, spec.f_set.members | spec.g_set.members]
@@ -356,18 +342,5 @@ def sweep_verify(length: int, bound: int = DEFAULT_BOUND) -> SweepReport:
         check(spec, "codeSize", code_size(spec), size)
         f_closed = reciprocal_set(spec.f_set).members == spec.f_set.members
         check(spec, "lcd", f_closed and not spec.g_set.members, report.lcd)
-        if report.lcd:
-            lcd_count += 1
-    return SweepReport(length, len(specs), tuple(mismatches), lcd_count)
-
-
-def sweep_to_wire(report: SweepReport) -> dict:
-    return {
-        "N": report.length,
-        "partitions": report.partitions,
-        "mismatches": [
-            {"spec": spec_to_wire(m.spec), "expected": m.expected, "got": m.got}
-            for m in report.mismatches
-        ],
-        "lcdCount": report.lcd_count,
-    }
+        lcd_count += report.lcd
+    return {"N": length, "partitions": len(specs), "mismatches": mismatches, "lcdCount": lcd_count}

@@ -131,15 +131,15 @@ def test_criterion_3_hull_formula_vs_bruteforce(oracle_sweeps):
     total = 0
     for n in SWEEP_LENGTHS:
         report = reports[n]
-        assert report.partitions == 3 ** len(build_factor_table(n).records)
+        assert report["partitions"] == 3 ** len(build_factor_table(n).records)
         hull_mismatches = [
-            m for m in report.mismatches if m.expected.startswith("hullSize")
+            m for m in report["mismatches"] if m["expected"].startswith("hullSize")
         ]
         size_mismatches = [
-            m for m in report.mismatches if m.expected.startswith("codeSize")
+            m for m in report["mismatches"] if m["expected"].startswith("codeSize")
         ]
         assert hull_mismatches == [] and size_mismatches == []
-        total += report.partitions
+        total += report["partitions"]
     assert total == 3 + 9 + 9 + 27 + 27
     assert elapsed < 60.0
 
@@ -148,7 +148,7 @@ def test_criterion_3_hull_formula_vs_bruteforce(oracle_sweeps):
 def test_criterion_4_lcd_iff_self_reciprocal(oracle_sweeps):
     reports, _ = oracle_sweeps
     for n in SWEEP_LENGTHS:
-        assert not [m for m in reports[n].mismatches if m.expected.startswith("lcd")]
+        assert not [m for m in reports[n]["mismatches"] if m["expected"].startswith("lcd")]
         # re-derive the equivalence directly, independent of the sweep plumbing
         for spec in all_partitions(build_factor_table(n)):
             structural = (
@@ -169,7 +169,7 @@ def test_criterion_5_counting_formula(oracle_sweeps):
     reports, _ = oracle_sweeps
     for n in SWEEP_LENGTHS:
         formula, enumerated, swept = lcd_census(n)
-        assert formula == enumerated == swept == reports[n].lcd_count
+        assert formula == enumerated == swept == reports[n]["lcdCount"]
 
 
 @criterion(6, "factorization structure of X^N-1 for all odd N <= 31")

@@ -467,12 +467,13 @@ class TestWire:
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
     def test_never_runs_the_pure_python_encoder(self, monkeypatch, capsys):
-        # json.dumps with indent set always goes through _make_iterencode
+        # json.dump goes through _make_iterencode on every Python version;
+        # json.dumps with indent set does too before 3.13
         def refuse(*args, **kwargs):
             raise AssertionError("pure-Python JSON encoder used")
 
         monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
         with pytest.raises(AssertionError):
-            json.dumps({"N": 1}, indent=2)
+            json.dump({"N": 1}, io.StringIO(), indent=2)
         assert cli.main(["enumerate-lcd", "63", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["count"] == 256

@@ -10,17 +10,15 @@ import numpy as np
 import pytest
 
 from z4lcd import cli, oracle
-from z4lcd.codes import CodeSpec, divisor_poly, hull_report
+from z4lcd.codes import CodeSpec, divisor_poly, hull_report, spec_to_wire
 from z4lcd.cyclotomic import build_factor_table
 from z4lcd.lcdenum import all_partitions
 from z4lcd.oracle import (
     CodeSet,
-    Mismatch,
     dual_bruteforce,
     expand_code,
     spanning_words,
     sweep_verify,
-    sweep_to_wire,
     _add_words,
     _check_bound,
     _shift_words,
@@ -523,28 +521,23 @@ class TestMaskOnly:
             raise AssertionError("a word set was built")
 
         monkeypatch.setattr(CodeSet, "words", property(refuse))
-        assert sweep_verify(7).ok
+        assert sweep_verify(7)["mismatches"] == []
         for spec in all_partitions(build_factor_table(5)):
             assert hull_bruteforce(spec) == hull_report(spec).hull_size
 
 
 class TestSweepVerify:
     def test_length_one(self):
-        report = sweep_verify(1)
-        assert (report.partitions, report.mismatches, report.lcd_count) == (3, (), 2)
+        assert sweep_verify(1) == {"N": 1, "partitions": 3, "mismatches": [], "lcdCount": 2}
 
     def test_length_three(self):
-        report = sweep_verify(3)
-        assert (report.partitions, report.mismatches, report.lcd_count) == (9, (), 4)
+        assert sweep_verify(3) == {"N": 3, "partitions": 9, "mismatches": [], "lcdCount": 4}
 
     def test_length_seven(self):
-        report = sweep_verify(7)
-        assert (report.partitions, len(report.mismatches), report.lcd_count) == (27, 0, 4)
-        assert report.ok
+        assert sweep_verify(7) == {"N": 7, "partitions": 27, "mismatches": [], "lcdCount": 4}
 
     def test_length_eleven(self):
-        report = sweep_verify(11, 11)
-        assert (report.partitions, report.mismatches, report.lcd_count) == (9, (), 4)
+        assert sweep_verify(11, 11) == {"N": 11, "partitions": 9, "mismatches": [], "lcdCount": 4}
 
     def test_bound_error(self):
         with pytest.raises(ValueError, match="length 11 exceeds brute-force bound 9"):
@@ -562,9 +555,12 @@ class TestSweepVerify:
         for spec in all_partitions(build_factor_table(length)):
             code = expand_code(spec)
             hull = np.count_nonzero(code.mask & dual_bruteforce(code).mask)
-            expected.append(Mismatch(spec, f"hullSize={real_hull(spec).hull_size + 1}", f"hullSize={hull}"))
-            expected.append(Mismatch(spec, f"codeSize={real_size(spec) + 1}", f"codeSize={len(code)}"))
-        assert sweep_verify(length).mismatches == tuple(expected)
+            wire = spec_to_wire(spec)
+            expected.append({"spec": wire, "expected": f"hullSize={real_hull(spec).hull_size + 1}",
+                             "got": f"hullSize={hull}"})
+            expected.append({"spec": wire, "expected": f"codeSize={real_size(spec) + 1}",
+                             "got": f"codeSize={len(code)}"})
+        assert sweep_verify(length)["mismatches"] == expected
 
     @pytest.mark.parametrize("length", [7, 9])
     def test_one_scan_per_generator_subset(self, length, monkeypatch):
@@ -579,16 +575,18 @@ class TestSweepVerify:
         )
         r = len(build_factor_table(length).records)
         first = sweep_verify(length)
-        assert (first.partitions, first.ok, r) == (27, True, 3)
+        assert (first["partitions"], first["mismatches"], r) == (27, [], 3)
         assert len(builds) == 1 and len(builds[0]) == len(scans)
         assert 0 < len(scans) <= 2 ** (r + 1)
         builds.clear(), scans.clear()
         assert sweep_verify(length) == first
         assert len(builds) == 1 and 0 < len(scans) <= 2 ** (r + 1)
 
-    def test_wire_form(self):
-        wire = sweep_to_wire(sweep_verify(3))
-        assert wire == {"N": 3, "partitions": 9, "mismatches": [], "lcdCount": 4}
+    def test_wire_form(self, capsys):
+        # the sweep returns the object that verify --json prints
+        for length, bound in [(1, 9), (3, 9), (5, 9), (7, 9), (9, 9), (11, 11)]:
+            assert cli.main(["verify", str(length), "--max-bruteforce", str(bound), "--json"]) == cli.EXIT_OK
+            assert json.loads(capsys.readouterr().out) == sweep_verify(length, bound)
 
 
 class TestVerifyMismatchOutput:

@@ -2,9 +2,9 @@
 
 The callers are the README (its console session, each command also with
 `--json`, which the README says every command accepts, and its Library
-block), the three demos and the CLI's error paths.  They run under
-`sys.setprofile`, and the functions entered are compared with the defs that
-`ast` finds in `src/z4lcd/*.py`.  A def that no caller reaches is dead code
+blocks, run in order in one namespace), the three demos and the CLI's
+error paths.  They run under `sys.setprofile`, and the functions entered
+are compared with the defs that `ast` finds in `src/z4lcd/*.py`.  A def that no caller reaches is dead code
 or a second spelling of something the callers already run; it must either
 go or be listed in ALLOWED_UNREACHED with its reason.
 """
@@ -19,7 +19,7 @@ from pathlib import Path
 import z4lcd
 from z4lcd import cli
 
-from test_readme import SESSION, _block
+from test_readme import SESSION, _blocks
 
 PACKAGE = Path(z4lcd.__file__).resolve().parent
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -27,7 +27,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 ALLOWED_UNREACHED = {
     "cli._WholeWrites.write": "runs only when stdout is an unbuffered file; the callers capture "
                               "stdout in-process (tests/test_cli.py runs it in a subprocess)",
-    "codes.spec_to_wire": "printed only for a verify mismatch, which correct code never has",
+    "codes.spec_to_wire": "called by the verify sweep for a mismatch only, which correct code never has",
     "cyclotomic.mult_order_of_2": "patched by name in the benchmark tracer",
     "z4poly.Z4Poly.divmod_monic": "patched by name in the benchmark tracer",
 }
@@ -81,7 +81,7 @@ def run_callers():
             for argv, _ in SESSION:
                 assert cli.main(argv) == 0
                 assert cli.main(argv + ["--json"]) == 0
-            exec(_block("Library", "python"), {})
+            exec("".join(_blocks("Library", "python")), {})
             for demo in sorted(DEMOS.glob("*.py")):
                 runpy.run_path(str(demo), run_name="__main__")
             assert cli.main(["hull", "7", "--f="]) == cli.EXIT_USAGE

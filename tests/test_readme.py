@@ -1,4 +1,4 @@
-"""README examples run as written: the command-line session and the Library snippet."""
+"""README examples run as written: the command-line session and the Library snippets."""
 
 import ast
 import re
@@ -11,17 +11,18 @@ from z4lcd import cli
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _block(heading, language):
-    """The first fenced block of the given language after a README heading."""
+def _blocks(heading, language):
+    """The fenced blocks of the given language in a README section, in order."""
     text = README.read_text()
-    section = text[text.index(f"\n## {heading}\n"):]
-    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+    section = text[text.index(f"\n## {heading}\n") + 1:]
+    section = section[:section.find("\n## ") + 1 or None]
+    return re.findall(rf"```{language}\n(.*?)```", section, re.S)
 
 
 def _console_session():
     """(argv, expected stdout) for each `$ z4lcd ...` command of the block."""
     runs = []
-    for chunk in _block("Command line", "console").strip().split("\n\n"):
+    for chunk in _blocks("Command line", "console")[0].strip().split("\n\n"):
         command, *output = chunk.splitlines()
         assert command.startswith("$ z4lcd ")
         runs.append((command.split()[2:], "".join(line + "\n" for line in output)))
@@ -42,8 +43,12 @@ def test_console_output(argv, expected, capsys):
 
 
 def test_library_snippet():
-    """Each bare expression equals the literal in the comment after it."""
-    lines = _block("Library", "python").splitlines()
+    """Each bare expression equals the literal in the comment after it.
+
+    The section's blocks run in order in one namespace, as a reader would
+    type them; prose goes on a comment line of its own.
+    """
+    lines = "".join(_blocks("Library", "python")).splitlines()
     namespace = {}
     checked = 0
     for k, line in enumerate(lines):
@@ -58,4 +63,4 @@ def test_library_snippet():
             comment = lines[k + 1][1:]
         assert eval(code.strip(), namespace) == ast.literal_eval(comment.strip())
         checked += 1
-    assert checked == 3
+    assert checked == 5
