@@ -6,7 +6,7 @@ order, integers only); the default is a human-readable rendering that
 displays polynomials in signed form (3 printed as -1).
 
 Exit codes: 0 on success, 1 when `verify` finds a mismatch, 2 for usage
-and validation errors, and 141 (128 + SIGPIPE) when the reader of stdout
+and validation errors and for `verify` without numpy, and 141 (128 + SIGPIPE) when the reader of stdout
 closes it early, as `| head` does, with nothing printed on stderr; for
 `factor --json` and `enumerate-lcd` that holds with stdout unbuffered too.
 Every validation error is a ValueError, which `main` prints as "error:
@@ -180,7 +180,11 @@ def cmd_count_lcd(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import oracle  # numpy import deferred to the one command that needs it
+    try:
+        from . import oracle  # numpy import deferred to the one command that needs it
+    except ImportError as exc:
+        # exit 2, not the 1 of a mismatch: no check of the theorem ran
+        raise ValueError(f"verify needs numpy ({exc})") from exc
 
     bound = args.max_bruteforce
     if bound is None:

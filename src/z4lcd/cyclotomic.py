@@ -6,17 +6,20 @@ polynomial of alpha^s in the splitting field F_{2^m}, m = ord_N(2)), and a
 single Graeffe step lifts each factor to the unique monic basic irreducible
 divisor of X^N - 1 over Z4 with that mod-2 reduction.  alpha is a root of
 the least irreducible factor of Phi_N mod 2 in the int encoding, so the
-labels depend on no choice of modulus.  The field is F2[X]/(P) for an
-irreducible factor P of Phi_N mod 2, split off Phi_N by gcds with the
-coset periods, so X has order N there and no modulus is searched for.  One
-chain of N shifts lists bit 0 of the powers of X, one byte per power, and
-Berlekamp-Massey on 2d terms of it gives the minimal polynomial of a coset
-of size d; the terms of the coset of s are bytes s k mod N of the chain,
-read from copies of it laid end to end as one strided slice per coset
-(TERM_EXTENSION_BYTES caps the copies; past the cap a read wraps).  The
-cosets of one size d form a class, and a lane class, of more than 2d
-cosets, runs Berlekamp-Massey and the Graeffe lift once each, bit-sliced
-with one lane per coset; a smaller class runs both once per coset.
+labels depend on no choice of field.  No field modulus is built.  A walk
+multiplies theta_N, the idempotent of F2[X]/(X^N - 1) that is 1 at the
+primitive N-th roots, by coset sums, each product an XOR of rotations of
+an N-bit int, until it is 1 at the roots of one factor of Phi_N alone.
+The coefficients of that primitive idempotent, rotated so that the first
+is 1, are traces Tr(c zeta^k) for a zeta of order N, and they are the
+chain, one byte each.  Berlekamp-Massey on 2d terms of it gives the
+minimal polynomial of a coset of size d; the terms of the coset of s are
+bytes s k mod N of the chain, read from copies of it laid end to end as
+one strided slice per coset (TERM_EXTENSION_BYTES caps the copies; past
+the cap a read wraps).  The cosets of one size d form a class, and a lane
+class, of more than 2d cosets, runs Berlekamp-Massey and the Graeffe lift
+once each, bit-sliced with one lane per coset; a smaller class runs both
+once per coset.
 
 Each divisor n of N contributes a block of factors: gamma(n) self-reciprocal
 ones when (n, 2) is a good pair, beta(n) reciprocal pairs when bad, where
@@ -36,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple, TextIO
 
@@ -45,8 +49,6 @@ from .z4poly import (
     Z4Poly,
     _bits_berlekamp_massey,
     _bits_berlekamp_massey_lanes,
-    _bits_gcd,
-    _bits_rem,
     _pack,
     _unpack,
 )
@@ -62,8 +64,8 @@ PAIR_SECOND = "pairSecond"
 # ever larger N cannot hold every table it built
 FACTOR_TABLE_CACHE_SIZE = 128
 
-# Most bytes of the copies of the chain of bit 0 that factor_mod2 reads the
-# coset terms from; at least one copy is made whatever N
+# Most bytes of the copies of the chain that factor_mod2 reads the coset
+# terms from; at least one copy is made whatever N
 TERM_EXTENSION_BYTES = 1 << 24
 
 
@@ -221,63 +223,100 @@ def cyclotomic_cosets(length: int) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Splitting field F_{2^m} = F2[X]/(P), P a factor of Phi_N mod 2
+# A primitive idempotent of Phi_N's part of F2[X]/(X^N - 1), as an N-bit int
 
-def _cyclotomic_mod2(length: int) -> int:
-    """Phi_N mod 2, the product over d | N of (X^d + 1)^mu(N/d), int-encoded."""
+def _primitive_part(length: int) -> int:
+    """theta_N, the idempotent of F2[X]/(X^N - 1) that is 1 exactly at the primitive N-th roots.
+
+    The comb sum_{j < N/d} X^(jd) is 1 at the roots of X^d - 1 and 0 at
+    the other roots of X^N - 1, N/d being odd.  theta_N is the XOR of the
+    combs of the d | N with N/d squarefree, so at a root of order n it
+    counts the squarefree divisors of N/n, 2^(number of primes of N/n),
+    which is odd only for n = N.
+    """
     primes = list(_factorize(length))
-    up, down = [], []
+    theta = 0
     for subset in range(1 << len(primes)):
-        chosen = [p for k, p in enumerate(primes) if subset >> k & 1]
-        (down if len(chosen) % 2 else up).append(length // math.prod(chosen))
-    phi = 1
-    for d in up:
-        phi ^= phi << d  # times X^d + 1
-    for d in down:
-        # an exact quotient by X^d + 1 is phi (1 + X^d + X^2d + ...) cut at
-        # its degree: a prefix XOR in doubling strides, then a mask
-        width, stride = phi.bit_length(), d
-        while stride < width:
-            phi ^= phi << stride
-            stride <<= 1
-        phi &= (1 << width - d) - 1
-    return phi
+        spacing = length // math.prod(p for k, p in enumerate(primes) if subset >> k & 1)
+        comb, span = 1, spacing  # X^0, X^d, X^2d, ... below X^span, d the spacing
+        while span < length:
+            comb |= comb << span
+            span <<= 1
+        theta ^= comb
+    return theta & ((1 << length) - 1)
 
 
-def _field_modulus(cosets: list[tuple[int, ...]]) -> int:
-    """An irreducible factor P of Phi_N mod 2, of degree m = ord_N(2).
+def _cyclic_product(element: int, exponents: Iterable[int], length: int) -> int:
+    """element * sum of X^s over s in exponents, mod X^N - 1: an XOR of rotations.
 
-    A period T = sum of X^s over a coset is fixed by Frobenius, so it is 0
-    or 1 at every root of Phi_N, and P = gcd(P, T) gcd(P, T + 1) with each
-    piece a union of factors.  Starting from P = Phi_N, each coset in turn
-    splits P, and the smaller non-constant piece is kept until deg P = m.
-    The periods span the Frobenius-fixed elements of F2[X]/(Phi_N), so they
-    tell any two factors apart and the walk ends there.
+    element is an N-bit int and each s < N, so the shifted copies fit in
+    2N - 1 bits and one fold of the bits at and above N brings them back.
+    """
+    product = 0
+    for s in exponents:
+        product ^= element << s
+    return (product & ((1 << length) - 1)) ^ product >> length
+
+
+def _is_primitive(idempotent: int, degree: int, length: int) -> bool:
+    """Whether an idempotent of Phi_N's part is 1 at the roots of one factor of degree m.
+
+    Its coefficients are e_i = sum of zeta^-i over the roots zeta where it
+    is 1, a sequence of linear complexity the number of those roots.  So it
+    is primitive exactly when its coefficients, all the way round, obey a
+    recurrence of order m: Berlekamp-Massey on its first 2m < N terms
+    gives the minimal polynomial C, and E C* = 0 mod X^N - 1, C* the
+    reversal of C, is that recurrence at every index.
+    """
+    low = idempotent & ((1 << 2 * degree) - 1)
+    min_poly = _bits_berlekamp_massey([low >> k & 1 for k in range(2 * degree)])
+    if min_poly.bit_length() - 1 != degree:
+        return False
+    reversal = int(format(min_poly, "b")[::-1], 2)
+    return not _cyclic_product(idempotent, [k for k in range(degree + 1) if reversal >> k & 1], length)
+
+
+def _primitive_idempotent(cosets: list[tuple[int, ...]]) -> int:
+    """A primitive idempotent E of F2[X]/(X^N - 1) that is 1 at the roots of one factor of Phi_N.
+
+    A coset sum T_K = sum of X^s over s in K is fixed by Frobenius, so it
+    is 0 or 1 at every root, and E T_K keeps the roots of E where T_K is
+    1.  Starting from theta_N (_primitive_part), each coset in turn
+    replaces E by E T_K when that is neither 0 nor E: a split, which
+    drops at least one of the c = phi(N)/m factors of Phi_N that E is 1
+    at.  The walk stops when E is certified primitive: after c - 1 splits
+    (so at once when c = 1); after the last coset, since the coset sums
+    span the Frobenius-fixed algebra and so tell any two factors apart;
+    or by _is_primitive, run only after a split that leaves more
+    residues to walk than the 3m rotations and terms that the test costs.
     """
     length = sum(map(len, cosets))
     degree = max(map(len, cosets))  # the coset of 1 has ord_N(2) members
-    modulus = _cyclotomic_mod2(length)
-    for coset in cosets[1:]:
-        if modulus.bit_length() - 1 == degree:
+    phi = length
+    for p in _factorize(length):
+        phi -= phi // p
+    factors = phi // degree  # of Phi_N, each of degree m
+    idempotent, splits, left = _primitive_part(length), 0, length
+    for coset in cosets:
+        if splits == factors - 1:
             break
-        period = _bits_rem(sum(1 << s for s in coset), modulus)
-        piece = _bits_gcd(modulus, period)
-        if 2 * (piece.bit_length() - 1) > modulus.bit_length() - 1:
-            piece = _bits_gcd(modulus, period ^ 1)  # the other piece is the smaller
-        if piece != 1:
-            modulus = piece
-    if modulus.bit_length() - 1 != degree:
-        raise AssertionError(f"the coset periods split Phi_{length} into factors of degree {degree}")
-    return modulus
+        left -= len(coset)
+        product = _cyclic_product(idempotent, coset, length)
+        if product in (0, idempotent):
+            continue
+        idempotent, splits = product, splits + 1
+        if splits < factors - 1 and left > 3 * degree and _is_primitive(idempotent, degree, length):
+            break
+    return idempotent
 
 
 def _coset_terms(chain: bytes, steps: list[int], count: int) -> list[bytes]:
     """chain[s * k % len(chain)] for k < count, as bytes, for each s in steps.
 
-    `chain` is any whole number of copies of bit0, so these are also
-    bit0[s * k % N]: the copies keep period N.  When count * s is within
-    the chain, the terms of s are the one slice chain[:count * s:s];
-    otherwise _wrapped_terms reads them.
+    `chain` is any whole number of copies of the N coefficients of the
+    idempotent, so these are also its coefficients s * k mod N: the copies
+    keep period N.  When count * s is within the chain, the terms of s are
+    the one slice chain[:count * s:s]; otherwise _wrapped_terms reads them.
     """
     length = len(chain)
     return [chain[:count * s:s] if 0 < count * s <= length else _wrapped_terms(chain, s, count)
@@ -325,37 +364,35 @@ def factor_mod2(cosets: list[tuple[int, ...]]) -> list[int]:
 
     Factor j is the minimal polynomial of alpha^s, s the least member of
     coset j, for alpha a root of the least irreducible factor of Phi_N mod 2
-    in the int encoding.  The field is F2[X]/(P), P from _field_modulus, in
-    which X has order N.  One chain lists bit 0 of X^k for k < N and must
-    close at X^N = 1.  Bit 0 of (X^s)^k follows the recurrence of the
-    minimal polynomial of X^s, which is irreducible, and is 1 at k = 0, so
-    Berlekamp-Massey on its first 2d terms gives that minimal polynomial,
-    d the coset size.  _coset_terms reads them from copies of the chain,
-    enough that each coset's terms are one slice, or as many as fit in
-    TERM_EXTENSION_BYTES (at least one), when its reads wrap.  The cosets
-    are taken by size (_size_classes): a lane class of R > 2d cosets of
-    size d runs _bits_berlekamp_massey_lanes once, one lane per coset, and
-    a smaller class runs _bits_berlekamp_massey once per coset.  Either way
-    each minimal polynomial must have degree d.  The unit coset with the
-    least of these has least member t, so alpha = X^t up to Frobenius, and
-    factor j is the one of coset t*s.
+    in the int encoding.  _primitive_idempotent gives an idempotent E of
+    F2[X]/(X^N - 1) that is 1 exactly at the roots of one factor M of
+    Phi_N, so that its coefficient k is Tr(zeta^k), zeta a root of the
+    reciprocal of M, of order N.  Rotated by r so that its coefficient 0
+    is 1, E has coefficients Tr(c zeta^k), c = zeta^r, and these N bits
+    are the chain.  Term k of the coset of s, Tr(c (zeta^s)^k), follows
+    the recurrence of the minimal polynomial of zeta^s, which is
+    irreducible, and is 1 at k = 0, so Berlekamp-Massey on its first 2d
+    terms gives that minimal polynomial, d the coset size.  _coset_terms
+    reads them from copies of the chain, enough that each coset's terms
+    are one slice, or as many as fit in TERM_EXTENSION_BYTES (at least
+    one), when its reads wrap.  The cosets are taken by size
+    (_size_classes): a lane class of R > 2d cosets of size d runs
+    _bits_berlekamp_massey_lanes once, one lane per coset, and a smaller
+    class runs _bits_berlekamp_massey once per coset.  Either way each
+    minimal polynomial must have degree d.  The unit coset with the
+    least of these has least member t, so alpha = zeta^t up to Frobenius,
+    and factor j is the one of coset t*s.
     """
     length = sum(map(len, cosets))
-    modulus = _field_modulus(cosets)
-    degree = modulus.bit_length() - 1
-    bit0 = bytearray(length)
-    power = 1
-    for k in range(length):
-        bit0[k] = power & 1
-        power <<= 1
-        if power >> degree:
-            power ^= modulus
-    if power != 1:
-        raise AssertionError(f"X has multiplicative order {length}")
+    # the coefficients of the idempotent, rotated so that the first is 1,
+    # one byte each
+    coeffs = format(_primitive_idempotent(cosets), "b").zfill(length)[::-1]
+    start = coeffs.index("1")
+    period = (coeffs[start:] + coeffs[:start]).encode().translate(_LOW_2_BITS)
     # copies of the chain, enough for one slice of 2d terms per coset of
     # size d and step s, within the cap
     needed = max(2 * len(coset) * coset[0] for coset in cosets)
-    chain = bytes(bit0) * max(1, min(-(-needed // length), TERM_EXTENSION_BYTES // length))
+    chain = period * max(1, min(-(-needed // length), TERM_EXTENSION_BYTES // length))
     raw = [0] * len(cosets)
     for d, members, lanes in _size_classes(cosets):
         terms = _coset_terms(chain, [cosets[idx][0] for idx in members], 2 * d)

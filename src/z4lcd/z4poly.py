@@ -12,11 +12,10 @@ F2 polynomials have one encoding, an int whose bit k is the coefficient of
 X^k (0 is the zero polynomial).  ``Z4Poly.reduce_mod2``,
 ``cyclotomic.factor_mod2`` and ``cyclotomic.graeffe_lift`` take and return
 it as a plain int.  The ``_bits_*`` routines are the F2[X] kernels; the
-rest is a shift and an XOR, written in place where cyclotomic builds
-Phi_N and the chain of powers of X.
+rest is a shift and an XOR, written in place where cyclotomic multiplies
+in F2[X]/(X^N - 1), a product by a sparse polynomial being an XOR of
+rotations.
 
-- ``_bits_rem`` and ``_bits_gcd``: the remainder of long division, and
-  Euclid, one Python loop iteration per bit.
 - ``_bits_rems``: the remainders of one polynomial modulo many, in one
   bit-sliced Horner pass over its coefficients, a few big-int steps per
   coefficient whatever the number of moduli.
@@ -40,9 +39,9 @@ LCD catalog of ``lcdenum`` use as well.
 
 Z4 polynomials have products, reciprocals and reduction mod 2, but no sum.
 Z4[X] is not a Euclidean domain, so only division by a *monic* divisor is
-offered (quotient and remainder are then unique).  In F2[X] the only
-quotients are those of Phi_N by binomials X^d + 1, which cyclotomic takes
-as a prefix XOR, so long division returns only the remainder.
+offered (quotient and remainder are then unique).  In F2[X] only
+remainders are taken, those of ``_bits_rems`` for ``codes.factor_divisor``,
+and no quotient.
 
 The text form of a polynomial is its comma-separated ascending coefficient
 list, e.g. ``"3,1,2,1"`` for X^3+2X^2+X-1; the empty string is the zero
@@ -203,19 +202,8 @@ class Z4Poly:
 # ---------------------------------------------------------------------------
 # F2[X] arithmetic on the int encoding
 
-def _bits_rem(a: int, b: int) -> int:
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    width = b.bit_length()
-    shift = a.bit_length() - width
-    while shift >= 0:
-        a ^= b << shift
-        shift = a.bit_length() - width
-    return a
-
-
 def _bits_rems(a: int, mods: Sequence[int]) -> list[int]:
-    """[_bits_rem(a, m) for m in mods], in one Horner pass over the bits of a.
+    """The remainder of a modulo each of mods, in one Horner pass over the bits of a.
 
     One int holds a slot of D + 1 bits per modulus, D the largest degree;
     a modulus of degree d sits in bits D - d ... D of its slot, and its
@@ -245,12 +233,6 @@ def _bits_rems(a: int, mods: Sequence[int]) -> list[int]:
         # (over << 1) - (over >> D) covers each slot whose bit D is set
         reg ^= ((over << 1) - (over >> top)) & packed
     return [reg >> slot * width + top - d & (1 << d) - 1 for slot, d in enumerate(degrees)]
-
-
-def _bits_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _bits_rem(a, b)
-    return a
 
 
 def _bits_berlekamp_massey(terms: Sequence[int]) -> int:

@@ -582,3 +582,21 @@ except ImportError:
             [sys.executable, "-W", "error", "-c", self.SCRIPT], capture_output=True, text=True, env=env
         )
         assert (result.returncode, result.stdout, result.stderr) == (0, "ok\n", "")
+
+    def test_verify_without_numpy_is_an_error_not_a_mismatch(self):
+        # exit 2 and one error line, where a traceback and the exit 1 of a
+        # mismatch would say that the theorem failed its check
+        script = """
+import sys
+sys.modules["numpy"] = None
+from z4lcd import cli
+sys.exit(cli.main(["verify", "3"]))
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert (result.returncode, result.stdout) == (cli.EXIT_USAGE, "")
+        assert result.stderr.startswith("error: verify needs numpy (")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr

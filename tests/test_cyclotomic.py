@@ -21,9 +21,10 @@ from z4lcd.cyclotomic import (
     FactorRecord,
     PairClass,
     _coset_terms,
-    _cyclotomic_mod2,
-    _field_modulus,
     _graeffe_lift_lanes,
+    _is_primitive,
+    _primitive_idempotent,
+    _primitive_part,
     _size_classes,
     build_factor_table,
     classify_pair,
@@ -299,22 +300,121 @@ def cyclotomic_by_division(n):
     return quotient
 
 
+def walk_trace(n, monkeypatch):
+    # _primitive_idempotent(cosets(n)) watched: whether each coset product
+    # of the walk split the idempotent, and the outcome of each
+    # Berlekamp-Massey test, whose own product is left out of the walk
+    walk, tests, testing = [], [], []
+    product, test = cyclotomic._cyclic_product, cyclotomic._is_primitive
+
+    def watched_product(element, exponents, length):
+        out = product(element, exponents, length)
+        if not testing:
+            walk.append(out not in (0, element))
+        return out
+
+    def watched_test(idempotent, degree, length):
+        testing.append(True)
+        tests.append(test(idempotent, degree, length))
+        testing.pop()
+        return tests[-1]
+
+    monkeypatch.setattr(cyclotomic, "_cyclic_product", watched_product)
+    monkeypatch.setattr(cyclotomic, "_is_primitive", watched_test)
+    idempotent = _primitive_idempotent(cyclotomic_cosets(n))
+    monkeypatch.undo()
+    return idempotent, walk, tests
+
+
+def ended_by(n, walk, tests):
+    # the certificate that ended a traced walk: a Berlekamp-Massey test that
+    # passed; every coset taken with fewer than c - 1 splits; or c - 1
+    # splits, c the number of factors of Phi_N
+    cosets = cyclotomic_cosets(n)
+    factors = sum(math.gcd(coset[0], n) == 1 for coset in cosets)
+    if tests and tests[-1]:
+        assert sum(walk) < factors - 1 and len(walk) < len(cosets)
+        return "test"
+    if len(walk) == len(cosets) and sum(walk) < factors - 1:
+        return "full walk"
+    assert sum(walk) == factors - 1
+    return "count"
+
+
+def coefficient_terms(bits, n, count):
+    # coefficient k mod n of an n-bit int, for k < count
+    return [bits >> (k % n) & 1 for k in range(count)]
+
+
 class TestFieldSetup:
-    def test_cyclotomic_polynomial_is_the_schoolbook_quotient(self):
+    # the field is the minimal ideal that a primitive idempotent E of Phi_N's
+    # part of F2[X]/(X^N - 1) generates, F2[X]/(M) for the factor M of Phi_N
+    # whose roots E is 1 at; E comes from a walk down from theta_N
+
+    def test_primitive_part_is_one_on_phi_n_and_zero_on_each_smaller_phi_d(self):
+        # theta_N is idempotent: squaring in F2[X]/(X^N - 1) moves bit k to
+        # bit 2k mod N; it is 1 mod the schoolbook Phi_N and 0 mod Phi_d for
+        # each proper divisor d of N
         for n in range(1, 300, 2):
-            assert _cyclotomic_mod2(n) == f2_bits(cyclotomic_by_division(n))
+            theta = _primitive_part(n)
+            assert 0 < theta < 1 << n
+            assert sum(1 << 2 * k % n for k in range(n) if theta >> k & 1) == theta
+            coeffs = f2_coeffs(theta)
+            assert f2_rem(coeffs, cyclotomic_by_division(n)) == [1]
+            for d in range(1, n):
+                if n % d == 0:
+                    assert f2_rem(coeffs, cyclotomic_by_division(d)) == []
 
     @pytest.mark.parametrize("n", range(1, 64, 2))
     def test_modulus_is_an_irreducible_factor_of_degree_m(self, n):
-        # trial division is exhaustive, so it runs where m <= 20; Rabin's
-        # test on the test-local field arithmetic runs at every m
-        modulus = _field_modulus(cyclotomic_cosets(n))
+        # the modulus M of the field is the minimal polynomial of the
+        # coefficients of E, read off two whole periods, which fix it; trial
+        # division is exhaustive, so it runs where m <= 20, and Rabin's test
+        # on the test-local field arithmetic runs at every m
+        idempotent = _primitive_idempotent(cyclotomic_cosets(n))
         m = order_of_2(n)
+        modulus = _bits_berlekamp_massey(coefficient_terms(idempotent, n, 2 * n))
         assert modulus.bit_length() - 1 == m
         assert f2_rem(cyclotomic_by_division(n), f2_coeffs(modulus)) == []
         assert is_irreducible_by_rabin(modulus)
         if m <= 20:
             assert f2_is_irreducible_by_trial_division(f2_coeffs(modulus))
+        assert 2 * m >= n or _is_primitive(idempotent, m, n)
+
+    def test_theta_7_is_not_primitive(self):
+        # Phi_7 = (X^3 + X + 1)(X^3 + X^2 + 1), so theta_7 is 1 at six roots,
+        # its coefficients have linear complexity 6, and no recurrence of
+        # order 3 holds all the way round
+        theta = _primitive_part(7)
+        assert theta == 0b1111110
+        assert _bits_berlekamp_massey(coefficient_terms(theta, 7, 14)).bit_length() - 1 == 6
+        assert not _is_primitive(theta, 3, 7)
+        assert _is_primitive(_primitive_idempotent(cyclotomic_cosets(7)), 3, 7)
+
+    @pytest.mark.parametrize("n, certificate, walk, tests", [
+        (11, "count", [], []),  # c = 1: theta_11 is primitive as it is
+        (7, "count", [False, True], []),  # c = 2: the coset of 3 is never taken
+        (43, "full walk", [False, True, False, False], []),  # c = 3: 28 <= 3m residues left after the split
+        (353, "full walk", [False, True, False, False, False], []),  # c = 4: 264 = 3m left, so no test
+        (31, "test", [False, True, True], [False, True]),  # c = 6
+        (63, "test", [False, True, True, False, False, False, True], [False, False, True]),  # c = 6
+    ])
+    def test_each_certificate_ends_a_walk(self, n, certificate, walk, tests, monkeypatch):
+        idempotent, got_walk, got_tests = walk_trace(n, monkeypatch)
+        assert (got_walk, got_tests) == (walk, tests)
+        assert ended_by(n, walk, tests) == certificate
+        terms = coefficient_terms(idempotent, n, 2 * n)
+        assert _bits_berlekamp_massey(terms).bit_length() - 1 == order_of_2(n)
+
+    def test_every_walk_below_128_ends_primitive(self, monkeypatch):
+        # and each of the three certificates ends some of them
+        ended = set()
+        for n in range(1, 128, 2):
+            idempotent, walk, tests = walk_trace(n, monkeypatch)
+            ended.add(ended_by(n, walk, tests))
+            terms = coefficient_terms(idempotent, n, 2 * n)
+            assert _bits_berlekamp_massey(terms).bit_length() - 1 == order_of_2(n)
+        assert ended == {"count", "full walk", "test"}
 
     def test_rabin_matches_trial_division(self):
         for bits in range(2, 1 << 11):
@@ -399,16 +499,12 @@ class TestFactorMod2:
         # every class goes through both kernels, which must agree lane by
         # lane, and factor_mod2 must list the same polynomials
         cosets = cyclotomic_cosets(n)
-        modulus = _field_modulus(cosets)
-        bit0, power = bytearray(n), 1
-        for k in range(n):
-            bit0[k] = power & 1
-            power <<= 1
-            if power >> modulus.bit_length() - 1:
-                power ^= modulus
+        idempotent = _primitive_idempotent(cosets)
+        start = (idempotent & -idempotent).bit_length() - 1  # the first coefficient that is 1
+        chain = bytes(coefficient_terms(idempotent, n, start + n)[start:])
         found = []
         for d in sorted(set(map(len, cosets))):
-            terms = _coset_terms(bytes(bit0), [c[0] for c in cosets if len(c) == d], 2 * d)
+            terms = _coset_terms(chain, [c[0] for c in cosets if len(c) == d], 2 * d)
             one_lane = [_bits_berlekamp_massey(t) for t in terms]
             assert {p.bit_length() - 1 for p in one_lane} == {d}
             assert _bits_berlekamp_massey_lanes(b"".join(terms), len(terms)) == one_lane
@@ -500,8 +596,8 @@ class TestDeepLengths:
     @pytest.mark.parametrize("n", [83, 107, 131, 167, 179, 1019, 3001, 4093])
     def test_builds_without_factoring_the_group_order(self, n, monkeypatch):
         # m = ord_N(2) is 82 to 4092 here: the field set-up factors N for
-        # Phi_N and never 2^m - 1, which trial division could not finish
-        # for N = 167 or 179
+        # theta_N and phi(N), and never 2^m - 1, which trial division could
+        # not finish for N = 167 or 179
         calls = []
         factorize = cyclotomic._factorize
 

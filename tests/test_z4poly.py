@@ -10,8 +10,6 @@ from z4lcd.z4poly import (
     Z4Poly,
     _bits_berlekamp_massey,
     _bits_berlekamp_massey_lanes,
-    _bits_gcd,
-    _bits_rem,
     _bits_rems,
     _pack,
     _unpack,
@@ -21,7 +19,6 @@ from z4lcd.z4poly import (
 from schoolbook import (
     f2_bits,
     f2_coeffs,
-    f2_gcd,
     f2_is_irreducible_by_trial_division,
     f2_mul,
     f2_rem,
@@ -228,6 +225,15 @@ def bits_mul(a, b):
     return functools.reduce(operator.xor, (a << k for k in range(b.bit_length()) if b >> k & 1), 0)
 
 
+def bits_rem(a, b):
+    # long division on the int encoding, one shifted copy of b per step,
+    # each clearing the top bit of a until it is below b's degree
+    width = b.bit_length()
+    while a.bit_length() >= width:
+        a ^= b << a.bit_length() - width
+    return a
+
+
 class TestF2Poly:
     # the int kernels of F2[X] arithmetic against the schoolbook loops on
     # coefficient lists
@@ -256,21 +262,19 @@ class TestF2Poly:
             assert (a * b).reduce_mod2() == bits_mul(bits_a, bits_b) == expected
 
     def test_divmod_round_trip(self):
-        # the remainder matches long division, has degree below the divisor,
-        # and does not move when a multiple of the divisor is added
-        assert _bits_rem(0b10001, 0b111) == 0b11  # X^4 + 1 = (X^2 + X)(X^2 + X + 1) + X + 1
+        # the test-local long division that the bit-sliced pass is checked
+        # against: it matches the schoolbook division on coefficient lists,
+        # has degree below the divisor, and does not move when a multiple of
+        # the divisor is added
+        assert bits_rem(0b10001, 0b111) == 0b11  # X^4 + 1 = (X^2 + X)(X^2 + X + 1) + X + 1
         rng = random.Random(20261025)
         for _ in range(60):
             a = rng.getrandbits(rng.randrange(0, 1000))
             b = rng.getrandbits(rng.randrange(1, 1000)) | 1 << rng.randrange(0, 1000)
-            rem = _bits_rem(a, b)
+            rem = bits_rem(a, b)
             assert rem == f2_bits(f2_rem(f2_coeffs(a), f2_coeffs(b)))
             assert rem.bit_length() < b.bit_length()
-            assert _bits_rem(a ^ bits_mul(rng.getrandbits(300), b), b) == rem
-
-    def test_divmod_rejects_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            _bits_rem(0b11, 0)
+            assert bits_rem(a ^ bits_mul(rng.getrandbits(300), b), b) == rem
 
     def test_rems_match_one_division_per_modulus(self):
         # the bit-sliced pass against one long division per modulus, on
@@ -286,7 +290,7 @@ class TestF2Poly:
             below_all = rng.getrandbits(min(m.bit_length() for m in mods) - 1)
             wide = rng.getrandbits(1000) | 1 << 999
             for a in (0, below_all, rng.getrandbits(rng.randrange(1, 1000)), wide):
-                assert _bits_rems(a, mods) == [_bits_rem(a, m) for m in mods]
+                assert _bits_rems(a, mods) == [bits_rem(a, m) for m in mods]
 
     def test_rems_edge_cases(self):
         mods = [0b1011, 0b111, 0b11, 0b1]
@@ -303,19 +307,6 @@ class TestF2Poly:
             _bits_rems(0b11, [0b11, 0])
         with pytest.raises(ZeroDivisionError):
             _bits_rems(0, [0])
-
-    def test_gcd(self):
-        a = bits_mul(0b11, 0b111)  # (X + 1)(X^2 + X + 1)
-        b = bits_mul(0b11, 0b1011)  # (X + 1)(X^3 + X + 1)
-        assert _bits_gcd(a, b) == 0b11
-        assert _bits_gcd(0b11, 0) == _bits_gcd(0, 0b11) == 0b11
-        rng = random.Random(20261026)
-        for _ in range(100):
-            common = rng.getrandbits(rng.randrange(1, 30)) | 1
-            a, b = (bits_mul(common, rng.getrandbits(rng.randrange(1, 60)) | 1) for _ in range(2))
-            expected = f2_bits(f2_gcd(f2_coeffs(a), f2_coeffs(b)))
-            assert _bits_gcd(a, b) == expected
-            assert _bits_rem(expected, common) == 0
 
 
 class TestFieldKernels:
@@ -349,9 +340,9 @@ class TestFieldKernels:
             bits = 3 * mod.bit_length()
             operands = [0, 1, mod, mod ^ 1] + [rng.getrandbits(rng.randrange(1, bits)) for _ in range(40)]
             for a in operands:
-                assert _bits_rems(a, [mod]) == [_bits_rem(a, mod)]
+                assert _bits_rems(a, [mod]) == [bits_rem(a, mod)]
         for a in [rng.getrandbits(rng.randrange(1, 600)) for _ in range(40)]:
-            assert _bits_rems(a, moduli) == [_bits_rem(a, m) for m in moduli]
+            assert _bits_rems(a, moduli) == [bits_rem(a, m) for m in moduli]
 
     def test_operands_past_the_int_string_digit_limit(self):
         # int <-> str in base 2 is exempt from CPython's 4300-digit limit on
@@ -365,7 +356,7 @@ class TestFieldKernels:
         assert square == bits_mul(a, a)
         assert square.bit_length() == 30_999
         mod = 1 << 15_001 | 0b1000000001  # X^15001 + X^9 + 1
-        assert _bits_rems(square, [mod, 0b11]) == [_bits_rem(square, mod), square.bit_count() % 2]
+        assert _bits_rems(square, [mod, 0b11]) == [bits_rem(square, mod), square.bit_count() % 2]
         # a 1 every 5000 terms has minimal polynomial X^5000 + 1
         terms = ([1] + [0] * 4999) * 2
         assert _bits_berlekamp_massey(terms) == 1 << 5000 | 1
