@@ -853,6 +853,38 @@ class TestFactorTable:
         with pytest.raises(ValueError):
             build_factor_table(8)
 
+    @pytest.mark.parametrize("kind", [SELF_RECIPROCAL, PAIR_FIRST, PAIR_SECOND])
+    @pytest.mark.parametrize("lanes", [True, False])
+    def test_a_lift_that_breaks_reciprocity_is_refused(self, lanes, kind, monkeypatch):
+        # N = 255 has a lane class of size 8 and a one-at-a-time class of
+        # size 4, each with self-reciprocal factors and pairs.  The lift
+        # puts 2 on coefficient 1 of one factor: still monic, same reduction
+        # mod 2, but of degree 4 or more no longer the reciprocal of its
+        # partner's lift
+        n = 255
+        table = build_factor_table(n)
+        classes = {flag: members for d, members, flag in _size_classes(cyclotomic_cosets(n)) if d > 2}
+        target = next(table[idx].bits for idx in classes[lanes] if table[idx].kind == kind)
+        hits = []
+
+        def corrupt(poly, by_lanes):
+            if poly.reduce_mod2() != target:
+                return poly
+            hits.append(by_lanes)
+            coeffs = bytearray(poly.coeffs)
+            coeffs[1] ^= 2
+            return Z4Poly._of(bytes(coeffs))
+
+        lift, lift_lanes = cyclotomic.graeffe_lift, cyclotomic._graeffe_lift_lanes
+        monkeypatch.setattr(cyclotomic, "graeffe_lift", lambda bits: corrupt(lift(bits), False))
+        monkeypatch.setattr(
+            cyclotomic, "_graeffe_lift_lanes",
+            lambda bits, degree: [corrupt(poly, True) for poly in lift_lanes(bits, degree)],
+        )
+        with pytest.raises(AssertionError, match="reciprocal"):
+            build_factor_table.__wrapped__(n)  # past the cache
+        assert hits == [lanes]
+
     def test_cache_is_bounded(self):
         # a bound of 64 or more keeps every table the benchmark's lcd workload warms
         maxsize = build_factor_table.cache_info().maxsize
