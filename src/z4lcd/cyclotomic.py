@@ -4,7 +4,9 @@ The route is classical: the 2-cyclotomic cosets mod N give the monic
 irreducible factors of X^N + 1 over F2 (one factor per coset, the minimal
 polynomial of alpha^s in the splitting field F_{2^m}, m = ord_N(2)), and a
 single Graeffe step lifts each factor to the unique monic basic irreducible
-divisor of X^N - 1 over Z4 with that mod-2 reduction.  alpha is a root of
+divisor of X^N - 1 over Z4 with that mod-2 reduction.  The cosets are
+walked one at a time, each from its least member, which bytearray.find
+picks out as the next residue no walk has marked.  alpha is a root of
 the least irreducible factor of Phi_N mod 2 in the int encoding, so the
 labels depend on no choice of field.  No field modulus is built.  A walk
 multiplies theta_N, the idempotent of F2[X]/(X^N - 1) that is 1 at the
@@ -25,13 +27,16 @@ Each divisor n of N contributes a block of factors: gamma(n) self-reciprocal
 ones when (n, 2) is a good pair, beta(n) reciprocal pairs when bad, where
 gamma(n) = phi(n)/ord_n(2) and beta(n) = phi(n)/(2 ord_n(2)).  pair_classes
 sizes every block from one factorization of N and one of each p - 1, p | N.
-PairClass and FactorRecord are named tuples, so they compare, order and
-hash as the tuples of their fields.
+The reciprocal of a factor is the factor of the negated coset, and
+build_factor_table checks that once per self-reciprocal factor and once
+per pair.  PairClass and FactorRecord are named tuples, so they compare,
+order and hash as the tuples of their fields.
 
 write_table_json writes the --json form of a table from fixed templates,
 one per coset size, filled by one % from a flat tuple of every record's
-fields: byte for byte what json.dumps(..., indent=2, sort_keys=True)
-gives, without the encoder that indent forces into pure Python.
+fields, the coefficient strings of all records rendered in one pass: byte
+for byte what json.dumps(..., indent=2, sort_keys=True) gives, without the
+encoder that indent forces into pure Python.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from .z4poly import (
     Z4Poly,
     _bits_berlekamp_massey,
     _bits_berlekamp_massey_lanes,
+    _coeff_text,
     _pack,
     _unpack,
 )
@@ -202,23 +208,28 @@ def mult_order_of_2(n: int) -> int:
 def cyclotomic_cosets(length: int) -> list[tuple[int, ...]]:
     """Orbits of s -> 2s mod N on {0..N-1}, each ascending, sorted by minimum.
 
-    Raises ValueError for N past sys.maxsize, which no list can index.
+    Each orbit is walked from its least member back to it, marking the
+    members in a bytearray, and bytearray.find jumps to the next unmarked
+    residue, the least member of the next orbit; so each residue costs one
+    Python step, in the walk of its orbit, and none to be skipped.  Raises
+    ValueError for N past sys.maxsize, which no list or bytearray can index.
     """
     _require_odd(length)
     if length > sys.maxsize:
         raise ValueError(f"N = {length} exceeds {sys.maxsize}, the most residues a list can index")
-    seen = [False] * length
+    seen = bytearray(length)  # the least member of each orbit stays unmarked
     cosets = []
-    for start in range(length):
-        if seen[start]:
-            continue
-        orbit = []
-        s = start
-        while not seen[s]:
-            seen[s] = True
+    start = 0
+    while start >= 0:
+        orbit = [start]
+        s = 2 * start % length
+        while s != start:
+            seen[s] = 1
             orbit.append(s)
             s = 2 * s % length
-        cosets.append(tuple(sorted(orbit)))
+        orbit.sort()
+        cosets.append(tuple(orbit))
+        start = seen.find(0, start + 1)
     return cosets
 
 
@@ -491,7 +502,10 @@ def build_factor_table(length: int) -> FactorTable:
     coset of s is the coset of -s mod N, whose least member is N less the
     greatest member of the coset of s (0 for the coset of 0); the lifted
     partner must equal the reciprocal of the lifted factor.  Within a pair
-    the record with the smaller minimal representative is the pairFirst.
+    the record with the smaller minimal representative is the pairFirst,
+    and the check runs there alone: reciprocal is an involution on monic
+    polynomials with a unit constant term, so it also holds for the
+    pairSecond.
     The factors of a lane class (_size_classes) are lifted as planes, by
     one _graeffe_lift_lanes call, and those of a smaller class by
     graeffe_lift one at a time.
@@ -510,19 +524,18 @@ def build_factor_table(length: int) -> FactorTable:
     # one count per n-block: it holds only self-reciprocal factors or only pairs
     blocks: dict[int, int] = {}
     records: list[FactorRecord] = []
+    record = functools.partial(tuple.__new__, FactorRecord)  # what FactorRecord(...) runs, in C
     for idx, (coset, poly) in enumerate(zip(cosets, lifted)):
         divisor = length // math.gcd(length, coset[0])
         partner = first[-coset[-1] % length]
-        if lifted[partner] != poly.reciprocal():
-            raise AssertionError("reciprocal of a factor is the factor of the negated coset")
         if idx <= partner:
+            if lifted[partner].coeffs != poly.reciprocal().coeffs:
+                raise AssertionError("reciprocal of a factor is the factor of the negated coset")
             kind = SELF_RECIPROCAL if idx == partner else PAIR_FIRST
             block = blocks[divisor] = blocks.get(divisor, 0) + 1
         else:
             kind, block = PAIR_SECOND, records[partner].block_index
-        records.append(
-            FactorRecord(idx, poly, mod2[idx], divisor, block, kind, partner, coset)
-        )
+        records.append(record((idx, poly, mod2[idx], divisor, block, kind, partner, coset)))
     return FactorTable(length, tuple(records))
 
 
@@ -550,14 +563,17 @@ def write_table_json(table: FactorTable, out: TextIO) -> None:
     coefficient strings hold nothing that JSON escapes.  Each coset size has
     a record template with one %d per coset member; the templates of all
     records are joined into one, and one % fills it from a flat tuple of
-    every record's fields.  A table has at least one record and a coset at
-    least one member, so no list renders as [].  The text is written once.
+    every record's fields; the coefficient strings of all records come
+    from one _coeff_text pass.  A table has at least one record and a coset
+    at least one member, so no list renders as [].  The text is written
+    once.
     """
     templates = {size: _JSON_RECORD_HEAD + _JSON_COSET_SEP.join(["%d"] * size) + _JSON_RECORD_TAIL
                  for size in set(table.degrees)}
-    template = _JSON_HEAD + ",\n".join([templates[size] for size in table.degrees]) + _JSON_TAIL
+    template = _JSON_HEAD + ",\n".join(map(templates.__getitem__, table.degrees)) + _JSON_TAIL
+    texts = _coeff_text([r.poly.coeffs for r in table.records])
     fields = [table.length]
-    for r in table.records:
+    for r, text in zip(table.records, texts):
         fields += r.coset
-        fields += (r.block_index, r.index, r.kind, r.divisor, r.partner, r.poly.to_string())
+        fields += (r.block_index, r.index, r.kind, r.divisor, r.partner, text)
     out.write(template % tuple(fields))

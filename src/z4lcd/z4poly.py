@@ -50,12 +50,12 @@ polynomial.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import repeat
 
 _LOW_2_BITS = bytes(i & 3 for i in range(256))  # byte -> byte mod 4
 _NEG_LOW_2_BITS = bytes(-i & 3 for i in range(256))  # byte -> its negative mod 4
-_ASCII_DIGIT = bytes(48 + (i & 3) for i in range(256))  # residue byte -> its ASCII digit
+_ASCII_DIGIT = bytes(48 + i if i < 4 else 10 for i in range(256))  # residue -> ASCII digit, other -> newline
 _PARITY_DIGIT = bytes(48 + (i & 1) for i in range(256))  # residue byte -> ASCII digit mod 2
 
 
@@ -74,15 +74,19 @@ def _unpack(packed: int, width: int) -> bytes:
     return packed.to_bytes((packed.bit_length() + 7) // 8, "little")[::width]
 
 
-def _coeff_text(coeffs: bytes) -> str:
-    """The text form "c0,c1,..." of coefficient bytes, each read mod 4.
+def _coeff_text(polys: Iterable[bytes]) -> list[str]:
+    """The text form "c0,c1,..." of each polynomial's coefficient bytes, in one pass.
 
-    The digits go into every other byte of a run of commas; no coefficients
-    make a count of -1, so the zero polynomial's empty text.
+    The coefficient strings are joined with byte 4, which no residue is.
+    The joined bytes go, residues as ASCII digits and each 4 as a newline,
+    into every other byte of a run of commas, which is decoded once and
+    split at each ",\\n,".  So every polynomial must be nonzero, or be the
+    only one: the zero polynomial's text is empty.
     """
+    coeffs = b"\4".join(polys)
     text = bytearray(b",") * (2 * len(coeffs) - 1)
     text[::2] = coeffs.translate(_ASCII_DIGIT)
-    return text.decode()
+    return text.decode().split(",\n,")
 
 
 class Z4Poly:
@@ -118,7 +122,7 @@ class Z4Poly:
 
     def to_string(self) -> str:
         """Canonical comma-separated ascending coefficient form."""
-        return _coeff_text(self.coeffs)
+        return _coeff_text([self.coeffs])[0]
 
     @property
     def is_monic(self) -> bool:
@@ -170,13 +174,15 @@ class Z4Poly:
         Defined only for monic polynomials whose constant term is a unit
         of Z4; rejects anything else.
         """
-        if not self.is_monic:
+        coeffs = self.coeffs
+        if not coeffs or coeffs[-1] != 1:
             raise ValueError("reciprocal requires a monic polynomial")
-        a0 = self.coeffs[0]
-        if a0 not in (1, 3):  # the units of Z4, each its own inverse
-            raise ValueError("reciprocal requires a unit constant term")
-        reverse = self.coeffs[::-1]
-        return Z4Poly._of(reverse if a0 == 1 else reverse.translate(_NEG_LOW_2_BITS))
+        # the units of Z4, 1 and 3, are each their own inverse
+        if coeffs[0] == 1:
+            return Z4Poly._of(coeffs[::-1])
+        if coeffs[0] == 3:
+            return Z4Poly._of(coeffs[::-1].translate(_NEG_LOW_2_BITS))
+        raise ValueError("reciprocal requires a unit constant term")
 
     def reduce_mod2(self) -> int:
         """Coefficient-wise reduction mod 2, in the int encoding (degree may drop)."""

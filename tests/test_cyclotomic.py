@@ -56,6 +56,9 @@ from schoolbook import (
 DATA = Path(__file__).parent / "data"
 ODD_LENGTHS = list(range(1, 32, 2))
 WIDE_ODD_LENGTHS = range(1, 3000, 2)
+# the wide N of the benchmark's factor workload: 107 to 631 factors, up to
+# six coset sizes (N = 1365 and 4095) and up to two lane classes (N = 5461)
+BENCH_WIDE_LENGTHS = [1023, 1365, 2047, 3855, 4095, 4369, 4681, 5461, 8191]
 # odd N whose factor table builds in under 1 s with the product-of-roots
 # minimal polynomials (m up to 100), kept with their `factor --json` digests
 DIGEST_LENGTHS = sorted(int(n) for n in json.loads((DATA / "factor_digests.json").read_text()))
@@ -266,8 +269,31 @@ class TestCyclotomicCosets:
         with pytest.raises(ValueError):
             cyclotomic_cosets(n)
 
-    def test_rejects_a_length_no_list_can_index(self):
-        # refused before [False] * N, which would raise OverflowError
+    def test_matches_set_orbits_at_every_odd_length_below_3000_and_the_wide_lengths(self):
+        # each orbit grown as the set {s, 2s, 4s, ...} mod N from the least
+        # residue that no earlier orbit holds
+        for n in sorted({*WIDE_ODD_LENGTHS, *BENCH_WIDE_LENGTHS}):
+            cosets, covered = [], set()
+            for s in range(n):
+                if s in covered:
+                    continue
+                orbit = set()
+                while s not in orbit:
+                    orbit.add(s)
+                    s = 2 * s % n
+                covered |= orbit
+                cosets.append(orbit)
+            got = cyclotomic_cosets(n)
+            assert [set(coset) for coset in got] == cosets
+            assert all(a < b for coset in got for a, b in zip(coset, coset[1:]))
+
+    def test_rejects_a_length_no_list_can_index(self, monkeypatch):
+        # refused before bytearray(N), which would raise OverflowError; no
+        # bytearray may be made first
+        def refuse(*args):
+            raise AssertionError("allocated before the length check")
+
+        monkeypatch.setattr(cyclotomic, "bytearray", refuse, raising=False)
         with pytest.raises(ValueError, match="the most residues a list can index"):
             cyclotomic_cosets(sys.maxsize + 2)
 
@@ -923,6 +949,23 @@ class TestWire:
         assert first["poly"] == "3,1"
         assert first["coset"] == [0]
         assert wire["records"][1]["kind"] == "pairFirst"
+
+    def test_matches_the_indented_encoder_at_the_wide_lengths(self):
+        # one coefficient pass renders every record of a table; these N hold
+        # up to six coset sizes in one table.  A factor of degree d has
+        # constant term (-1)^d, so one size has one constant term, and the
+        # tables with sizes of both parities mix the terms 1 and 3
+        sizes, mixed = [], 0
+        for n in BENCH_WIDE_LENGTHS:
+            table = build_factor_table(n)
+            out = io.StringIO()
+            write_table_json(table, out)
+            assert out.getvalue() == json.dumps(table_to_wire(table), indent=2, sort_keys=True) + "\n"
+            constants = {(r.degree, r.poly.coeffs[0]) for r in table.records}
+            assert constants == {(d, 3 if d % 2 else 1) for d in set(table.degrees)}
+            sizes.append(len(constants))
+            mixed += len({c for _, c in constants}) == 2
+        assert max(sizes) == 6 and mixed == 6
 
 
 def label_free_digest(table):

@@ -11,6 +11,7 @@ from z4lcd.z4poly import (
     _bits_berlekamp_massey,
     _bits_berlekamp_massey_lanes,
     _bits_rems,
+    _coeff_text,
     _pack,
     _unpack,
     format_terms,
@@ -55,11 +56,17 @@ class TestNormalization:
         assert Z4Poly.zero().to_string() == ""
 
     def test_text_is_the_joined_digits(self):
-        # the comma-filled text against the plain join, at lengths 0 to 300
+        # the comma-filled text against the plain join, at lengths 0 to 300,
+        # one polynomial at a time and the nonzero ones in one pass
         rng = random.Random(2026)
+        expected = []
         for length in range(301):
             coeffs = [rng.randrange(4) for _ in range(length - 1)] + [rng.randrange(1, 4)] * (length > 0)
-            assert z4(*coeffs).to_string() == ",".join(map(str, coeffs))
+            expected.append(",".join(map(str, coeffs)))
+            assert z4(*coeffs).to_string() == expected[-1]
+        nonzero = expected[1:]
+        rng.shuffle(nonzero)
+        assert _coeff_text([Z4Poly.from_string(text).coeffs for text in nonzero]) == nonzero
 
 
 class TestBytesForm:
